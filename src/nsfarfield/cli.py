@@ -181,7 +181,8 @@ def simulate(cfg: ScenarioConfig, out_dir: str) -> Trajectory:
     grid, data, force, opts, digest = build_scenario(cfg)
     rep = validate_assumptions(force, ADMISSION_LIMIT,
                                points_per_axis=128, time_samples=129)
-    traj = picard_solve(data, force, grid, cfg.horizon, opts, scenario_hash=digest)
+    traj = picard_solve(data, force, grid, cfg.horizon, opts, scenario_hash=digest,
+                        assumptions=rep)
     os.makedirs(out_dir, exist_ok=True)
     traj.save(_traj_dir(out_dir, digest))
     verify.write_json(os.path.join(out_dir, f"simulate_{digest}.json"), {

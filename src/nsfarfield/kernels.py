@@ -40,6 +40,8 @@ __all__ = [
     "oseen_grad_contract",
     "leading_tensor",
     "grad_leading_tensor",
+    "grad_leading_contract",
+    "psi_gradient_bound",
     "psi_residual",
     "profile_field",
     "next_order_profile",
@@ -318,6 +320,57 @@ def grad_leading_tensor(x, d: int):
     cubic = x[..., :, None, None] * x[..., None, :, None] * x[..., None, None, :]
     out -= (d + 2.0) * cubic / r2[..., None, None, None]
     return coeff[..., None, None, None] * out
+
+
+def grad_leading_contract(z, d: int, s):
+    """Contract the leading-tensor gradient with a symmetric matrix field:
+    out_j = sum_{k,h} G[j,k,h](z) s[k,h], without materializing G.
+
+    The t -> 0 limit of ``oseen_grad_contract``, free of exp/erf:
+
+        out = d / (sigma_{d-1} r^(d+2)) (2 s z + tr(s) z - (d+2) (z.s z) z / r^2).
+
+    ``z`` has shape (..., d) and ``s`` (..., d, d).  Raises ValueError at z = 0.
+    """
+    d = _check_dim(d)
+    z = _as_points(z, d)
+    s = np.asarray(s, dtype=float)
+    r2 = np.sum(z * z, axis=-1)
+    if np.any(r2 == 0.0):
+        raise ValueError("gradient of the leading tensor is singular at z = 0")
+    sz = np.einsum("...kl,...l->...k", s, z)
+    zsz = np.einsum("...k,...k->...", z, sz)
+    tr = np.trace(s, axis1=-2, axis2=-1)
+    coeff = d / (SPHERE_AREA[d] * r2 ** (d / 2.0 + 1.0))
+    out = 2.0 * sz + (tr - (d + 2.0) * zsz / r2)[..., None] * z
+    return coeff[..., None] * out
+
+
+def psi_gradient_bound(r: float, t: float, d: int) -> float:
+    """Bound on |(F(z,tau) - G(z)) : s| / |s|_F over |z| >= r and 0 < tau <= t.
+
+    F is ``oseen_grad_kernel`` and G ``grad_leading_tensor``; F - G is the
+    gradient of the dropped part |z|^-d Psi(z/sqrt(tau)).  In the radial form
+    of ``oseen_grad_contract`` it has coefficients dP = g/(2 tau) and
+    dW = (g + d T)/r^2, with g the heat kernel and T the heat mass outside
+    radius r over sigma_{d-1} r^d.  Both are positive, so the contraction is at
+    most r |s|_F (2 dP + (d + 4 + sqrt(d)) dW).  Once r^2/(4t) >= d/2 + 1 this
+    grows with tau and falls with r, so its value at (r, t) covers the whole
+    range.  Raises ValueError below that radius.
+    """
+    d = _check_dim(d)
+    t = _check_time(t)
+    u = r * r / (4.0 * t)
+    if u < d / 2.0 + 1.0:
+        raise ValueError(f"bound needs r^2/(4t) >= {d / 2.0 + 1.0:g}, got {u:.3g}")
+    g = (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-u)
+    if d == 2:
+        tail_mass = math.exp(-u)
+    else:
+        tail_mass = math.erfc(math.sqrt(u)) + 2.0 * math.sqrt(u / math.pi) * math.exp(-u)
+    dp = g / (2.0 * t)
+    dw = (g + d * tail_mass / (SPHERE_AREA[d] * r**d)) / (r * r)
+    return r * (2.0 * dp + (d + 4.0 + math.sqrt(d)) * dw)
 
 
 def psi_residual(xi, d: int):

@@ -24,14 +24,29 @@ momentum flux, which keeps the grid solution box-exact while the snapshots
 approximate the free-space solution.
 
 Far-field evaluation assembles the same three Duhamel terms at arbitrary
-points from the closed-form kernels, with per-term error estimates.
+points from the closed-form kernels, with per-term error estimates.  The
+bilinear term sums the stored momentum flux over the central |y| <= L/2
+sub-box, split by source pair.  With the kernel written as
+K(z, tau) = L(z) + |z|^-d Psi(z / sqrt(tau)):
+
+* near pairs, |x - y| < c sqrt(t), take the full gradient kernel at every node
+  of the graded time quadrature;
+* far pairs drop the Gaussian part Psi, so the time integral collapses onto
+  one flux field per evaluation time, Q(y) = sum over nodes of
+  weight * flux(y, s), contracted with grad L(x - y): one spatial sum.
+
+The cutoff c = FAR_CUTOFF puts the dropped part at a Gaussian tail of about
+1e-12; the ``psi_cutoff`` budget entry bounds it analytically, next to the
+time and space quadrature estimates and the |y| > L/2 truncation bound.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +77,17 @@ _GL2 = np.polynomial.legendre.leggauss(2)
 
 # admission guard: measured force + data constants must stay below this
 ADMISSION_LIMIT = 5e-2
+
+# Far-pair cutoff c: source pairs with |x - y| >= c sqrt(t) drop the Gaussian
+# part Psi of the kernel.  Psi decays like exp(-|z|^2 / (4 tau)) with
+# tau <= t, so a tail target exp(-c^2/4) <= 1e-12 needs
+# c >= 2 sqrt(12 ln 10) = 10.51; rounded up.
+FAR_CUTOFF = 10.6
+
+# Interior/far routing of farfield_velocity: |x| >= L/2 up to this relative
+# slack, so points placed on the L/2 ring by a rounded direction all take the
+# kernel route.
+_ROUTE_RTOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -131,6 +157,12 @@ def _stencil(m_panel: int, n_slices: int) -> list:
     return list(range(lo, min(lo + 4, n_slices + 1)))
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_gradient_l1(d: int) -> float:
+    """L1 norm of the gradient kernel at t = 1, computed on first use."""
+    return kernels.oseen_l1_gradient_norm(1.0, d)
+
+
 def grid_l2(components: np.ndarray, grid: BoxGrid) -> float:
     return float(np.sqrt(np.sum(components * components) * grid.spacing**grid.d))
 
@@ -189,7 +221,16 @@ class Trajectory:
         self.drift = np.asarray(drift)      # (M+1, d) uniform box drift
         self.iteration_log = list(iteration_log)
         self.scenario_hash = scenario_hash
-        self._flux_cache = {}
+        # derived data built on first use; far-field worker threads share it
+        self._cache = {}
+        self._cache_lock = threading.RLock()
+
+    def _cached(self, key, build):
+        """The cache entry under ``key``, built exactly once by ``build()``."""
+        with self._cache_lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
 
     @property
     def horizon(self) -> float:
@@ -219,12 +260,15 @@ class Trajectory:
 
     def decay_constant(self) -> float:
         """Measured sup over slices of (1+|x|)^d |u| on the grid snapshots."""
-        w = (1.0 + self.grid.radius) ** self.grid.d
-        best = 0.0
-        for comps in self.snapshots:
-            mag = np.sqrt(np.sum(comps * comps, axis=0))
-            best = max(best, float((w * mag).max()))
-        return best
+        def build():
+            w = (1.0 + self.grid.radius) ** self.grid.d
+            best = 0.0
+            for comps in self.snapshots:
+                mag = np.sqrt(np.sum(comps * comps, axis=0))
+                best = max(best, float((w * mag).max()))
+            return best
+
+        return self._cached("decay_constant", build)
 
     # -- bilinear history on the central |y| <= L/2 sub-box ------------------
 
@@ -238,18 +282,18 @@ class Trajectory:
 
         Returns (points (n_y, d), fluxes list of (n_y, d, d) arrays).
         """
-        if "flux" in self._flux_cache:
-            return self._flux_cache["flux"]
-        d = self.grid.d
-        region = self._central_slices()
-        pts = self.grid.points[region].reshape(-1, d)
-        fluxes = []
-        for i, comps in enumerate(self.snapshots):
-            u = comps[(slice(None),) + region].reshape(d, -1)
-            u = u + self.drift[i][:, None]
-            fluxes.append(np.einsum("ky,ly->ykl", u, u))
-        self._flux_cache["flux"] = (pts, fluxes)
-        return pts, fluxes
+        def build():
+            d = self.grid.d
+            region = self._central_slices()
+            pts = self.grid.points[region].reshape(-1, d)
+            fluxes = []
+            for i, comps in enumerate(self.snapshots):
+                u = comps[(slice(None),) + region].reshape(d, -1)
+                u = u + self.drift[i][:, None]
+                fluxes.append(np.einsum("ky,ly->ykl", u, u))
+            return pts, fluxes
+
+        return self._cached("flux", build)
 
     # -- persistence ---------------------------------------------------------
 
@@ -389,20 +433,26 @@ def _heat_series(ops: _SpectralOps, a: InitialData, times: np.ndarray):
 
 def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
                  opts: SolverOptions = SolverOptions(),
-                 scenario_hash: str = "") -> Trajectory:
+                 scenario_hash: str = "", assumptions=None) -> Trajectory:
     """Iterate the integral formulation to its discrete fixed point.
 
     Stops when the sup-over-times L2 update norm drops below opts.tol.
     Raises AdmissionError when the measured smallness constants exceed the
     empirical contraction guard, ContractionError when update norms fail to
-    decrease, ConvergenceError when max_sweeps is exhausted.
+    decrease, ConvergenceError when max_sweeps is exhausted.  A caller that
+    has already measured the force constants (``validate_assumptions`` at
+    ADMISSION_LIMIT, 128 points per axis, 129 time samples) passes the report
+    as ``assumptions``.
     """
     if math.sqrt(horizon) > grid.length / 8.0 + 1e-12:
         raise ValueError(
             f"sqrt(horizon) = {math.sqrt(horizon):.3g} exceeds L/8 = {grid.length / 8:.3g}; "
             "periodic truncation would contaminate the far field")
     if opts.enforce_admission:
-        rep = validate_assumptions(f, ADMISSION_LIMIT, points_per_axis=128, time_samples=129)
+        rep = assumptions
+        if rep is None:
+            rep = validate_assumptions(f, ADMISSION_LIMIT, points_per_axis=128,
+                                       time_samples=129)
         combined = rep.combined() + a.l1_norm + a.sup_weighted
         if combined > ADMISSION_LIMIT:
             raise AdmissionError(
@@ -510,35 +560,121 @@ def _heat_point(a: InitialData, x: np.ndarray, t: float):
     return a.value(x, t), 0.0
 
 
+def _history_rules(times: np.ndarray, m_t: int, opts: SolverOptions, coarsen: int):
+    """GL4 and embedded GL2 nodes of the history integral over [0, times[m_t]].
+
+    Panels group `coarsen` slices and are graded toward s = t; each node
+    carries (s, weight, stencil slice indices, Lagrange weights).
+    """
+    idx_edges = list(range(0, m_t, coarsen)) + [m_t]
+    panels = []
+    for i in range(len(idx_edges) - 2):
+        panels.extend(_plain_panels(times[idx_edges[i]], times[idx_edges[i + 1]],
+                                    opts.refine))
+    panels.extend(_graded_panels(times[idx_edges[-2]], times[idx_edges[-1]],
+                                 opts.grading_levels, opts.refine))
+    n_slices = times.size - 1
+    rules = []
+    for rule in (_GL4, _GL2):
+        nodes = []
+        for lo, hi in panels:
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            for node, wgt in zip(*rule):
+                s = mid + half * node
+                idx = _stencil(int(np.searchsorted(times, s, side="right")), n_slices)
+                nodes.append((s, half * wgt, idx, _lagrange_weights(times[idx], s)))
+        rules.append(nodes)
+    return rules
+
+
+@dataclass(frozen=True)
+class _CollapsedHistory:
+    """The history integral at one evaluation time, for the far-pair sum.
+
+    ``q4``/``q2`` are the fluxes collapsed by the GL4/GL2 rules,
+    sum over nodes of weight * interpolated flux(s), shape (n_y, d, d);
+    ``flux_mass`` is sum over GL4 nodes of weight * sum_j |lw_j| |flux_j|_F,
+    which bounds the node sum of |flux(s)|_F at each source point.
+    """
+
+    nodes4: list
+    nodes2: list
+    q4: np.ndarray
+    q2: np.ndarray
+    flux_mass: np.ndarray
+
+
+def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions,
+                       coarsen: int) -> _CollapsedHistory:
+    def build():
+        _, fluxes = traj.flux_history()
+        nodes4, nodes2 = _history_rules(traj.times, m_t, opts, coarsen)
+        # per-slice weights of the two rules
+        w4, w2, w_abs = (np.zeros(len(fluxes)) for _ in range(3))
+        for _, weight, idx, lw in nodes4:
+            w4[idx] += weight * lw
+            w_abs[idx] += weight * np.abs(lw)
+        for _, weight, idx, lw in nodes2:
+            w2[idx] += weight * lw
+        q4 = sum(w4[i] * fluxes[i] for i in np.flatnonzero(w4))
+        q2 = sum(w2[i] * fluxes[i] for i in np.flatnonzero(w2))
+        mass = sum(w_abs[i] * np.sqrt(np.sum(fluxes[i] ** 2, axis=(-2, -1)))
+                   for i in np.flatnonzero(w_abs))
+        return _CollapsedHistory(nodes4, nodes2, q4, q2, mass)
+
+    return traj._cached(("collapsed", m_t, opts.refine, opts.grading_levels, coarsen), build)
+
+
+def _pair_values(z, near, t: float, q, nodes, fluxes) -> np.ndarray:
+    """Every (x, y) pair's share of B(x, t) per unit cell, shape (n_x, d, n_y).
+
+    ``z`` holds x - y, shape (n_x, n_y, d).  Far pairs contract grad L(z) with
+    the collapsed flux ``q``; near pairs sum the full gradient kernel over the
+    time ``nodes``, with the flux interpolated at each node.
+    """
+    d = z.shape[-1]
+    vals = np.empty((z.shape[0], d, z.shape[1]))
+    fx, fy = np.nonzero(~near)
+    vals[fx, :, fy] = kernels.grad_leading_contract(z[fx, fy], d, q[fy])
+    nx, ny = np.nonzero(near)
+    if ny.size:
+        zn = z[nx, ny]
+        acc = np.zeros_like(zn)
+        uy, inv = np.unique(ny, return_inverse=True)
+        for s, weight, idx, lw in nodes:
+            flux_s = lw[0] * fluxes[idx[0]][uy]
+            for j in range(1, len(idx)):
+                flux_s = flux_s + lw[j] * fluxes[idx[j]][uy]
+            acc += weight * kernels.oseen_grad_contract(zn, t - s, d, flux_s[inv])
+        vals[nx, :, ny] = acc
+    return vals
+
+
 def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float,
                     opts: SolverOptions, coarsen: int = 8, chunk: int = 32,
                     probe: int = 16):
     """B(u,u)(x, t) by kernel quadrature over the |y| <= L/2 history.
 
-    Returns (values, error_budget dict).  Quadrature error is estimated on a
-    probe subset of the batch (embedded lower-order rule in s, stride-2
-    subsample in y; both doubled as a safety margin); the |y| > L/2
-    truncation is bounded analytically from the measured decay constant of
-    the trajectory.
+    Source pairs split at |x - y| = FAR_CUTOFF sqrt(t).  Near pairs sum the
+    full gradient kernel over every time node; far pairs drop the Gaussian
+    part Psi and contract grad L(x - y) with the collapsed flux, one spatial
+    sum.  Returns (values, error_budget dict).  Quadrature error is
+    estimated on a probe subset of the batch (embedded lower-order rule in s,
+    stride-2 subsample in y; both doubled as a safety margin); the dropped Psi
+    part and the |y| > L/2 truncation are bounded analytically.
     """
     d = traj.grid.d
     m_t = traj.slice_index(t)
-    pts_y, fluxes = traj.flux_history()
-    cell = traj.grid.spacing**d
     out = np.zeros_like(x)
+    budget = dict.fromkeys(("time_quadrature", "space_quadrature", "truncation",
+                            "psi_cutoff"), 0.0)
     if m_t == 0:
-        return out, {"time_quadrature": 0.0, "space_quadrature": 0.0, "truncation": 0.0}
+        return out, budget
+    pts_y, fluxes = traj.flux_history()
+    hist = _collapsed_history(traj, m_t, opts, coarsen)
+    cell = traj.grid.spacing**d
+    cut2 = FAR_CUTOFF**2 * t
 
-    # panels: groups of `coarsen` slices, graded near s = t
-    idx_edges = list(range(0, m_t, coarsen)) + [m_t]
-    panels = []
-    for i in range(len(idx_edges) - 2):
-        panels.extend(_plain_panels(traj.times[idx_edges[i]], traj.times[idx_edges[i + 1]],
-                                    opts.refine))
-    panels.extend(_graded_panels(traj.times[idx_edges[-2]], traj.times[idx_edges[-1]],
-                                 opts.grading_levels, opts.refine))
-
-    n_slices = traj.times.size - 1
     n_probe = min(probe, x.shape[0])
     coarse_s = np.zeros((n_probe, d))
     sub = np.zeros((n_probe, d))
@@ -546,46 +682,34 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float,
     side = round(pts_y.shape[0] ** (1.0 / d))
     stride_idx = np.arange(pts_y.shape[0]).reshape((side,) * d)
     stride_mask[stride_idx[(slice(None, None, 2),) * d].ravel()] = True
+    far_mass = 0.0
 
-    def flux_at(s):
-        m_panel = int(np.searchsorted(traj.times, s, side="right"))
-        idx = _stencil(m_panel, n_slices)
-        lw = _lagrange_weights(traj.times[idx], s)
-        flux_s = lw[0] * fluxes[idx[0]]
-        for j in range(1, len(idx)):
-            flux_s = flux_s + lw[j] * fluxes[idx[j]]
-        return flux_s
-
-    for lo, hi in panels:
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        for node, wgt in zip(*_GL4):
-            s = mid + half * node
-            flux_s = flux_at(s)
-            for c0 in range(0, x.shape[0], chunk):
-                xs = x[c0:c0 + chunk]
-                z = xs[:, None, :] - pts_y[None, :, :]
-                vals = kernels.oseen_grad_contract(z, t - s, d, flux_s[None, :, :, :])
-                out[c0:c0 + chunk] += (half * wgt * cell) * vals.sum(axis=1)
-            zp = x[:n_probe, None, :] - pts_y[None, stride_mask, :]
-            vs = kernels.oseen_grad_contract(zp, t - s, d, flux_s[None, stride_mask])
-            sub += (half * wgt * cell * 2**d) * vs.sum(axis=1)
-        for node, wgt in zip(*_GL2):
-            s = mid + half * node
-            flux_s = flux_at(s)
-            zp = x[:n_probe, None, :] - pts_y[None, :, :]
-            vals = kernels.oseen_grad_contract(zp, t - s, d, flux_s[None, :, :, :])
-            coarse_s += (half * wgt * cell) * vals.sum(axis=1)
+    for c0 in range(0, x.shape[0], chunk):
+        xs = x[c0:c0 + chunk]
+        z = xs[:, None, :] - pts_y[None, :, :]
+        near = np.sum(z * z, axis=-1) < cut2
+        pairs = _pair_values(z, near, t, hist.q4, hist.nodes4, fluxes)
+        out[c0:c0 + xs.shape[0]] = cell * pairs.sum(axis=-1)
+        far_mass = max(far_mass, float(
+            np.where(near, 0.0, hist.flux_mass).sum(axis=-1).max()))
+        n_p = max(0, min(n_probe - c0, xs.shape[0]))
+        if n_p:
+            coarse = _pair_values(z[:n_p], near[:n_p], t, hist.q2, hist.nodes2, fluxes)
+            coarse_s[c0:c0 + n_p] = cell * coarse.sum(axis=-1)
+            sub[c0:c0 + n_p] = (cell * 2**d) * pairs[:n_p][..., stride_mask].sum(axis=-1)
 
     c_dec = traj.decay_constant()
-    c_f = kernels.oseen_l1_gradient_norm(1.0, d)
-    tail = c_dec**2 * (1.0 + traj.grid.length / 2.0) ** (-2 * d) * 2.0 * c_f * math.sqrt(t)
-    budget = {
+    tail = (c_dec**2 * (1.0 + traj.grid.length / 2.0) ** (-2 * d) * 2.0
+            * _unit_gradient_l1(d) * math.sqrt(t))
+    budget.update({
         "time_quadrature": 2.0 * float(
             np.max(np.linalg.norm(out[:n_probe] - coarse_s, axis=-1), initial=0.0)),
         "space_quadrature": 2.0 * float(
             np.max(np.linalg.norm(out[:n_probe] - sub, axis=-1), initial=0.0)),
         "truncation": float(tail),
-    }
+        "psi_cutoff": (kernels.psi_gradient_bound(FAR_CUTOFF * math.sqrt(t), t, d)
+                       * cell * far_mass if far_mass else 0.0),
+    })
     return out, budget
 
 
@@ -643,7 +767,7 @@ def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: flo
     total = heat_vals + lin_vals
     if with_bilinear:
         radii = np.linalg.norm(pts, axis=-1)
-        far = radii >= traj.grid.length / 2.0
+        far = radii >= (1.0 - _ROUTE_RTOL) * traj.grid.length / 2.0
         bil = np.zeros_like(pts)
         if np.any(far):
             vals, b_budget = _bilinear_point(traj, pts[far], t, opts)

@@ -174,6 +174,30 @@ class TestCli:
         h2 = run(tmp_path / "o2")
         assert h1 == h2
 
+    def test_thread_count_leaves_artifacts_unchanged(self, tmp_path):
+        # far-field checks added so that batches split across the workers;
+        # profile radius 8 is the L/2 ring
+        text = QUICK.replace("run = lemlog", "run = lemlog profile window")
+        text += ("\n[checks]\nprofile_time = 0.5\nprofile_radii = 8 11.31 16 22.63 32\n"
+                 "window_time = 0.5\n")
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(text)
+
+        def run(out, threads):
+            code = cli.main(["all", "--config", str(cfg), "--out", str(out),
+                             "--threads", threads])
+            assert code in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE)
+            return {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(Path(out).rglob("*"))
+                if p.is_file() and p.name != "run.log"
+            }
+
+        h1 = run(tmp_path / "t1", "1")
+        h2 = run(tmp_path / "t2", "2")
+        assert any(name.startswith("window_") for name in h1)
+        assert h1 == h2
+
     def test_env_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "quick.cfg"
         cfg.write_text(QUICK)

@@ -241,6 +241,58 @@ class TestOseenGradKernel:
         assert 0 < c < 10.0
 
 
+class TestGradLeadingContract:
+    @staticmethod
+    def _symmetric(rng, n, d):
+        a = rng.normal(size=(n, d, d))
+        return a + np.swapaxes(a, -1, -2)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_tensor_contraction(self, d):
+        rng = np.random.default_rng(17)
+        z = rng.normal(size=(40, d)) * 4
+        s = self._symmetric(rng, 40, d)
+        ref = np.einsum("...jkh,...kh->...j", kn.grad_leading_tensor(z, d), s)
+        got = kn.grad_leading_contract(z, d, s)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_small_time_limit_of_oseen_contraction(self, d):
+        rng = np.random.default_rng(19)
+        z = rng.normal(size=(20, d)) * 3
+        s = self._symmetric(rng, 20, d)
+        r_min = float(np.linalg.norm(z, axis=-1).min())
+        t = (r_min / 12.0) ** 2
+        full = kn.oseen_grad_contract(z, t, d, s)
+        lim = kn.grad_leading_contract(z, d, s)
+        assert np.abs(full - lim).max() <= 1e-12 * np.abs(lim).max()
+
+    def test_singular_at_origin(self):
+        with pytest.raises(ValueError):
+            kn.grad_leading_contract(np.zeros(2), 2, np.eye(2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_psi_bound_covers_dropped_part(self, d):
+        # the bound at (r, t) covers every |z| >= r and tau <= t
+        rng = np.random.default_rng(23)
+        s = self._symmetric(rng, 1, d)[0]
+        t = 0.7
+        for c in (3.5, 5.0, 10.6):
+            r = c * math.sqrt(t)
+            bound = kn.psi_gradient_bound(r, t, d)
+            worst = 0.0
+            for tau in np.linspace(0.02, 1.0, 25) * t:
+                z = rng.normal(size=(64, d))
+                z *= (r * rng.uniform(1.0, 1.3, size=(64, 1))
+                      / np.linalg.norm(z, axis=-1, keepdims=True))
+                ss = np.broadcast_to(s, (64, d, d))
+                diff = kn.oseen_grad_contract(z, tau, d, ss) - kn.grad_leading_contract(z, d, ss)
+                worst = max(worst, float(np.linalg.norm(diff, axis=-1).max()))
+            assert worst / np.linalg.norm(s) <= bound
+        with pytest.raises(ValueError):
+            kn.psi_gradient_bound(1.0, 1.0, d)
+
+
 class TestProfileField:
     def test_zero_amplitude(self):
         omega = kn.sphere_points(2, 16)

@@ -15,7 +15,7 @@ from nsfarfield.forcing import (
     force_integral,
 )
 from nsfarfield.grid import BoxGrid
-from nsfarfield.kernels import profile_field
+from nsfarfield.kernels import profile_field, sphere_points
 
 L, N, T, M = 16.0, 128, 0.5, 32
 
@@ -182,6 +182,68 @@ class TestBilinear:
         _, _, traj = canonical
         with pytest.raises(ValueError):
             sv.bilinear_term(traj, 2 * T, opts=opts)
+
+    def test_collapsed_far_pairs_match_all_pairs_reference(self, canonical, opts,
+                                                           monkeypatch):
+        # the reference treats every source as near: the full kernel at every
+        # time node, the evaluator as it stood before the far-pair collapse
+        _, _, traj = canonical
+        dirs = sphere_points(2, 8)
+        cases = [(r, t) for r in (L, 2 * L, 4 * L) for t in (T / 2, T)]
+        collapsed = [sv._bilinear_point(traj, r * dirs, t, opts) for r, t in cases]
+        monkeypatch.setattr(sv, "FAR_CUTOFF", math.inf)
+        for (r, t), (vals, budget) in zip(cases, collapsed):
+            ref, ref_budget = sv._bilinear_point(traj, r * dirs, t, opts)
+            gap = np.linalg.norm(vals - ref, axis=-1)
+            assert gap.max() <= 1e-9 * np.linalg.norm(ref, axis=-1).min()
+            assert budget["psi_cutoff"] >= gap.max()
+            assert ref_budget["psi_cutoff"] == 0.0
+
+    def test_ring_at_half_width_takes_the_kernel_route(self, canonical, opts,
+                                                       monkeypatch):
+        # a rounded direction puts |x| a few ulps below L/2; it must not fall
+        # back to the spectral interior route
+        a, f, traj = canonical
+        ring = (L / 2) * sphere_points(2, 16)
+        assert np.linalg.norm(ring, axis=-1).min() < L / 2
+
+        def interior(*args, **kwargs):
+            raise AssertionError("ring point routed to the interior fallback")
+
+        monkeypatch.setattr(sv, "_bilinear_grid_at", interior)
+        vals, budget = sv.farfield_velocity(traj, a, f, ring, T, opts)
+        assert np.all(np.isfinite(vals)) and "bilinear_psi_cutoff" in budget
+
+    def test_cache_entries_built_once_across_threads(self, box):
+        # more workers than cores, frequent thread switches: a check-then-act
+        # race would build the entry more than once
+        import sys
+        import threading
+        import time
+
+        traj = sv.Trajectory(box, np.array([0.0]), [np.zeros((2, N, N))],
+                             np.zeros((1, 2)), [])
+        builds = []
+
+        def build():
+            builds.append(1)
+            time.sleep(0.01)
+            return len(builds)
+
+        results = []
+        workers = [threading.Thread(target=lambda: results.append(traj._cached("k", build)))
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert builds == [1] and results == [1] * 8
 
 
 class TestFarField:
