@@ -175,10 +175,11 @@ def _traj_dir(out_dir: str, digest: str) -> str:
     return os.path.join(out_dir, f"trajectory_{digest}")
 
 
-def simulate(cfg: ScenarioConfig, out_dir: str) -> Trajectory:
+def simulate(cfg: ScenarioConfig, out_dir: str, scenario=None) -> Trajectory:
+    """Solve and persist; ``scenario`` is ``build_scenario(cfg)`` if already built."""
     from .solver import ADMISSION_LIMIT
 
-    grid, data, force, opts, digest = build_scenario(cfg)
+    grid, data, force, opts, digest = scenario or build_scenario(cfg)
     rep = validate_assumptions(force, ADMISSION_LIMIT,
                                points_per_axis=128, time_samples=129)
     traj = picard_solve(data, force, grid, cfg.horizon, opts, scenario_hash=digest,
@@ -197,12 +198,12 @@ def simulate(cfg: ScenarioConfig, out_dir: str) -> Trajectory:
     return traj
 
 
-def _load_or_solve(cfg: ScenarioConfig, out_dir: str) -> Trajectory:
-    _, _, _, _, digest = build_scenario(cfg)
+def _load_or_solve(cfg: ScenarioConfig, out_dir: str, scenario) -> Trajectory:
+    *_, digest = scenario
     tdir = _traj_dir(out_dir, digest)
     if os.path.isdir(tdir):
         return load_trajectory(tdir)
-    return simulate(cfg, out_dir)
+    return simulate(cfg, out_dir, scenario)
 
 
 def _check_profile(cfg, flow, digest, out_dir):
@@ -360,8 +361,9 @@ _CHECK_RUNNERS = {
 
 
 def run_verify(cfg: ScenarioConfig, out_dir: str, only=None, threads: int = 1) -> int:
-    grid, data, force, opts, digest = build_scenario(cfg)
-    traj = _load_or_solve(cfg, out_dir)
+    scenario = build_scenario(cfg)
+    _, data, force, opts, digest = scenario
+    traj = _load_or_solve(cfg, out_dir, scenario)
     flow = _ThreadedFlow(traj, data, force, opts, threads=threads)
     selected = [c for c in cfg.checks if only is None or c in only]
     summary = {"scenario": cfg.name, "hash": digest, "checks": {}}

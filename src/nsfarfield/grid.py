@@ -24,6 +24,7 @@ __all__ = [
     "BoxGrid",
     "VectorFieldGrid",
     "leray_project",
+    "leray_apply",
     "heat_evolve",
     "weighted_lp_norm",
     "restrict_annulus_norm",
@@ -102,6 +103,12 @@ class BoxGrid:
         for k in self.wavenumbers:
             k2 = k2 + k * k
         return k2
+
+    @cached_property
+    def inverse_k_squared(self) -> np.ndarray:
+        """1 / |k|^2, with 0 at the zero mode."""
+        k2 = self.k_squared
+        return np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -216,19 +223,18 @@ def read_snapshot(path) -> VectorFieldGrid:
     return VectorFieldGrid(grid, components, time=time)
 
 
-def _projector_apply(grid: BoxGrid, spec: np.ndarray) -> np.ndarray:
-    """Apply the divergence-free spectral multiplier; zero mode passes through."""
-    k2 = grid.k_squared
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
-    dot = np.zeros(grid.shape, dtype=complex)
-    for ax, k in enumerate(grid.wavenumbers):
-        dot += k * spec[ax]
+def leray_apply(spec: np.ndarray, k: list, inv_k2: np.ndarray) -> np.ndarray:
+    """Apply the divergence-free multiplier I - k k^T / |k|^2 modewise.
+
+    ``k`` holds one broadcastable wavenumber array per axis and ``inv_k2`` is
+    1 / |k|^2 (0 at the zero mode, which passes through).  Serves the full
+    spectrum and the real-FFT half spectrum alike.
+    """
+    dot = np.zeros(inv_k2.shape, dtype=complex)
+    for ax, k_ax in enumerate(k):
+        dot += k_ax * spec[ax]
     dot *= inv_k2
-    out = np.empty_like(spec)
-    for ax, k in enumerate(grid.wavenumbers):
-        out[ax] = spec[ax] - k * dot
-    return out
+    return np.stack([spec[ax] - k_ax * dot for ax, k_ax in enumerate(k)])
 
 
 def leray_project(v: VectorFieldGrid) -> VectorFieldGrid:
@@ -237,7 +243,7 @@ def leray_project(v: VectorFieldGrid) -> VectorFieldGrid:
     The k = 0 mode passes through unchanged.  Idempotent and self-adjoint for
     the discrete inner product.
     """
-    spec = _projector_apply(v.grid, v.spectral)
+    spec = leray_apply(v.spectral, v.grid.wavenumbers, v.grid.inverse_k_squared)
     return VectorFieldGrid.from_spectral(v.grid, spec, time=v.time)
 
 

@@ -17,6 +17,11 @@ exponential-integrator recursion
 
     I(t_m) = exp(-dt |k|^2) I(t_{m-1}) + (panel over [t_{m-1}, t_m]).
 
+The slices are uniform, so each panel sum is a fixed real weight field per
+stencil slice (the node propagators folded with the Lagrange weights, or with
+tau(s) for the force), built once per series.  Fields are real, so the
+spectral work runs on the real-FFT half spectrum.
+
 The box zero mode cannot represent decay at infinity, so it is split off
 analytically: snapshots are stored mean-free and the uniform drift
 force_integral(t) / (2L)^d is tracked separately and re-injected into the
@@ -53,7 +58,7 @@ import numpy as np
 
 from . import kernels
 from .forcing import ForceModel, InitialData, force_integral, validate_assumptions
-from .grid import BoxGrid, VectorFieldGrid, read_snapshot
+from .grid import BoxGrid, VectorFieldGrid, leray_apply, read_snapshot
 
 __all__ = [
     "SolverOptions",
@@ -168,28 +173,45 @@ def grid_l2(components: np.ndarray, grid: BoxGrid) -> float:
 
 
 class _SpectralOps:
-    """Shared spectral machinery bound to one grid."""
+    """Shared spectral machinery bound to one grid, on the real-FFT half spectrum.
+
+    Fields are real, so only the last axis' modes 0..N/2 are kept
+    (``rfftn``/``irfftn``); every multiplier is sliced to match.  A real field
+    has no odd part at the Nyquist wavenumber, so ``k`` (first derivatives)
+    is zero there and the Nyquist entries live in ``k_nyquist``; ``k2`` keeps
+    the full |k|^2.
+    """
 
     def __init__(self, grid: BoxGrid):
         self.grid = grid
-        self.k = grid.wavenumbers
-        self.k2 = grid.k_squared
-        self.mask = grid.dealias_mask
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.inv_k2 = np.where(self.k2 > 0, 1.0 / np.where(self.k2 > 0, self.k2, 1.0), 0.0)
+        half = (Ellipsis, slice(0, grid.n // 2 + 1))
+        self.axes = tuple(range(1, grid.d + 1))
+        nyquist = [k == k.min() for k in grid.wavenumbers]   # fftfreq's -N/2 entry
+        self.k = [np.where(nq, 0.0, k)[half] for k, nq in zip(grid.wavenumbers, nyquist)]
+        self.k_nyquist = [np.where(nq, k, 0.0)[half]
+                          for k, nq in zip(grid.wavenumbers, nyquist)]
+        self.k2 = grid.k_squared[half]
+        self.mask = grid.dealias_mask[half]
+        self.inv_k2 = grid.inverse_k_squared[half]
+        self.shape = self.k2.shape
 
     def fft(self, comps):
-        return np.fft.fftn(comps, axes=tuple(range(1, self.grid.d + 1)))
+        return np.fft.rfftn(comps, axes=self.axes)
 
     def ifft(self, spec):
-        return np.real(np.fft.ifftn(spec, axes=tuple(range(1, self.grid.d + 1))))
+        return np.fft.irfftn(spec, s=self.grid.shape, axes=self.axes)
 
     def project(self, spec):
-        dot = np.zeros(self.grid.shape, dtype=complex)
-        for ax in range(self.grid.d):
-            dot += self.k[ax] * spec[ax]
-        dot *= self.inv_k2
-        return np.stack([spec[ax] - self.k[ax] * dot for ax in range(self.grid.d)])
+        """Leray projection of a real field's half spectrum.
+
+        At a mode with some axes at the Nyquist index, the projector of a real
+        field is the mean of k k^T / |k|^2 over the mode and its mirror image;
+        that drops the cross terms between Nyquist and other axes and leaves
+        two rank-one parts, (k k^T + k_nyquist k_nyquist^T) / |k|^2.  They
+        act on orthogonal vectors, so they are applied one after the other.
+        """
+        return leray_apply(leray_apply(spec, self.k, self.inv_k2), self.k_nyquist,
+                           self.inv_k2)
 
     def momentum_flux_divergence(self, u_phys: np.ndarray, drift: np.ndarray):
         """Q = P[-i k . W] for W the dealiased product (u + drift) (x) (u + drift).
@@ -199,15 +221,16 @@ class _SpectralOps:
         """
         d = self.grid.d
         full = u_phys + drift.reshape((d,) + (1,) * d)
-        div = np.zeros((d,) + self.grid.shape, dtype=complex)
+        div = np.zeros((d,) + self.shape, dtype=complex)
         for kk in range(d):
             for ll in range(kk, d):
-                w_hat = np.fft.fftn(full[kk] * full[ll])
+                w_hat = np.fft.rfftn(full[kk] * full[ll])
                 w_hat *= self.mask
                 div[kk] += 1j * self.k[ll] * w_hat
                 if ll != kk:
                     div[ll] += 1j * self.k[kk] * w_hat
-        return self.project(div)
+        # the mask clears every Nyquist mode: the rank-one Nyquist part is idle
+        return leray_apply(div, self.k, self.inv_k2)
 
 
 class Trajectory:
@@ -343,14 +366,56 @@ def load_trajectory(directory) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _uniform_step(times: np.ndarray) -> float:
+    """Width of the slices between ``times``; they must be uniform."""
+    if times.size < 2:
+        return 0.0
+    dt = float(times[-1] - times[0]) / (times.size - 1)
+    if np.abs(np.diff(times) - dt).max() > 1e-9 * dt:
+        raise ValueError("slice times must be uniformly spaced (to 1e-9 relative)")
+    return dt
+
+
+@dataclass(frozen=True)
+class _SliceRule:
+    """The graded GL4 rule of one slice, folded with the heat flow.
+
+    Slices are uniform, so a node's offset inside its slice, and with it the
+    propagator exp(-(t1 - s)|k|^2) to the slice end, is the same in every
+    slice.  ``offsets``/``weights`` are the nodes' s - t0 and half * wgt;
+    ``factors`` stacks one propagator per node; ``decay`` is exp(-dt |k|^2).
+    """
+
+    dt: float
+    offsets: np.ndarray
+    weights: np.ndarray
+    factors: np.ndarray
+    decay: np.ndarray
+
+    def fold(self, node_weights: np.ndarray) -> np.ndarray:
+        """sum over nodes of weights * node_weights * propagator: one field."""
+        return np.tensordot(self.weights * node_weights, self.factors, axes=1)
+
+
+def _slice_rule(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions) -> _SliceRule:
+    dt = _uniform_step(times)
+    nodes = [(0.5 * (hi + lo) + 0.5 * (hi - lo) * node, 0.5 * (hi - lo) * wgt)
+             for lo, hi in _graded_panels(0.0, dt, opts.grading_levels, opts.refine)
+             for node, wgt in zip(*_GL4)]
+    offsets = np.array([s for s, _ in nodes])
+    weights = np.array([w for _, w in nodes])
+    factors = np.exp(-(dt - offsets).reshape((-1,) + (1,) * ops.grid.d) * ops.k2)
+    return _SliceRule(dt, offsets, weights, factors, np.exp(-dt * ops.k2))
+
+
 def _force_spectra(ops: _SpectralOps, f: ForceModel):
     """Projected, mean-free spectra of the separable force terms."""
     out = []
     if f.kind != "separable":
         raise NotImplementedError("grid solve currently requires a separable force")
     for term in f.terms:
-        rho = term.profile.value(ops.grid.points)
-        spec = np.stack([np.fft.fftn(rho) * amp for amp in term.amplitude])
+        rho_hat = np.fft.rfftn(term.profile.value(ops.grid.points))
+        spec = np.stack([rho_hat * amp for amp in term.amplitude])
         spec[(slice(None),) + (0,) * ops.grid.d] = 0.0  # mean handled as drift
         out.append((term.time_profile, ops.project(spec)))
     return out
@@ -358,38 +423,40 @@ def _force_spectra(ops: _SpectralOps, f: ForceModel):
 
 def _linear_series(ops: _SpectralOps, f: ForceModel, times: np.ndarray,
                    opts: SolverOptions):
-    """L(f) at every slice time by the exponential recursion; mean-free."""
+    """L(f) at every slice time by the exponential recursion; mean-free.
+
+    Each slice adds, per force term, one field (the node propagators folded
+    with tau(s)) times the term's spectrum.
+    """
     d = ops.grid.d
+    rule = _slice_rule(ops, times, opts)
     terms = _force_spectra(ops, f)
-    acc = np.zeros((d,) + ops.grid.shape, dtype=complex)
+    acc = np.zeros((d,) + ops.shape, dtype=complex)
     out = [np.zeros((d,) + ops.grid.shape)]
     for m in range(1, times.size):
-        t0, t1 = times[m - 1], times[m]
-        acc *= np.exp(-(t1 - t0) * ops.k2)
-        for lo, hi in _graded_panels(t0, t1, opts.grading_levels, opts.refine):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            for node, wgt in zip(*_GL4):
-                s = mid + half * node
-                tau_total = None
-                for tau, spec in terms:
-                    tv = float(tau.value(s))
-                    if tv == 0.0:
-                        continue
-                    contrib = (half * wgt * tv) * spec
-                    tau_total = contrib if tau_total is None else tau_total + contrib
-                if tau_total is None:
-                    continue
-                acc += np.exp(-(t1 - s) * ops.k2) * tau_total
+        acc *= rule.decay
+        for tau, spec in terms:
+            tv = tau.value(times[m - 1] + rule.offsets)
+            if np.any(tv):
+                acc += rule.fold(tv) * spec
         out.append(ops.ifft(acc))
     return out
 
 
 def _bilinear_series(ops: _SpectralOps, snapshots: list, drift: np.ndarray,
                      times: np.ndarray, opts: SolverOptions):
-    """B(u, u) at every slice time from the momentum-flux history; mean-free."""
+    """B(u, u) at every slice time from the momentum-flux history; mean-free.
+
+    Slice m adds sum_j E_j Q(t_{idx_j}) over its cubic stencil idx, where
+    E_j folds the Lagrange weight of stencil slice j into the node
+    propagators.  E_j depends only on the stencil's position relative to the
+    slice, (m - idx[0], len(idx)), so each pattern is built once per call.
+    """
     d = ops.grid.d
     n_t = times.size
+    rule = _slice_rule(ops, times, opts)
     cache: dict = {}
+    patterns: dict = {}
 
     def flux_div(i: int):
         if i not in cache:
@@ -398,35 +465,33 @@ def _bilinear_series(ops: _SpectralOps, snapshots: list, drift: np.ndarray,
                 del cache[key]
         return cache[i]
 
-    acc = np.zeros((d,) + ops.grid.shape, dtype=complex)
+    def stencil_fields(offset: int, size: int):
+        if (offset, size) not in patterns:
+            lw = np.stack([_lagrange_weights(np.arange(size) * rule.dt,
+                                             (offset - 1) * rule.dt + s)
+                           for s in rule.offsets])
+            patterns[offset, size] = [rule.fold(lw[:, j]) for j in range(size)]
+        return patterns[offset, size]
+
+    acc = np.zeros((d,) + ops.shape, dtype=complex)
     out = [np.zeros((d,) + ops.grid.shape)]
     for m in range(1, n_t):
-        t0, t1 = times[m - 1], times[m]
-        acc *= np.exp(-(t1 - t0) * ops.k2)
         idx = _stencil(m, n_t - 1)
-        ts = times[idx]
-        stack = [flux_div(i) for i in idx]
-        for lo, hi in _graded_panels(t0, t1, opts.grading_levels, opts.refine):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            for node, wgt in zip(*_GL4):
-                s = mid + half * node
-                lw = _lagrange_weights(ts, s)
-                q = lw[0] * stack[0]
-                for j in range(1, len(stack)):
-                    q = q + lw[j] * stack[j]
-                acc += (half * wgt) * np.exp(-(t1 - s) * ops.k2) * q
+        acc *= rule.decay
+        for i, weight in zip(idx, stencil_fields(m - idx[0], len(idx))):
+            acc += weight * flux_div(i)
         out.append(ops.ifft(acc))
     return out
 
 
 def _heat_series(ops: _SpectralOps, a: InitialData, times: np.ndarray):
     d = ops.grid.d
-    a_field = a.to_field(ops.grid)
-    spec = ops.project(np.fft.fftn(a_field.components, axes=tuple(range(1, d + 1))))
+    spec = ops.project(ops.fft(a.to_field(ops.grid).components))
     spec[(slice(None),) + (0,) * d] = 0.0
+    decay = np.exp(-_uniform_step(times) * ops.k2)
     out = [ops.ifft(spec)]
-    for m in range(1, times.size):
-        spec = spec * np.exp(-(times[m] - times[m - 1]) * ops.k2)
+    for _ in range(1, times.size):
+        spec = spec * decay
         out.append(ops.ifft(spec))
     return out
 
@@ -464,21 +529,20 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
     vol = (2.0 * grid.length) ** grid.d
     drift = np.stack([force_integral(f, float(t)) / vol for t in times])
 
-    heat = _heat_series(ops, a, times)
-    lin = _linear_series(ops, f, times, opts)
-    fixed = [h + l for h, l in zip(heat, lin)]
+    # heat + L(f), summed into the heat series so neither list outlives it
+    fixed = _heat_series(ops, a, times)
+    for fixed_m, lin_m in zip(fixed, _linear_series(ops, f, times, opts)):
+        fixed_m += lin_m
 
-    snapshots = [arr.copy() for arr in fixed]
+    snapshots = fixed   # read, never written, by the first sweep
     log = []
     for sweep in range(1, opts.max_sweeps + 1):
-        bil = _bilinear_series(ops, snapshots, drift, times, opts)
+        nxt = _bilinear_series(ops, snapshots, drift, times, opts)
         update = 0.0
-        new_snaps = []
         for m in range(times.size):
-            nxt = fixed[m] - bil[m]
-            update = max(update, grid_l2(nxt - snapshots[m], grid))
-            new_snaps.append(nxt)
-        snapshots = new_snaps
+            np.subtract(fixed[m], nxt[m], out=nxt[m])
+            update = max(update, grid_l2(nxt[m] - snapshots[m], grid))
+        snapshots = nxt
         log.append(update)
         if update < opts.tol:
             break
@@ -723,10 +787,8 @@ def _bilinear_grid_at(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOpt
     spec = np.fft.fftn(series[-1], axes=tuple(range(1, traj.grid.d + 1)))
     spec *= traj.grid.dealias_mask
     keep = np.abs(spec).max(axis=0) > 0
-    modes = np.argwhere(keep)
-    vals = np.zeros((x.shape[0], traj.grid.d))
-    kvecs = np.stack([np.broadcast_to(ops.k[ax], traj.grid.shape)[keep]
-                      for ax in range(traj.grid.d)], axis=-1)
+    kvecs = np.stack([np.broadcast_to(k, traj.grid.shape)[keep]
+                      for k in traj.grid.wavenumbers], axis=-1)
     amps = spec[:, keep] / traj.grid.n**traj.grid.d
     phase = np.exp(1j * x @ kvecs.T)
     vals = np.real(phase @ amps.T)

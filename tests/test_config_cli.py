@@ -223,3 +223,20 @@ class TestCli:
         assert code == cli.EXIT_PASS
         summary = json.loads(next(out.glob("verify_*.json")).read_text())
         assert list(summary["checks"]) == ["lemlog"]
+
+    def test_verify_builds_scenario_once(self, tmp_path, monkeypatch):
+        # a cold verify solves the scenario it already built; a warm one loads
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK)
+        build = cli.build_scenario
+        calls = []
+
+        def counted(c):
+            calls.append(1)
+            return build(c)
+
+        monkeypatch.setattr(cli, "build_scenario", counted)
+        for _ in range(2):
+            calls.clear()
+            code = cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert code == cli.EXIT_PASS and len(calls) == 1

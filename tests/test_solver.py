@@ -14,7 +14,7 @@ from nsfarfield.forcing import (
     build_initial_data,
     force_integral,
 )
-from nsfarfield.grid import BoxGrid
+from nsfarfield.grid import BoxGrid, leray_apply
 from nsfarfield.kernels import profile_field, sphere_points
 
 L, N, T, M = 16.0, 128, 0.5, 32
@@ -93,6 +93,150 @@ class TestLinearResponse:
             bound = np.minimum((1 + r) ** (-2.0), (1 + t) ** (-1.0))
             worst = max(worst, float((mag / bound).max()) / eps)
         assert worst < 50.0
+
+
+# ---------------------------------------------------------------------------
+# Per-node reference loops, the oracle for the fused series: every node of
+# every slice recomputes exp(-(t1 - s)|k|^2) and, for B, the Lagrange
+# combination, where the solver folds both into per-slice weight fields.
+# ---------------------------------------------------------------------------
+
+
+def _slice_nodes(t0, t1, opts):
+    """(s, half * wgt) for every GL4 node of the graded panels of [t0, t1]."""
+    for lo, hi in sv._graded_panels(t0, t1, opts.grading_levels, opts.refine):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        for node, wgt in zip(*sv._GL4):
+            yield mid + half * node, half * wgt
+
+
+def reference_linear_series(ops, f, times, opts):
+    d = ops.grid.d
+    terms = sv._force_spectra(ops, f)
+    acc = np.zeros((d,) + ops.shape, dtype=complex)
+    out = [np.zeros((d,) + ops.grid.shape)]
+    for m in range(1, times.size):
+        acc *= np.exp(-(times[m] - times[m - 1]) * ops.k2)
+        for s, weight in _slice_nodes(times[m - 1], times[m], opts):
+            for tau, spec in terms:
+                tv = float(tau.value(s))
+                if tv != 0.0:
+                    acc += np.exp(-(times[m] - s) * ops.k2) * ((weight * tv) * spec)
+        out.append(ops.ifft(acc))
+    return out
+
+
+def reference_bilinear_series(ops, snapshots, drift, times, opts):
+    d = ops.grid.d
+    acc = np.zeros((d,) + ops.shape, dtype=complex)
+    out = [np.zeros((d,) + ops.grid.shape)]
+    for m in range(1, times.size):
+        acc *= np.exp(-(times[m] - times[m - 1]) * ops.k2)
+        idx = sv._stencil(m, times.size - 1)
+        stack = [ops.momentum_flux_divergence(snapshots[i], drift[i]) for i in idx]
+        for s, weight in _slice_nodes(times[m - 1], times[m], opts):
+            lw = sv._lagrange_weights(times[idx], s)
+            q = sum(lw[j] * stack[j] for j in range(len(idx)))
+            acc += weight * np.exp(-(times[m] - s) * ops.k2) * q
+        out.append(ops.ifft(acc))
+    return out
+
+
+def reference_heat_series(ops, a, times):
+    spec = ops.project(ops.fft(a.to_field(ops.grid).components))
+    spec[(slice(None),) + (0,) * ops.grid.d] = 0.0
+    out = [ops.ifft(spec)]
+    for m in range(1, times.size):
+        spec = spec * np.exp(-(times[m] - times[m - 1]) * ops.k2)
+        out.append(ops.ifft(spec))
+    return out
+
+
+def _max_relative_gap(series, reference):
+    scale = max(np.abs(r).max() for r in reference)
+    assert scale > 0
+    return max(np.abs(s - r).max() for s, r in zip(series, reference)) / scale
+
+
+class TestFusedTimeQuadrature:
+    # slices 1, 2, 3 give the short stencils (2 and 3 slices wide, every
+    # offset); 8 gives the three 4-slice patterns of a long history
+    GRID = BoxGrid(2, 8.0, 32)
+
+    @pytest.fixture(scope="class")
+    def history(self):
+        rng = np.random.default_rng(11)
+        snaps = [0.01 * rng.normal(size=(2, 32, 32)) for _ in range(9)]
+        return snaps, 1e-3 * rng.normal(size=(9, 2))
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("slices", [1, 2, 3, 8])
+    def test_matches_per_node_loop(self, history, slices, refine):
+        ops = sv._SpectralOps(self.GRID)
+        opts = sv.SolverOptions(slices=slices, refine=refine)
+        times = np.linspace(0.0, 0.5, slices + 1)
+        snaps, drift = history
+        bil = sv._bilinear_series(ops, snaps, drift, times, opts)
+        ref = reference_bilinear_series(ops, snaps, drift, times, opts)
+        assert _max_relative_gap(bil, ref) <= 1e-13
+        # the force switches off inside the horizon, so some nodes see tau = 0
+        f = bump_force(t_off=0.3)
+        lin = sv._linear_series(ops, f, times, opts)
+        assert _max_relative_gap(lin, reference_linear_series(ops, f, times, opts)) <= 1e-13
+        a = build_initial_data(2, kind="curl_bump", amplitude=0.01, width=1.0)
+        heat = sv._heat_series(ops, a, times)
+        assert _max_relative_gap(heat, reference_heat_series(ops, a, times)) <= 1e-13
+
+    def test_non_uniform_times_rejected(self, history):
+        ops = sv._SpectralOps(self.GRID)
+        opts = sv.SolverOptions(slices=4)
+        times = np.array([0.0, 0.1, 0.2, 0.35, 0.5])
+        snaps, drift = history
+        with pytest.raises(ValueError, match="uniform"):
+            sv._bilinear_series(ops, snaps, drift, times, opts)
+        with pytest.raises(ValueError, match="uniform"):
+            sv._linear_series(ops, bump_force(), times, opts)
+        with pytest.raises(ValueError, match="uniform"):
+            sv._heat_series(ops, build_initial_data(2, kind="zero"), times)
+
+
+class TestHalfSpectrum:
+    # the full-spectrum reference: complex fftn over all modes, the real part
+    # of every inverse transform
+    @staticmethod
+    def full_ifft(spec, d):
+        return np.real(np.fft.ifftn(spec, axes=tuple(range(1, d + 1))))
+
+    @pytest.fixture(params=[(2, 32), (3, 16)], ids=["d2", "d3"])
+    def field(self, request):
+        d, n = request.param
+        grid = BoxGrid(d, 4.0, n)
+        u = np.random.default_rng(5).normal(size=(d,) + grid.shape)
+        return grid, sv._SpectralOps(grid), u
+
+    def test_project_and_ifft(self, field):
+        grid, ops, u = field
+        full = np.fft.fftn(u, axes=tuple(range(1, grid.d + 1)))
+        ref = self.full_ifft(leray_apply(full, grid.wavenumbers, grid.inverse_k_squared),
+                             grid.d)
+        assert np.abs(ops.ifft(ops.project(ops.fft(u))) - ref).max() <= 1e-14 * np.abs(ref).max()
+        ref = self.full_ifft(full * np.exp(-0.1 * grid.k_squared), grid.d)
+        out = ops.ifft(ops.fft(u) * np.exp(-0.1 * ops.k2))
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_momentum_flux_divergence(self, field):
+        grid, ops, u = field
+        d = grid.d
+        drift = np.linspace(0.5, -0.5, d)
+        full_u = u + drift.reshape((d,) + (1,) * d)
+        div = np.zeros((d,) + grid.shape, dtype=complex)
+        for kk in range(d):
+            for ll in range(d):
+                w_hat = np.fft.fftn(full_u[kk] * full_u[ll]) * grid.dealias_mask
+                div[kk] += 1j * grid.wavenumbers[ll] * w_hat
+        ref = self.full_ifft(leray_apply(div, grid.wavenumbers, grid.inverse_k_squared), d)
+        out = ops.ifft(ops.momentum_flux_divergence(u, drift))
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestPicard:
