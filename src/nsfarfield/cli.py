@@ -209,7 +209,7 @@ def _load_or_solve(cfg: ScenarioConfig, out_dir: str, scenario) -> Trajectory:
 def _check_profile(cfg, flow, digest, out_dir):
     rep = verify.remainder_extract(flow, np.array(cfg.profile_radii), cfg.profile_time)
     # decay of |u| itself: the -d law for a nonzero-mean force
-    dirs = verify._direction_set(flow.d, cfg.window_directions)
+    dirs = kernels.sphere_points(flow.d, cfg.window_directions)
     sup = []
     for r in cfg.profile_radii:
         sup.append(float(np.linalg.norm(flow.velocity(r * dirs, cfg.profile_time),
@@ -360,8 +360,10 @@ _CHECK_RUNNERS = {
 }
 
 
-def run_verify(cfg: ScenarioConfig, out_dir: str, only=None, threads: int = 1) -> int:
-    scenario = build_scenario(cfg)
+def run_verify(cfg: ScenarioConfig, out_dir: str, only=None, threads: int = 1,
+               scenario=None) -> int:
+    """Run the configured checks; ``scenario`` is ``build_scenario(cfg)`` if already built."""
+    scenario = scenario or build_scenario(cfg)
     _, data, force, opts, digest = scenario
     traj = _load_or_solve(cfg, out_dir, scenario)
     flow = _ThreadedFlow(traj, data, force, opts, threads=threads)
@@ -400,7 +402,7 @@ def run_verify(cfg: ScenarioConfig, out_dir: str, only=None, threads: int = 1) -
 def run_report(cfg: ScenarioConfig, out_dir: str) -> int:
     import json
 
-    _, _, _, _, digest = build_scenario(cfg)
+    digest = scenario_digest(cfg.hash_source())
     path = os.path.join(out_dir, f"verify_{digest}.json")
     if not os.path.exists(path):
         print(f"no verify summary at {path}; run `verify` first")
@@ -426,12 +428,13 @@ def run_report(cfg: ScenarioConfig, out_dir: str) -> int:
 def run_scenario(cfg: ScenarioConfig, out_dir: str, only=None, threads: int = 1) -> int:
     """simulate + verify + report; partial results are preserved on failure."""
     t0 = time.time()
+    scenario = build_scenario(cfg)
     try:
-        simulate(cfg, out_dir)
+        simulate(cfg, out_dir, scenario)
     except SolverError as exc:
         print(f"simulate: NUMERICAL FAILURE ({exc})")
         return EXIT_NUMERICAL_FAILURE
-    status = run_verify(cfg, out_dir, only=only, threads=threads)
+    status = run_verify(cfg, out_dir, only=only, threads=threads, scenario=scenario)
     report_status = run_report(cfg, out_dir)
     with open(os.path.join(out_dir, "run.log"), "a") as fh:
         fh.write(f"run_scenario finished in {time.time() - t0:.1f}s\n")

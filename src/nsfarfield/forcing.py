@@ -2,8 +2,7 @@
 
 A separable force is a sum of terms c * rho(x) * tau(t) with
 
-* ``rho``  a spatial bump (radial Gaussian, possibly shifted off the origin,
-           or an axial first-order Gaussian with zero mean),
+* ``rho``  a radial Gaussian bump, possibly shifted off the origin,
 * ``tau``  a compactly supported time profile (smooth quartic bump or an
            indicator window),
 * ``c``    a constant amplitude vector.
@@ -26,11 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import BoxGrid, VectorFieldGrid
-from .kernels import heat_kernel
 
 __all__ = [
     "GaussianBump",
-    "AxialGaussian",
     "SmoothBump",
     "Indicator",
     "SeparableTerm",
@@ -40,7 +37,6 @@ __all__ = [
     "validate_assumptions",
     "force_integral",
     "first_moment",
-    "mean_zero_split",
     "build_initial_data",
 ]
 
@@ -83,44 +79,6 @@ class GaussianBump:
         w2 = self.width**2 + 4.0 * s
         amp = (self.width**2 / w2) ** (self.d / 2.0)
         return amp, math.sqrt(w2)
-
-    @property
-    def point_evaluable(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class AxialGaussian:
-    """rho(x) = x_axis * exp(-|x|^2 / width^2); zero mean, nonzero first moment."""
-
-    d: int
-    axis: int = 0
-    width: float = 1.0
-
-    def __post_init__(self):
-        if not (0 <= self.axis < self.d):
-            raise ValueError(f"axis must be in [0, {self.d})")
-        if not (self.width > 0 and math.isfinite(self.width)):
-            raise ValueError(f"bump width must be positive and finite, got {self.width}")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return x[..., self.axis] * np.exp(-np.sum(x * x, axis=-1) / self.width**2)
-
-    def integral(self) -> float:
-        return 0.0
-
-    def first_moment(self) -> np.ndarray:
-        m = np.zeros(self.d)
-        m[self.axis] = 0.5 * self.width**2 * (self.width * math.sqrt(math.pi)) ** self.d
-        return m
-
-    def support_radius(self) -> float:
-        return (_GAUSS_CUT + 1.0) * self.width
-
-    @property
-    def point_evaluable(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -194,31 +152,16 @@ class SeparableTerm:
 
 
 class ForceModel:
-    """External force: a sum of separable terms, or grid samples in time."""
+    """External force: a sum of separable terms."""
 
-    def __init__(self, d: int, terms: list | None = None,
-                 samples: list | None = None, sample_times: np.ndarray | None = None):
+    def __init__(self, d: int, terms: list):
         if d not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {d!r}")
+        for term in terms:
+            if term.profile.d != d:
+                raise ValueError("term dimension mismatch")
         self.d = d
-        if (terms is None) == (samples is None):
-            raise ValueError("provide exactly one of terms / samples")
-        if terms is not None:
-            for term in terms:
-                if term.profile.d != d:
-                    raise ValueError("term dimension mismatch")
-            self.kind = "separable"
-            self.terms = list(terms)
-            self.samples = None
-            self.sample_times = None
-        else:
-            times = np.asarray(sample_times, dtype=float)
-            if len(samples) != times.size or np.any(np.diff(times) <= 0):
-                raise ValueError("sampled force needs one grid per strictly increasing time")
-            self.kind = "sampled"
-            self.terms = None
-            self.samples = list(samples)
-            self.sample_times = times
+        self.terms = list(terms)
 
     @classmethod
     def zero(cls, d: int) -> "ForceModel":
@@ -227,61 +170,30 @@ class ForceModel:
     def value(self, x, t):
         """f(x, t) for points x of shape (..., d); returns (..., d)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "separable":
-            out = np.zeros(x.shape)
-            for term in self.terms:
-                scalar = term.profile.value(x) * float(term.time_profile.value(t))
-                out += scalar[..., None] * np.asarray(term.amplitude)
-            return out
-        return self._sampled_value(x, t)
-
-    def _sampled_value(self, x, t):
-        times = self.sample_times
-        i = int(np.clip(np.searchsorted(times, t), 1, times.size - 1))
-        t0, t1 = times[i - 1], times[i]
-        lam = 0.0 if t1 == t0 else np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
-        field_ = (1 - lam) * self.samples[i - 1].components + lam * self.samples[i].components
-        grid = self.samples[0].grid
-        idx = []
-        for ax in range(self.d):
-            j = np.rint((x[..., ax] + grid.length) / grid.spacing).astype(int) % grid.n
-            idx.append(j)
-        vals = field_[(slice(None),) + tuple(idx)]
-        return np.moveaxis(vals, 0, -1)
+        out = np.zeros(x.shape)
+        for term in self.terms:
+            scalar = term.profile.value(x) * float(term.time_profile.value(t))
+            out += scalar[..., None] * np.asarray(term.amplitude)
+        return out
 
     def support_radius(self) -> float:
-        if self.kind == "separable":
-            if not self.terms:
-                return 0.0
-            return max(t.profile.support_radius() for t in self.terms)
-        return self.samples[0].grid.length
+        return max((t.profile.support_radius() for t in self.terms), default=0.0)
 
     def support_end(self) -> float:
-        if self.kind == "separable":
-            if not self.terms:
-                return 0.0
-            return max(t.time_profile.support_end for t in self.terms)
-        return float(self.sample_times[-1])
-
-    @property
-    def point_evaluable(self) -> bool:
-        return self.kind == "separable" and all(t.profile.point_evaluable for t in self.terms)
+        return max((t.time_profile.support_end for t in self.terms), default=0.0)
 
 
 def force_integral(f: ForceModel, t: float) -> np.ndarray:
     """Running space-time integral of the force up to time t (a d-vector).
 
-    Exact for separable terms; trapezoidal in time for sampled forces.
-    Zero at t = 0 and constant once every time profile has switched off.
+    Exact; zero at t = 0 and constant once every time profile has switched off.
     """
     if t < 0:
         raise ValueError("time must be >= 0")
-    if f.kind == "separable":
-        out = np.zeros(f.d)
-        for term in f.terms:
-            out += np.asarray(term.amplitude) * term.profile.integral() * term.time_profile.integral_to(t)
-        return out
-    return _sampled_time_integral(f, t, moment=False)
+    out = np.zeros(f.d)
+    for term in f.terms:
+        out += np.asarray(term.amplitude) * term.profile.integral() * term.time_profile.integral_to(t)
+    return out
 
 
 def first_moment(f: ForceModel, t: float) -> np.ndarray:
@@ -289,32 +201,10 @@ def first_moment(f: ForceModel, t: float) -> np.ndarray:
     integral of y_h f_k(y, s) over space and s in [0, t]."""
     if t < 0:
         raise ValueError("time must be >= 0")
-    if f.kind == "separable":
-        out = np.zeros((f.d, f.d))
-        for term in f.terms:
-            out += np.outer(term.profile.first_moment(), term.amplitude) * term.time_profile.integral_to(t)
-        return out
-    return _sampled_time_integral(f, t, moment=True)
-
-
-def _sampled_time_integral(f: ForceModel, t: float, moment: bool):
-    grid = f.samples[0].grid
-    h = grid.spacing**grid.d
-    pts = grid.points.reshape(-1, f.d)
-    slices = []
-    for snap in f.samples:
-        if moment:
-            comps = snap.components.reshape(f.d, -1)
-            slices.append(h * np.einsum("yh,ky->hk", pts, comps))
-        else:
-            slices.append(h * snap.components.sum(axis=tuple(range(1, f.d + 1))))
-    slices = np.array(slices)
-    times = f.sample_times
-    upto = np.searchsorted(times, t, side="right")
-    if upto < 2:
-        return np.zeros_like(slices[0])
-    tt = np.minimum(times[:upto], t)
-    return np.trapezoid(slices[:upto], x=tt, axis=0)
+    out = np.zeros((f.d, f.d))
+    for term in f.terms:
+        out += np.outer(term.profile.first_moment(), term.amplitude) * term.time_profile.integral_to(t)
+    return out
 
 
 @dataclass
@@ -368,10 +258,8 @@ def validate_assumptions(f: ForceModel, epsilon: float,
     Passing means the measured f1/f2 constants are at most ``epsilon`` and the
     f3 constant is finite.
     """
-    if f.kind == "separable" and not f.terms:
+    if not f.terms:
         return AssumptionReport(0.0, 0.0, 0.0, target=epsilon)
-    if f.kind == "sampled" and f.samples[0].grid.length < f.support_radius():
-        raise ValueError("sampled force grid does not cover the declared support")
 
     pts, cell = _measurement_lattice(f, points_per_axis)
     radii = np.linalg.norm(pts, axis=-1)
@@ -394,32 +282,6 @@ def validate_assumptions(f: ForceModel, epsilon: float,
     return AssumptionReport(eps_f1, l1, f3, target=epsilon)
 
 
-def mean_zero_split(f: ForceModel, t: float):
-    """Split the force slice at time t as f(., t) = weight * g + phi with g the
-    unit-time heat kernel and phi of zero space integral.
-
-    Returns (weight, phi) with phi a vectorized callable on points.
-    """
-    if t < 0:
-        raise ValueError("time must be >= 0")
-    if f.kind == "separable":
-        weight = np.zeros(f.d)
-        for term in f.terms:
-            weight += np.asarray(term.amplitude) * term.profile.integral() * float(
-                term.time_profile.value(t)
-            )
-    else:
-        grid = f.samples[0].grid
-        weight = f.value(grid.points, t).sum(axis=tuple(range(f.d))) * grid.spacing**f.d
-
-    def phi(x):
-        x = np.asarray(x, dtype=float)
-        g = heat_kernel(x, 1.0, f.d)
-        return f.value(x, t) - g[..., None] * weight
-
-    return weight, phi
-
-
 class InitialData:
     """Initial velocity: zero, or a compactly supported divergence-free bump.
 
@@ -429,7 +291,7 @@ class InitialData:
     """
 
     def __init__(self, d: int, kind: str = "zero", amplitude: float = 0.0,
-                 width: float = 1.0, center=None):
+                 width: float = 1.0):
         if d not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {d!r}")
         if kind not in ("zero", "curl_bump"):
@@ -443,8 +305,6 @@ class InitialData:
         self.kind = kind
         self.amplitude = float(amplitude)
         self.width = float(width)
-        c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-        self.center = c
         if kind == "zero" or amplitude == 0.0:
             self.l1_norm = 0.0
             self.sup_weighted = 0.0
@@ -459,10 +319,9 @@ class InitialData:
         return a * math.pi**2 * w**2
 
     def _measure_sup_weighted(self) -> float:
-        # sup over r of (1 + |x - 0|)^d |a(x)|; the bump is radial in |x-center|
-        r = np.linspace(0.0, self.width * _GAUSS_CUT + np.linalg.norm(self.center), 20001)
-        rho = np.clip(r - np.linalg.norm(self.center), 0.0, None)
-        mag = 2.0 * abs(self.amplitude) * rho / self.width**2 * np.exp(-(rho / self.width) ** 2)
+        # sup over r of (1 + |x|)^d |a(x)|; the bump is radial
+        r = np.linspace(0.0, self.width * _GAUSS_CUT, 20001)
+        mag = 2.0 * abs(self.amplitude) * r / self.width**2 * np.exp(-(r / self.width) ** 2)
         return float(((1.0 + r) ** self.d * mag).max())
 
     def value(self, x, t: float = 0.0):
@@ -474,12 +333,11 @@ class InitialData:
             raise ValueError("time must be >= 0")
         w2 = self.width**2 + 4.0 * t
         amp = self.amplitude * (self.width**2 / w2) ** (self.d / 2.0)
-        z = x - self.center
-        g = np.exp(-np.sum(z * z, axis=-1) / w2)
+        g = np.exp(-np.sum(x * x, axis=-1) / w2)
         out = np.zeros(x.shape)
         # perp-gradient / curl of the stream bump
-        out[..., 0] = 2.0 * z[..., 1] / w2 * g * amp
-        out[..., 1] = -2.0 * z[..., 0] / w2 * g * amp
+        out[..., 0] = 2.0 * x[..., 1] / w2 * g * amp
+        out[..., 1] = -2.0 * x[..., 0] / w2 * g * amp
         return out
 
     def to_field(self, grid: BoxGrid) -> VectorFieldGrid:
@@ -488,10 +346,10 @@ class InitialData:
     def support_radius(self) -> float:
         if self.kind == "zero" or self.amplitude == 0.0:
             return 0.0
-        return float(np.linalg.norm(self.center)) + (_GAUSS_CUT + 1.0) * self.width
+        return (_GAUSS_CUT + 1.0) * self.width
 
 
 def build_initial_data(d: int, kind: str = "zero", amplitude: float = 0.0,
-                       width: float = 1.0, center=None) -> InitialData:
+                       width: float = 1.0) -> InitialData:
     """Construct initial data from a bump description (or zero)."""
-    return InitialData(d, kind=kind, amplitude=amplitude, width=width, center=center)
+    return InitialData(d, kind=kind, amplitude=amplitude, width=width)

@@ -59,7 +59,8 @@ SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 # Switch to series evaluation of the radial profiles when u = (r/a)^2 < 1e-3.
 # The direct erf/expm1 forms lose ~|log10 u| digits to cancellation in
-# d*H - q as u -> 0; at the cut both branches agree to ~1e-12 relative.
+# d*H - q as u -> 0; at the cut both branches agree to ~1e-12 relative, except
+# d*H - q in d = 3, whose erf form is only good to ~7e-10 there.
 _SERIES_CUT = 1.0e-3
 _SERIES_TERMS = 10
 
@@ -130,6 +131,18 @@ def _mass_fraction_over_u(u: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _defect_series_over_u(us: np.ndarray, d: int) -> np.ndarray:
+    """(d*H(r) - q(r))/(A u) by its Taylor series in u, for u below _SERIES_CUT."""
+    acc = np.zeros_like(us)
+    for m in range(_SERIES_TERMS, 0, -1):
+        if d == 2:
+            a_m = m / math.factorial(m + 1)
+        else:
+            a_m = 2.0 * m / (math.factorial(m) * (2 * m + 3))
+        acc = acc * (-us) + a_m
+    return acc
+
+
 def _defect_over_u(u: np.ndarray, d: int) -> np.ndarray:
     """(d*H(r) - q(r))/A as a function of u = (r/a)^2; vanishes linearly at u=0."""
     u = np.asarray(u, dtype=float)
@@ -137,14 +150,7 @@ def _defect_over_u(u: np.ndarray, d: int) -> np.ndarray:
     small = u < _SERIES_CUT
     if np.any(small):
         us = u[small]
-        acc = np.zeros_like(us)
-        for m in range(_SERIES_TERMS, 0, -1):
-            if d == 2:
-                a_m = m / math.factorial(m + 1)
-            else:
-                a_m = 2.0 * m / (math.factorial(m) * (2 * m + 3))
-            acc = acc * (-us) + a_m
-        out[small] = us * acc
+        out[small] = us * _defect_series_over_u(us, d)
     big = ~small
     if np.any(big):
         ub = u[big]
@@ -212,15 +218,7 @@ def _grad_pw(x, t: float, d: int):
         ratio = np.where(u >= _SERIES_CUT, defect / np.where(u > 0, u, 1.0), 0.0)
     small = u < _SERIES_CUT
     if np.any(small):
-        us = u[small]
-        acc = np.zeros_like(us)
-        for m in range(_SERIES_TERMS, 0, -1):
-            if d == 2:
-                a_m = m / math.factorial(m + 1)
-            else:
-                a_m = 2.0 * m / (math.factorial(m) * (2 * m + 3))
-            acc = acc * (-us) + a_m
-        ratio[small] = acc
+        ratio[small] = _defect_series_over_u(u[small], d)
     w = -amplitude * ratio / width2
     return p, w
 

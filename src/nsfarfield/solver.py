@@ -52,7 +52,7 @@ import hashlib
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from .grid import BoxGrid, VectorFieldGrid, leray_apply, read_snapshot
 __all__ = [
     "SolverOptions",
     "Trajectory",
-    "FarFieldSample",
     "SolverError",
     "AdmissionError",
     "ContractionError",
@@ -71,7 +70,6 @@ __all__ = [
     "picard_solve",
     "linear_response",
     "bilinear_term",
-    "farfield_eval",
     "farfield_velocity",
     "integral_residual",
     "load_trajectory",
@@ -82,6 +80,10 @@ _GL2 = np.polynomial.legendre.leggauss(2)
 
 # admission guard: measured force + data constants must stay below this
 ADMISSION_LIMIT = 5e-2
+
+# geometric grading of the last panel of every time quadrature toward its
+# singular end
+_GRADING_LEVELS = 6
 
 # Far-pair cutoff c: source pairs with |x - y| >= c sqrt(t) drop the Gaussian
 # part Psi of the kernel.  Psi decays like exp(-|z|^2 / (4 tau)) with
@@ -121,12 +123,13 @@ class SolverOptions:
     tol: float = 1e-10
     max_sweeps: int = 12
     refine: int = 1           # split every quadrature panel this many times
-    grading_levels: int = 6   # geometric grading toward the singular end
-    enforce_admission: bool = True
 
 
 def _graded_panels(a: float, b: float, levels: int, refine: int):
-    """Panels covering [a, b], geometrically graded toward b, each split `refine` times."""
+    """Panels covering [a, b], geometrically graded toward b, each split `refine` times.
+
+    ``levels = 0`` gives ``refine`` equal panels.
+    """
     width = b - a
     edges = [a] + [b - width * 0.5**j for j in range(1, levels + 1)] + [b]
     out = []
@@ -135,13 +138,6 @@ def _graded_panels(a: float, b: float, levels: int, refine: int):
             continue
         for i in range(refine):
             out.append((lo + (hi - lo) * i / refine, lo + (hi - lo) * (i + 1) / refine))
-    return out
-
-
-def _plain_panels(a: float, b: float, refine: int):
-    out = []
-    for i in range(refine):
-        out.append((a + (b - a) * i / refine, a + (b - a) * (i + 1) / refine))
     return out
 
 
@@ -400,7 +396,7 @@ class _SliceRule:
 def _slice_rule(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions) -> _SliceRule:
     dt = _uniform_step(times)
     nodes = [(0.5 * (hi + lo) + 0.5 * (hi - lo) * node, 0.5 * (hi - lo) * wgt)
-             for lo, hi in _graded_panels(0.0, dt, opts.grading_levels, opts.refine)
+             for lo, hi in _graded_panels(0.0, dt, _GRADING_LEVELS, opts.refine)
              for node, wgt in zip(*_GL4)]
     offsets = np.array([s for s, _ in nodes])
     weights = np.array([w for _, w in nodes])
@@ -411,8 +407,6 @@ def _slice_rule(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions) -> _S
 def _force_spectra(ops: _SpectralOps, f: ForceModel):
     """Projected, mean-free spectra of the separable force terms."""
     out = []
-    if f.kind != "separable":
-        raise NotImplementedError("grid solve currently requires a separable force")
     for term in f.terms:
         rho_hat = np.fft.rfftn(term.profile.value(ops.grid.points))
         spec = np.stack([rho_hat * amp for amp in term.amplitude])
@@ -513,16 +507,15 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
         raise ValueError(
             f"sqrt(horizon) = {math.sqrt(horizon):.3g} exceeds L/8 = {grid.length / 8:.3g}; "
             "periodic truncation would contaminate the far field")
-    if opts.enforce_admission:
-        rep = assumptions
-        if rep is None:
-            rep = validate_assumptions(f, ADMISSION_LIMIT, points_per_axis=128,
-                                       time_samples=129)
-        combined = rep.combined() + a.l1_norm + a.sup_weighted
-        if combined > ADMISSION_LIMIT:
-            raise AdmissionError(
-                f"combined force/data constants {combined:.3g} exceed the "
-                f"admission threshold {ADMISSION_LIMIT:g}")
+    rep = assumptions
+    if rep is None:
+        rep = validate_assumptions(f, ADMISSION_LIMIT, points_per_axis=128,
+                                   time_samples=129)
+    combined = rep.combined() + a.l1_norm + a.sup_weighted
+    if combined > ADMISSION_LIMIT:
+        raise AdmissionError(
+            f"combined force/data constants {combined:.3g} exceed the "
+            f"admission threshold {ADMISSION_LIMIT:g}")
 
     ops = _SpectralOps(grid)
     times = np.linspace(0.0, horizon, opts.slices + 1)
@@ -590,8 +583,6 @@ def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
     with rho_{t-s} the heat-fattened bump; the projection of a radial Gaussian
     is evaluated in closed form, so only the s-integral is numerical.
     """
-    if not f.point_evaluable:
-        raise NotImplementedError("point-mode linear response needs Gaussian force terms")
     d = f.d
     out = np.zeros_like(x)
     coarse = np.zeros_like(x)
@@ -601,8 +592,8 @@ def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
     edges = np.linspace(0.0, t, n_panels + 1)
     panels = []
     for i in range(n_panels - 1):
-        panels.extend(_plain_panels(edges[i], edges[i + 1], opts.refine))
-    panels.extend(_graded_panels(edges[-2], edges[-1], opts.grading_levels, opts.refine))
+        panels.extend(_graded_panels(edges[i], edges[i + 1], 0, opts.refine))
+    panels.extend(_graded_panels(edges[-2], edges[-1], _GRADING_LEVELS, opts.refine))
     for lo, hi in panels:
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         for rule, target in ((_GL4, out), (_GL2, coarse)):
@@ -620,10 +611,6 @@ def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
     return out, err
 
 
-def _heat_point(a: InitialData, x: np.ndarray, t: float):
-    return a.value(x, t), 0.0
-
-
 def _history_rules(times: np.ndarray, m_t: int, opts: SolverOptions, coarsen: int):
     """GL4 and embedded GL2 nodes of the history integral over [0, times[m_t]].
 
@@ -633,10 +620,10 @@ def _history_rules(times: np.ndarray, m_t: int, opts: SolverOptions, coarsen: in
     idx_edges = list(range(0, m_t, coarsen)) + [m_t]
     panels = []
     for i in range(len(idx_edges) - 2):
-        panels.extend(_plain_panels(times[idx_edges[i]], times[idx_edges[i + 1]],
-                                    opts.refine))
+        panels.extend(_graded_panels(times[idx_edges[i]], times[idx_edges[i + 1]], 0,
+                                     opts.refine))
     panels.extend(_graded_panels(times[idx_edges[-2]], times[idx_edges[-1]],
-                                 opts.grading_levels, opts.refine))
+                                 _GRADING_LEVELS, opts.refine))
     n_slices = times.size - 1
     rules = []
     for rule in (_GL4, _GL2):
@@ -686,7 +673,7 @@ def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions,
                    for i in np.flatnonzero(w_abs))
         return _CollapsedHistory(nodes4, nodes2, q4, q2, mass)
 
-    return traj._cached(("collapsed", m_t, opts.refine, opts.grading_levels, coarsen), build)
+    return traj._cached(("collapsed", m_t, opts.refine, coarsen), build)
 
 
 def _pair_values(z, near, t: float, q, nodes, fluxes) -> np.ndarray:
@@ -795,22 +782,6 @@ def _bilinear_grid_at(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOpt
     return vals
 
 
-@dataclass
-class FarFieldSample:
-    x: np.ndarray
-    t: float
-    velocity: np.ndarray
-    error_budget: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.error_budget.values()):
-            raise ValueError("error budget entries must be nonnegative")
-
-    @property
-    def total_error(self) -> float:
-        return sum(self.error_budget.values())
-
-
 def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: float,
                       opts: SolverOptions = SolverOptions(), with_bilinear: bool = True):
     """Velocity at arbitrary points from the closed-form Duhamel terms.
@@ -823,10 +794,9 @@ def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: flo
     d = traj.grid.d
     pts, single, lead = _require_points(x, d)
     t = float(t)
-    heat_vals, heat_err = _heat_point(a, pts, t)
     lin_vals, lin_err = _linear_point(f, pts, t, opts, slices_hint=traj.times.size - 1)
-    budget = {"heat": heat_err, "linear_quadrature": lin_err}
-    total = heat_vals + lin_vals
+    budget = {"heat": 0.0, "linear_quadrature": lin_err}   # the heat term is exact
+    total = a.value(pts, t) + lin_vals
     if with_bilinear:
         radii = np.linalg.norm(pts, axis=-1)
         far = radii >= (1.0 - _ROUTE_RTOL) * traj.grid.length / 2.0
@@ -840,23 +810,6 @@ def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: flo
         total = total - bil
     out = total.reshape(lead + (d,)) if not single else total[0]
     return out, budget
-
-
-def farfield_eval(traj: Trajectory, a: InitialData, f: ForceModel, x, t: float,
-                  opts: SolverOptions = SolverOptions()) -> FarFieldSample:
-    """Single-point far-field sample with its error budget.
-
-    Requires |x| beyond the supports of the datum and the force, where the
-    asymptotic statements live.
-    """
-    pts, _, _ = _require_points(x, traj.grid.d)
-    r = float(np.linalg.norm(pts[0]))
-    guard = max(a.support_radius(), f.support_radius())
-    if r <= guard:
-        raise ValueError(
-            f"|x| = {r:.3g} is inside the data/force support radius {guard:.3g}")
-    vel, budget = farfield_velocity(traj, a, f, pts[0], t, opts)
-    return FarFieldSample(x=np.asarray(pts[0]), t=t, velocity=vel, error_budget=budget)
 
 
 # ---------------------------------------------------------------------------

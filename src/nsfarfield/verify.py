@@ -174,9 +174,6 @@ class FlowAdapter:
     def heat_term(self, x, t: float) -> np.ndarray:
         return self.a.value(x, t)
 
-    def min_radius(self) -> float:
-        return max(self.a.support_radius(), self.f.support_radius())
-
 
 class SyntheticFlow:
     """A closed-form flow for oracle runs: a vectorized callable u(x, t).
@@ -212,16 +209,6 @@ class SyntheticFlow:
     def heat_term(self, x, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape) if self._heat is None else self._heat(x, t)
-
-    def min_radius(self) -> float:
-        return 0.0
-
-
-def _direction_set(d: int, n: int) -> np.ndarray:
-    if d == 2:
-        theta = 2 * math.pi * np.arange(n) / n
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return kernels.sphere_points(3, n)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +275,7 @@ def remainder_extract(flow, radii, t: float, n_dirs: int = 8,
     radii = np.asarray(radii, dtype=float)
     _check_validity_region(radii, t)
     d = flow.d
-    dirs = _direction_set(d, n_dirs)
+    dirs = kernels.sphere_points(d, n_dirs)
     m = flow.force_integral(t)
     floor = kernels.sphere_min(m, d) if np.any(m) else 0.0
     worst = np.empty(radii.size)
@@ -360,7 +347,7 @@ def pointwise_window_check(flow, t: float, radii, n_dirs: int = 16,
         raise HypothesisError(
             "force integral vanishes at this time; the |x|^-d window does not "
             "apply (run next_order_check instead)")
-    dirs = _direction_set(d, n_dirs)
+    dirs = kernels.sphere_points(d, n_dirs)
     per_radius_min = np.empty(radii.size)
     per_radius_max = np.empty(radii.size)
     for i, r in enumerate(radii):
@@ -436,7 +423,7 @@ class TrajectoryNorms:
         if t in self._cache:
             return self._cache[t]
         d = self.flow.d
-        dirs = _direction_set(d, self.n_dirs)
+        dirs = kernels.sphere_points(d, self.n_dirs)
         nodes, weights = _GL8
         lo, hi = math.log(self.r_split), math.log(self.r_far)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -561,7 +548,7 @@ def divergence_detect(flow, alpha: float, p: float, t: float, radii,
     if radii.size < 3 or np.any(np.diff(radii) <= 0):
         raise ValueError("need at least 3 increasing truncation radii")
     d = flow.d
-    dirs = _direction_set(d, n_dirs)
+    dirs = kernels.sphere_points(d, n_dirs)
     nodes, weights = _GL8
     increments = np.empty(radii.size - 1)
     for k in range(radii.size - 1):
@@ -656,16 +643,12 @@ def lemlog_check(x_values, t_values, d: int = 2, variation_limit: float = 2.0) -
         if r < math.e * math.sqrt(t) * (1 - 1e-12):
             raise ValidityRegionError(
                 f"pair |x|={r}, t={t} violates |x| >= e sqrt(t)")
-    ratios = []
-    for r, t in pairs:
-        lhs = kernel_spacetime_mass(r, t, d)
-        denom = t * max(math.log(r / math.sqrt(t)), 1.0)
-        ratios.append(lhs / denom)
-    ratios = np.array(ratios)
-    r0, t0 = pairs[0]
-    base = kernel_spacetime_mass(r0, t0, d)
-    fine = kernel_spacetime_mass(r0, t0, d, levels=18)
-    shift = abs(fine - base) / max(abs(fine), 1e-300)
+    masses = [kernel_spacetime_mass(r, t, d) for r, t in pairs]
+    ratios = np.array([lhs / (t * max(math.log(r / math.sqrt(t)), 1.0))
+                       for lhs, (r, t) in zip(masses, pairs)])
+    # quadrature refinement of the first pair
+    fine = kernel_spacetime_mass(*pairs[0], d, levels=18)
+    shift = abs(fine - masses[0]) / max(abs(fine), 1e-300)
     variation = float(ratios.max() / ratios.min())
     return LemlogReport(
         pairs=pairs, ratios=ratios, sup_ratio=float(ratios.max()),
@@ -715,7 +698,7 @@ def next_order_check(flow, t: float, radii, n_dirs: int = 8,
                                degenerate=True, passed=False,
                                note="first moment also vanishes: next order is "
                                     "higher still; no verdict")
-    dirs = _direction_set(d, n_dirs)
+    dirs = kernels.sphere_points(d, n_dirs)
     sup = np.empty(radii.size)
     agree = np.empty(radii.size)
     for i, r in enumerate(radii):

@@ -219,7 +219,7 @@ class TestCriterion5Profile:
         t0 = time.time()
         radii = np.array(cfg.profile_radii)
         rep = vf.remainder_extract(flow, radii, cfg.profile_time)
-        dirs = vf._direction_set(D, 16)
+        dirs = kn.sphere_points(D, 16)
         sup = np.array([np.linalg.norm(flow.velocity(r * dirs, cfg.profile_time),
                                        axis=-1).max() for r in radii])
         ufit = vf.fit_power_law(radii, sup, "velocity",

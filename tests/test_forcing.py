@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from nsfarfield.forcing import (
-    AxialGaussian,
     ForceModel,
     GaussianBump,
     Indicator,
@@ -17,11 +16,9 @@ from nsfarfield.forcing import (
     build_initial_data,
     first_moment,
     force_integral,
-    mean_zero_split,
     validate_assumptions,
 )
-from nsfarfield.grid import BoxGrid, VectorFieldGrid
-from nsfarfield.kernels import heat_kernel
+from nsfarfield.grid import BoxGrid
 
 
 def unit_bump_force(d=2, amplitude=(1.0, 0.0), t_off=1.0, center=None, width=1.0):
@@ -65,12 +62,6 @@ class TestForceIntegral:
         f = unit_bump_force()
         np.testing.assert_array_equal(force_integral(f, 0.0), np.zeros(2))
 
-    def test_mean_zero_profile_gives_zero(self):
-        term = SeparableTerm(AxialGaussian(2, axis=0), Indicator(0.0, 1.0), (0.0, 1.0))
-        f = ForceModel(2, terms=[term])
-        for t in (0.3, 1.0, 2.5):
-            np.testing.assert_array_equal(force_integral(f, t), np.zeros(2))
-
     def test_unit_bump_saturates_at_pi(self):
         f = unit_bump_force()
         for t in (1.0, 1.5, 7.0):
@@ -96,73 +87,6 @@ class TestFirstMoment:
         f = unit_bump_force(center=tuple(x0))
         m = force_integral(f, 0.8)
         np.testing.assert_allclose(first_moment(f, 0.8), np.outer(x0, m), rtol=1e-13)
-
-    def test_axial_profile_entry(self):
-        # rho = x_1 e^{-|x|^2}, c = (0, 1), tau = 1_[0,1]: entry (1,2) = pi/2
-        term = SeparableTerm(AxialGaussian(2, axis=0), Indicator(0.0, 1.0), (0.0, 1.0))
-        f = ForceModel(2, terms=[term])
-        m1 = first_moment(f, 1.0)
-        expected = np.zeros((2, 2))
-        expected[0, 1] = math.pi / 2
-        np.testing.assert_allclose(m1, expected, rtol=1e-14)
-
-
-class TestMeanZeroSplit:
-    def test_gaussian_slice_with_heat_profile_gives_zero_phi(self):
-        # a force slice proportional to the unit-time heat kernel splits with phi = 0
-        d = 2
-
-        class HeatProfile:
-            def __init__(self):
-                self.d = d
-
-            def value(self, x):
-                return heat_kernel(x, 1.0, d)
-
-            def integral(self):
-                return 1.0
-
-            def first_moment(self):
-                return np.zeros(d)
-
-            def support_radius(self):
-                return 40.0
-
-            point_evaluable = False
-
-        term = SeparableTerm(HeatProfile(), Indicator(0.0, 1.0), (3.0, -2.0))
-        f = ForceModel(d, terms=[term])
-        weight, phi = mean_zero_split(f, 0.5)
-        np.testing.assert_allclose(weight, [3.0, -2.0], rtol=1e-14)
-        rng = np.random.default_rng(2)
-        pts = rng.normal(size=(50, d)) * 3
-        assert np.abs(phi(pts)).max() < 1e-14
-
-    def test_mean_zero_slice_passes_through(self):
-        term = SeparableTerm(AxialGaussian(2, axis=1), Indicator(0.0, 1.0), (1.0, 0.0))
-        f = ForceModel(2, terms=[term])
-        weight, phi = mean_zero_split(f, 0.5)
-        np.testing.assert_array_equal(weight, np.zeros(2))
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(20, 2))
-        np.testing.assert_allclose(phi(pts), f.value(pts, 0.5), rtol=1e-14)
-
-    def test_phi_integrates_to_zero(self):
-        f = unit_bump_force()
-        weight, phi = mean_zero_split(f, 0.5)
-        grid = BoxGrid(2, 24.0, 256)
-        vals = phi(grid.points)
-        total = np.abs(vals.sum(axis=(0, 1))) * grid.spacing**2
-        assert total.max() < 1e-8
-
-    def test_reassembles_pointwise(self):
-        f = unit_bump_force(amplitude=(0.7, 0.4))
-        t = 0.25
-        weight, phi = mean_zero_split(f, t)
-        rng = np.random.default_rng(4)
-        pts = rng.normal(size=(40, 2)) * 2
-        recon = heat_kernel(pts, 1.0, 2)[..., None] * weight + phi(pts)
-        np.testing.assert_allclose(recon, f.value(pts, t), rtol=0, atol=1e-12)
 
 
 class TestInitialData:
@@ -211,62 +135,6 @@ class TestInitialData:
             build_initial_data(2, kind="vortex")
         with pytest.raises(ValueError):
             build_initial_data(2, kind="curl_bump", amplitude=math.inf)
-
-
-class TestSampledForce:
-    def test_sampled_matches_separable_moments(self):
-        # sample a smooth separable force onto grids and recover its integrals
-        # (trapezoid in time, lattice sums in space)
-        term = SeparableTerm(GaussianBump(2), SmoothBump(0.0, 1.0), (0.5, -0.25))
-        sep = ForceModel(2, terms=[term])
-        grid = BoxGrid(2, 16.0, 128)
-        times = np.linspace(0.0, 1.25, 51)
-        snaps = [
-            VectorFieldGrid.from_callable(grid, lambda x, s=s: sep.value(x, float(s)),
-                                          time=float(s))
-            for s in times
-        ]
-        from nsfarfield.forcing import ForceModel as FM
-        sampled = FM(2, samples=snaps, sample_times=times)
-        np.testing.assert_allclose(force_integral(sampled, 1.25),
-                                   force_integral(sep, 1.25), rtol=1e-3)
-        np.testing.assert_allclose(first_moment(sampled, 1.25),
-                                   first_moment(sep, 1.25), atol=1e-10)
-        x = np.array([0.5, -0.25])
-        np.testing.assert_allclose(sampled.value(x, 0.5), sep.value(x, 0.5),
-                                   rtol=0, atol=1e-12)
-
-    def test_coverage_error(self):
-        grid = BoxGrid(2, 2.0, 16)  # too small for a width-1 bump's support
-        times = np.array([0.0, 1.0])
-        snaps = [VectorFieldGrid.zero(grid, time=t) for t in times]
-        from nsfarfield.forcing import ForceModel as FM
-
-        class WideSample(FM):
-            def support_radius(self):
-                return 8.0
-
-        f = WideSample(2, samples=snaps, sample_times=times)
-        with pytest.raises(ValueError, match="cover"):
-            validate_assumptions(f, 1.0)
-
-    def test_roundtrip_through_snapshot_files(self, tmp_path):
-        sep = unit_bump_force()
-        grid = BoxGrid(2, 16.0, 64)
-        times = np.linspace(0.0, 1.0, 5)
-        paths = []
-        for s in times:
-            fld = VectorFieldGrid.from_callable(grid, lambda x, s=s: sep.value(x, float(s)),
-                                                time=float(s))
-            p = tmp_path / f"f{s:.2f}.nsvf"
-            fld.save(p)
-            paths.append(p)
-        from nsfarfield.forcing import ForceModel as FM
-        from nsfarfield.grid import read_snapshot
-
-        loaded = FM(2, samples=[read_snapshot(p) for p in paths], sample_times=times)
-        x = np.array([1.0, 0.0])
-        np.testing.assert_allclose(loaded.value(x, 0.25), sep.value(x, 0.25), atol=1e-12)
 
 
 class TestForceModelBasics:
