@@ -9,8 +9,8 @@ report         aggregate per-check results into a machine-readable verdict
 all            simulate + verify + report
 
 Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 numerical
-failure.  Outputs are deterministic for a fixed config and seed: file names
-carry the scenario hash, JSON is sorted, and wall-clock time goes only to
+failure.  Outputs are deterministic for a fixed config: file names carry the
+scenario hash, JSON is sorted, and wall-clock time goes only to
 ``run.log`` which is excluded from any determinism comparison.
 
 Flags mirror the environment variables NSFF_CONFIG, NSFF_OUT, NSFF_THREADS,
@@ -66,30 +66,20 @@ def build_scenario(cfg: ScenarioConfig):
     else:
         tau = Indicator(cfg.time_on, cfg.time_off)
     amp = np.asarray(cfg.force_amplitude)
+    sep = np.asarray(cfg.force_separation)
     d = cfg.dimension
+    # (center, amplitude weight) of each bump; the quadrupole's mean and
+    # first moment both vanish
+    bumps = {"gaussian_bump": [(cfg.force_center, 1)],
+             "dipole_pair": [(sep, 1), (-sep, -1)],
+             "quadrupole": [(sep, 1), (-sep, 1), (np.zeros(d), -2)]}
     if cfg.force_kind == "zero" or not np.any(amp):
         force = ForceModel.zero(d)
-    elif cfg.force_kind == "gaussian_bump":
-        force = ForceModel(d, terms=[SeparableTerm(
-            GaussianBump(d, width=cfg.force_width, center=cfg.force_center), tau,
-            tuple(amp))])
-    elif cfg.force_kind == "dipole_pair":
-        sep = np.asarray(cfg.force_separation)
+    else:
         force = ForceModel(d, terms=[
-            SeparableTerm(GaussianBump(d, width=cfg.force_width, center=tuple(sep)),
-                          tau, tuple(amp)),
-            SeparableTerm(GaussianBump(d, width=cfg.force_width, center=tuple(-sep)),
-                          tau, tuple(-amp)),
-        ])
-    else:  # quadrupole: mean and first moment both vanish
-        sep = np.asarray(cfg.force_separation)
-        force = ForceModel(d, terms=[
-            SeparableTerm(GaussianBump(d, width=cfg.force_width, center=tuple(sep)),
-                          tau, tuple(amp)),
-            SeparableTerm(GaussianBump(d, width=cfg.force_width, center=tuple(-sep)),
-                          tau, tuple(amp)),
-            SeparableTerm(GaussianBump(d, width=cfg.force_width), tau, tuple(-2 * amp)),
-        ])
+            SeparableTerm(GaussianBump(d, width=cfg.force_width, center=center), tau,
+                          tuple(weight * amp))
+            for center, weight in bumps[cfg.force_kind]])
     opts = SolverOptions(slices=cfg.slices, tol=cfg.tolerance,
                          max_sweeps=cfg.max_sweeps, refine=cfg.refine)
     digest = scenario_digest(cfg.hash_source())
@@ -206,7 +196,7 @@ def _load_or_solve(cfg: ScenarioConfig, out_dir: str, scenario) -> Trajectory:
     return simulate(cfg, out_dir, scenario)
 
 
-def _check_profile(cfg, flow, digest, out_dir):
+def _check_profile(cfg, flow):
     rep = verify.remainder_extract(flow, np.array(cfg.profile_radii), cfg.profile_time)
     # decay of |u| itself: the -d law for a nonzero-mean force
     dirs = kernels.sphere_points(flow.d, cfg.window_directions)
@@ -229,8 +219,6 @@ def _check_profile(cfg, flow, digest, out_dir):
     rows = [(r, v, rep.extras["constant"] * r ** rep.predicted_exponent
              * math.sqrt(cfg.profile_time), res)
             for r, v, res in zip(rep.abscissa, rep.values, residuals)]
-    verify.write_csv(os.path.join(out_dir, f"profile_{digest}.csv"),
-                     ["abscissa", "value", "prediction", "residual"], rows)
     payload = {
         "check": "profile",
         "passed": bool(rep.passed and (u_fit is None or u_fit.passed)),
@@ -243,11 +231,10 @@ def _check_profile(cfg, flow, digest, out_dir):
         "velocity_exponent": None if u_fit is None else u_fit.fitted_exponent,
         "velocity_exponent_predicted": -float(flow.d),
     }
-    verify.write_json(os.path.join(out_dir, f"profile_{digest}.json"), payload)
-    return payload
+    return rows, payload
 
 
-def _check_window(cfg, flow, digest, out_dir):
+def _check_window(cfg, flow):
     control = not np.any(flow.force_integral(cfg.window_time))
     rep = verify.pointwise_window_check(
         flow, cfg.window_time, np.array(cfg.window_radii),
@@ -255,8 +242,6 @@ def _check_window(cfg, flow, digest, out_dir):
         short_times=cfg.short_times or None, control=control)
     rows = [(float(r), float(rep.lower), float(rep.sphere_floor), float(rep.ratio))
             for r in cfg.window_radii]
-    verify.write_csv(os.path.join(out_dir, f"window_{digest}.csv"),
-                     ["abscissa", "value", "prediction", "residual"], rows)
     expected_fail = control
     payload = {
         "check": "window", "control_scenario": control,
@@ -268,11 +253,10 @@ def _check_window(cfg, flow, digest, out_dir):
         "remainder_fraction": rep.remainder_fraction,
         "short_time": rep.short_time,
     }
-    verify.write_json(os.path.join(out_dir, f"window_{digest}.json"), payload)
-    return payload
+    return rows, payload
 
 
-def _check_sweep(cfg, flow, digest, out_dir):
+def _check_sweep(cfg, flow):
     norms = verify.TrajectoryNorms(flow)
     results = {}
     ok = True
@@ -288,14 +272,11 @@ def _check_sweep(cfg, flow, digest, out_dir):
         for t, v in zip(rep.abscissa, rep.values):
             rows.append((t, v, math.exp(rep.extras["intercept"])
                          * t ** rep.predicted_exponent, rep.residual))
-    verify.write_csv(os.path.join(out_dir, f"sweep_{digest}.csv"),
-                     ["abscissa", "value", "prediction", "residual"], rows)
     payload = {"check": "sweep", "passed": bool(ok), "fits": results}
-    verify.write_json(os.path.join(out_dir, f"sweep_{digest}.json"), payload)
-    return payload
+    return rows, payload
 
 
-def _check_divergence(cfg, flow, digest, out_dir):
+def _check_divergence(cfg, flow):
     results = {}
     ok = True
     rows = []
@@ -309,30 +290,24 @@ def _check_divergence(cfg, flow, digest, out_dir):
         ok = ok and rep.divergent
         for r, inc in zip(rep.radii[1:], rep.increments):
             rows.append((r, inc, rep.increments[0], 0.0))
-    verify.write_csv(os.path.join(out_dir, f"divergence_{digest}.csv"),
-                     ["abscissa", "value", "prediction", "residual"], rows)
     payload = {"check": "divergence", "passed": bool(ok), "results": results}
-    verify.write_json(os.path.join(out_dir, f"divergence_{digest}.json"), payload)
-    return payload
+    return rows, payload
 
 
-def _check_lemlog(cfg, flow, digest, out_dir):
+def _check_lemlog(cfg, flow):
     t0 = min(1.0, cfg.horizon / 2.0)
     ts = [t0 * 0.5**k for k in range(4)]
     xs = [8.0, 16.0, 32.0, 64.0]
     rep = verify.lemlog_check(xs, ts, d=cfg.dimension)
     rows = [(r, ratio, rep.sup_ratio, 0.0)
             for (r, _), ratio in zip(rep.pairs, rep.ratios)]
-    verify.write_csv(os.path.join(out_dir, f"lemlog_{digest}.csv"),
-                     ["abscissa", "value", "prediction", "residual"], rows)
     payload = {"check": "lemlog", "passed": bool(rep.passed),
                "sup_ratio": rep.sup_ratio, "variation": rep.variation,
                "refinement_shift": rep.refinement_shift}
-    verify.write_json(os.path.join(out_dir, f"lemlog_{digest}.json"), payload)
-    return payload
+    return rows, payload
 
 
-def _check_next_order(cfg, flow, digest, out_dir):
+def _check_next_order(cfg, flow):
     rep = verify.next_order_check(flow, cfg.next_order_time,
                                   np.array(cfg.next_order_radii))
     rows = []
@@ -340,16 +315,14 @@ def _check_next_order(cfg, flow, digest, out_dir):
         for r, v, agr in zip(rep.radii, rep.fit.values, rep.agreement):
             rows.append((r, v, math.exp(rep.fit.extras["intercept"])
                          * r ** rep.fit.predicted_exponent, agr))
-    verify.write_csv(os.path.join(out_dir, f"next_order_{digest}.csv"),
-                     ["abscissa", "value", "prediction", "residual"], rows)
     payload = {"check": "next_order", "passed": bool(rep.passed),
                "degenerate": rep.degenerate, "note": rep.note,
                "fitted_exponent": None if rep.fit is None else rep.fit.fitted_exponent,
                "agreement": None if rep.agreement is None else rep.agreement.tolist()}
-    verify.write_json(os.path.join(out_dir, f"next_order_{digest}.json"), payload)
-    return payload
+    return rows, payload
 
 
+# check name -> runner(cfg, flow) returning (CSV rows, JSON payload)
 _CHECK_RUNNERS = {
     "profile": _check_profile,
     "window": _check_window,
@@ -379,7 +352,7 @@ def run_verify(cfg: ScenarioConfig, out_dir: str, only=None, threads: int = 1,
             continue
         runner = _CHECK_RUNNERS[check]
         try:
-            payload = runner(cfg, flow, digest, out_dir)
+            rows, payload = runner(cfg, flow)
         except (SolverError, FloatingPointError) as exc:
             summary["checks"][check] = {"error": f"{type(exc).__name__}: {exc}"}
             print(f"check {check}: NUMERICAL FAILURE ({exc})")
@@ -391,6 +364,9 @@ def run_verify(cfg: ScenarioConfig, out_dir: str, only=None, threads: int = 1,
             print(f"check {check}: ERROR ({exc})")
             status = max(status, EXIT_CHECK_FAILURE)
             continue
+        verify.write_csv(os.path.join(out_dir, f"{check}_{digest}.csv"),
+                         ["abscissa", "value", "prediction", "residual"], rows)
+        verify.write_json(os.path.join(out_dir, f"{check}_{digest}.json"), payload)
         summary["checks"][check] = {"passed": payload.get("passed")}
         print(f"check {check}: {'pass' if payload.get('passed') else 'FAIL'}")
         if not payload.get("passed"):

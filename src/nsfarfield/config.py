@@ -15,53 +15,11 @@ validation collects every violation instead of stopping at the first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "CHECK_NAMES"]
 
 CHECK_NAMES = ("kernel", "profile", "window", "sweep", "divergence", "lemlog", "next_order")
-
-_DEFAULTS = {
-    ("scenario", "dimension"): "2",
-    ("scenario", "seed"): "20260808",
-    ("scenario", "name"): "scenario",
-    ("grid", "half_width"): "32.0",
-    ("grid", "points"): "256",
-    ("time", "horizon"): "2.0",
-    ("time", "slices"): "128",
-    ("initial_data", "kind"): "zero",
-    ("initial_data", "amplitude"): "0.0",
-    ("initial_data", "width"): "1.0",
-    ("force", "kind"): "gaussian_bump",
-    ("force", "amplitude"): "0.0018 0.0",
-    ("force", "width"): "1.0",
-    ("force", "center"): "0.0 0.0",
-    ("force", "separation"): "1.0 0.0",
-    ("force", "time_profile"): "smooth_bump",
-    ("force", "time_on"): "0.0",
-    ("force", "time_off"): "0.5",
-    ("solver", "tolerance"): "1e-10",
-    ("solver", "max_sweeps"): "12",
-    ("solver", "refine"): "1",
-    ("checks", "run"): "profile window sweep divergence",
-    ("checks", "profile_time"): "1.0",
-    ("checks", "profile_radii"): "16 22.6 32 45.25 64 90.5 128",
-    ("checks", "window_time"): "1.0",
-    ("checks", "window_radii"): "32 48 64 96 128",
-    ("checks", "window_directions"): "16",
-    ("checks", "short_times"): "",
-    ("checks", "sweep_pairs"): "0:inf 1:inf 0:2",
-    ("checks", "sweep_times"): "1.0 1.122 1.26 1.414 1.587 1.782 2.0",
-    ("checks", "divergence_pairs"): "0:1",
-    ("checks", "divergence_time"): "2.0",
-    ("checks", "divergence_radii"): "32 64 128 256 512",
-    ("checks", "next_order_time"): "1.0",
-    ("checks", "next_order_radii"): "16 22.6 32 45.25 64 90.5 128",
-    ("output", "directory"): "out",
-    ("output", "threads"): "1",
-}
-
-_SECTIONS = sorted({s for s, _ in _DEFAULTS})
 
 
 class ConfigError(ValueError):
@@ -72,51 +30,83 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split())
+
+
+def _pairs(text: str) -> tuple:
+    out = []
+    for tok in text.split():
+        alpha_s, p_s = tok.split(":")
+        out.append((float(alpha_s), math.inf if p_s in ("inf", "oo") else float(p_s)))
+    return tuple(out)
+
+
+def _words(text: str) -> tuple:
+    return tuple(text.split())
+
+
+# what a parse failure says the value should have been
+_EXPECTED = {int: "integer", float: "number", _floats: "number list", _pairs: "alpha:p list"}
+
+
+def _key(section: str, key: str, default: str, parse=str):
+    """The config entry ``[section] key`` with its default text and parser."""
+    return field(metadata={"key": (section, key), "default": default, "parse": parse})
+
+
 @dataclass
 class ScenarioConfig:
-    dimension: int
-    seed: int
-    name: str
-    half_width: float
-    points: int
-    horizon: float
-    slices: int
-    data_kind: str
-    data_amplitude: float
-    data_width: float
-    force_kind: str
-    force_amplitude: tuple
-    force_width: float
-    force_center: tuple
-    force_separation: tuple
-    time_profile: str
-    time_on: float
-    time_off: float
-    tolerance: float
-    max_sweeps: int
-    refine: int
-    checks: tuple
-    profile_time: float
-    profile_radii: tuple
-    window_time: float
-    window_radii: tuple
-    window_directions: int
-    short_times: tuple
-    sweep_pairs: tuple       # ((alpha, p), ...)
-    sweep_times: tuple
-    divergence_pairs: tuple
-    divergence_time: float
-    divergence_radii: tuple
-    next_order_time: float
-    next_order_radii: tuple
-    output_directory: str
-    threads: int
+    dimension: int = _key("scenario", "dimension", "2", int)
+    name: str = _key("scenario", "name", "scenario")
+    half_width: float = _key("grid", "half_width", "32.0", float)
+    points: int = _key("grid", "points", "256", int)
+    horizon: float = _key("time", "horizon", "2.0", float)
+    slices: int = _key("time", "slices", "128", int)
+    data_kind: str = _key("initial_data", "kind", "zero")
+    data_amplitude: float = _key("initial_data", "amplitude", "0.0", float)
+    data_width: float = _key("initial_data", "width", "1.0", float)
+    force_kind: str = _key("force", "kind", "gaussian_bump")
+    force_amplitude: tuple = _key("force", "amplitude", "0.0018 0.0", _floats)
+    force_width: float = _key("force", "width", "1.0", float)
+    force_center: tuple = _key("force", "center", "0.0 0.0", _floats)
+    force_separation: tuple = _key("force", "separation", "1.0 0.0", _floats)
+    time_profile: str = _key("force", "time_profile", "smooth_bump")
+    time_on: float = _key("force", "time_on", "0.0", float)
+    time_off: float = _key("force", "time_off", "0.5", float)
+    tolerance: float = _key("solver", "tolerance", "1e-10", float)
+    max_sweeps: int = _key("solver", "max_sweeps", "12", int)
+    refine: int = _key("solver", "refine", "1", int)
+    checks: tuple = _key("checks", "run", "profile window sweep divergence", _words)
+    profile_time: float = _key("checks", "profile_time", "1.0", float)
+    profile_radii: tuple = _key("checks", "profile_radii", "16 22.6 32 45.25 64 90.5 128",
+                                _floats)
+    window_time: float = _key("checks", "window_time", "1.0", float)
+    window_radii: tuple = _key("checks", "window_radii", "32 48 64 96 128", _floats)
+    window_directions: int = _key("checks", "window_directions", "16", int)
+    short_times: tuple = _key("checks", "short_times", "", _floats)
+    sweep_pairs: tuple = _key("checks", "sweep_pairs", "0:inf 1:inf 0:2", _pairs)
+    sweep_times: tuple = _key("checks", "sweep_times", "1.0 1.122 1.26 1.414 1.587 1.782 2.0",
+                              _floats)
+    divergence_pairs: tuple = _key("checks", "divergence_pairs", "0:1", _pairs)
+    divergence_time: float = _key("checks", "divergence_time", "2.0", float)
+    divergence_radii: tuple = _key("checks", "divergence_radii", "32 64 128 256 512", _floats)
+    next_order_time: float = _key("checks", "next_order_time", "1.0", float)
+    next_order_radii: tuple = _key("checks", "next_order_radii",
+                                   "16 22.6 32 45.25 64 90.5 128", _floats)
+    output_directory: str = _key("output", "directory", "out")
+    threads: int = _key("output", "threads", "1", int)
     raw: dict = field(default_factory=dict, repr=False)
 
     def hash_source(self) -> tuple:
         """Everything that determines the numbers (output location excluded)."""
         items = sorted((k, v) for k, v in self.raw.items() if k[0] != "output")
         return tuple(items)
+
+
+_ENTRIES = [f for f in fields(ScenarioConfig) if f.metadata]
+_DEFAULTS = {f.metadata["key"]: f.metadata["default"] for f in _ENTRIES}
+_SECTIONS = sorted({s for s, _ in _DEFAULTS})
 
 
 def _parse_lines(text: str):
@@ -159,167 +149,106 @@ def _parse_lines(text: str):
     return values
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split())
-
-
-def _pairs(text: str) -> tuple:
-    out = []
-    for tok in text.split():
-        alpha_s, p_s = tok.split(":")
-        out.append((float(alpha_s), math.inf if p_s in ("inf", "oo") else float(p_s)))
-    return tuple(out)
-
-
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate; unset keys take documented defaults."""
     values = dict(_DEFAULTS)
     values.update(_parse_lines(text))
-    problems = []
-
-    def take(section, key, conv, descr):
+    parsed, problems = {}, []
+    for f in _ENTRIES:
+        section, key = f.metadata["key"]
+        parse = f.metadata["parse"]
         try:
-            return conv(values[(section, key)])
+            parsed[f.name] = parse(values[(section, key)])
         except (ValueError, IndexError):
-            problems.append(f"{section}.{key}: cannot parse {values[(section, key)]!r} as {descr}")
-            return None
-
-    d = take("scenario", "dimension", int, "integer")
-    seed = take("scenario", "seed", int, "integer")
-    name = values[("scenario", "name")]
-    half_width = take("grid", "half_width", float, "number")
-    points = take("grid", "points", int, "integer")
-    horizon = take("time", "horizon", float, "number")
-    slices = take("time", "slices", int, "integer")
-    data_kind = values[("initial_data", "kind")]
-    data_amp = take("initial_data", "amplitude", float, "number")
-    data_width = take("initial_data", "width", float, "number")
-    force_kind = values[("force", "kind")]
-    force_amp = take("force", "amplitude", _floats, "number list")
-    force_width = take("force", "width", float, "number")
-    center = take("force", "center", _floats, "number list")
-    separation = take("force", "separation", _floats, "number list")
-    time_profile = values[("force", "time_profile")]
-    time_on = take("force", "time_on", float, "number")
-    time_off = take("force", "time_off", float, "number")
-    tol = take("solver", "tolerance", float, "number")
-    max_sweeps = take("solver", "max_sweeps", int, "integer")
-    refine = take("solver", "refine", int, "integer")
-    checks = tuple(values[("checks", "run")].split())
-    profile_time = take("checks", "profile_time", float, "number")
-    profile_radii = take("checks", "profile_radii", _floats, "number list")
-    window_time = take("checks", "window_time", float, "number")
-    window_radii = take("checks", "window_radii", _floats, "number list")
-    window_dirs = take("checks", "window_directions", int, "integer")
-    short_times = take("checks", "short_times", _floats, "number list")
-    sweep_pairs = take("checks", "sweep_pairs", _pairs, "alpha:p list")
-    sweep_times = take("checks", "sweep_times", _floats, "number list")
-    div_pairs = take("checks", "divergence_pairs", _pairs, "alpha:p list")
-    div_time = take("checks", "divergence_time", float, "number")
-    div_radii = take("checks", "divergence_radii", _floats, "number list")
-    next_time = take("checks", "next_order_time", float, "number")
-    next_radii = take("checks", "next_order_radii", _floats, "number list")
-    out_dir = values[("output", "directory")]
-    threads = take("output", "threads", int, "integer")
-
+            problems.append(f"{section}.{key}: cannot parse {values[(section, key)]!r} "
+                            f"as {_EXPECTED[parse]}")
     if problems:
         raise ConfigError(problems)
+    cfg = ScenarioConfig(**parsed, raw=values)
+    problems = _violations(cfg)
+    if problems:
+        raise ConfigError(problems)
+    return cfg
 
-    # semantic validation: collect everything
+
+def _violations(cfg: ScenarioConfig) -> list:
+    """Semantic validation: every violated constraint, not just the first."""
+    problems = []
+    d = cfg.dimension
     if d not in (2, 3):
         problems.append(f"scenario.dimension: must be 2 or 3, got {d}")
-    if points < 16 or points & (points - 1) != 0:
-        problems.append(f"grid.points: must be a power of two >= 16, got {points}")
-    if half_width <= 0:
+    if cfg.points < 16 or cfg.points & (cfg.points - 1) != 0:
+        problems.append(f"grid.points: must be a power of two >= 16, got {cfg.points}")
+    if cfg.half_width <= 0:
         problems.append("grid.half_width: must be positive")
-    if horizon <= 0:
+    if cfg.horizon <= 0:
         problems.append("time.horizon: must be positive")
-    elif half_width > 0 and math.sqrt(horizon) > half_width / 8.0 + 1e-12:
+    elif cfg.half_width > 0 and math.sqrt(cfg.horizon) > cfg.half_width / 8.0 + 1e-12:
         problems.append(
-            f"time.horizon: sqrt(horizon) = {math.sqrt(horizon):.4g} exceeds the "
-            f"truncation guard half_width/8 = {half_width / 8:.4g}")
-    if slices < 4:
+            f"time.horizon: sqrt(horizon) = {math.sqrt(cfg.horizon):.4g} exceeds the "
+            f"truncation guard half_width/8 = {cfg.half_width / 8:.4g}")
+    if cfg.slices < 4:
         problems.append("time.slices: need at least 4")
-    if data_kind not in ("zero", "curl_bump"):
-        problems.append(f"initial_data.kind: unknown kind {data_kind!r}")
-    if data_width is not None and data_width <= 0:
+    if cfg.data_kind not in ("zero", "curl_bump"):
+        problems.append(f"initial_data.kind: unknown kind {cfg.data_kind!r}")
+    if cfg.data_width <= 0:
         problems.append("initial_data.width: must be positive")
-    if force_kind not in ("zero", "gaussian_bump", "dipole_pair", "quadrupole"):
-        problems.append(f"force.kind: unknown kind {force_kind!r}")
-    if force_amp is not None and d in (2, 3) and len(force_amp) != d:
-        problems.append(f"force.amplitude: need {d} components, got {len(force_amp)}")
-    if force_width is not None and force_width <= 0:
+    if cfg.force_kind not in ("zero", "gaussian_bump", "dipole_pair", "quadrupole"):
+        problems.append(f"force.kind: unknown kind {cfg.force_kind!r}")
+    if d in (2, 3) and len(cfg.force_amplitude) != d:
+        problems.append(f"force.amplitude: need {d} components, got {len(cfg.force_amplitude)}")
+    if cfg.force_width <= 0:
         problems.append("force.width: must be positive")
-    if center is not None and d in (2, 3) and len(center) != d:
-        problems.append(f"force.center: need {d} components, got {len(center)}")
-    if separation is not None and d in (2, 3) and len(separation) != d:
-        problems.append(f"force.separation: need {d} components, got {len(separation)}")
-    if time_profile not in ("smooth_bump", "indicator"):
-        problems.append(f"force.time_profile: unknown profile {time_profile!r}")
-    if time_on is not None and time_off is not None and not (0 <= time_on < time_off):
+    if d in (2, 3) and len(cfg.force_center) != d:
+        problems.append(f"force.center: need {d} components, got {len(cfg.force_center)}")
+    if d in (2, 3) and len(cfg.force_separation) != d:
+        problems.append(
+            f"force.separation: need {d} components, got {len(cfg.force_separation)}")
+    if cfg.time_profile not in ("smooth_bump", "indicator"):
+        problems.append(f"force.time_profile: unknown profile {cfg.time_profile!r}")
+    if not (0 <= cfg.time_on < cfg.time_off):
         problems.append("force.time_on/time_off: need 0 <= on < off")
-    if time_off is not None and horizon is not None and time_off > horizon:
+    if cfg.time_off > cfg.horizon:
         problems.append("force.time_off: force must switch off within the horizon")
-    if tol is not None and tol <= 0:
+    if cfg.tolerance <= 0:
         problems.append("solver.tolerance: must be positive")
-    if max_sweeps is not None and max_sweeps < 1:
+    if cfg.max_sweeps < 1:
         problems.append("solver.max_sweeps: need at least 1")
-    if refine is not None and refine < 1:
+    if cfg.refine < 1:
         problems.append("solver.refine: need at least 1")
-    for c in checks:
-        if c not in CHECK_NAMES:
-            problems.append(f"checks.run: unknown check {c!r} (known: {', '.join(CHECK_NAMES)})")
-    if sweep_pairs is not None and d in (2, 3):
-        for alpha, p in sweep_pairs:
+    for check in cfg.checks:
+        if check not in CHECK_NAMES:
+            problems.append(
+                f"checks.run: unknown check {check!r} (known: {', '.join(CHECK_NAMES)})")
+    if d in (2, 3):
+        for alpha, p in cfg.sweep_pairs:
             gap = alpha + (0.0 if math.isinf(p) else d / p) - d
             limit = math.isinf(p) and abs(gap) < 1e-12
             if gap >= 0 and not limit:
                 problems.append(
                     f"checks.sweep_pairs: ({alpha:g},{p:g}) has alpha + d/p >= d; "
                     "it belongs under divergence_pairs")
-    if div_pairs is not None and d in (2, 3):
-        for alpha, p in div_pairs:
+        for alpha, p in cfg.divergence_pairs:
             if math.isinf(p):
                 problems.append("checks.divergence_pairs: p must be finite")
             elif alpha + d / p - d < -1e-12:
                 problems.append(
                     f"checks.divergence_pairs: ({alpha:g},{p:g}) has alpha + d/p < d; "
                     "it belongs under sweep_pairs")
-    if threads is not None and threads < 1:
+    if cfg.threads < 1:
         problems.append("output.threads: need at least 1")
-    for label, (t_check, radii) in {
-        "profile": (profile_time, profile_radii),
-        "window": (window_time, window_radii),
-        "next_order": (next_time, next_radii),
-    }.items():
-        if label in checks and t_check is not None and radii:
+    for label, t_check, radii in (("profile", cfg.profile_time, cfg.profile_radii),
+                                  ("window", cfg.window_time, cfg.window_radii),
+                                  ("next_order", cfg.next_order_time, cfg.next_order_radii)):
+        if label in cfg.checks and radii:
             bound = math.e * math.sqrt(t_check)
             bad = [r for r in radii if r < bound]
             if bad:
                 problems.append(
                     f"checks.{label}_radii: radii {bad} violate |x| >= e sqrt(t) "
                     f"= {bound:.4g}")
-    if "sweep" in checks and sweep_times is not None and horizon is not None:
-        late = [t for t in sweep_times if t > horizon + 1e-12]
+    if "sweep" in cfg.checks:
+        late = [t for t in cfg.sweep_times if t > cfg.horizon + 1e-12]
         if late:
             problems.append(f"checks.sweep_times: {late} beyond the horizon")
-
-    if problems:
-        raise ConfigError(problems)
-
-    return ScenarioConfig(
-        dimension=d, seed=seed, name=name, half_width=half_width, points=points,
-        horizon=horizon, slices=slices, data_kind=data_kind, data_amplitude=data_amp,
-        data_width=data_width, force_kind=force_kind, force_amplitude=tuple(force_amp),
-        force_width=force_width, force_center=tuple(center),
-        force_separation=tuple(separation), time_profile=time_profile,
-        time_on=time_on, time_off=time_off, tolerance=tol, max_sweeps=max_sweeps,
-        refine=refine, checks=checks, profile_time=profile_time,
-        profile_radii=profile_radii, window_time=window_time,
-        window_radii=window_radii, window_directions=window_dirs,
-        short_times=short_times, sweep_pairs=sweep_pairs, sweep_times=sweep_times,
-        divergence_pairs=div_pairs, divergence_time=div_time,
-        divergence_radii=div_radii, next_order_time=next_time,
-        next_order_radii=next_radii, output_directory=out_dir, threads=threads,
-        raw=values,
-    )
+    return problems

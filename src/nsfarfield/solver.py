@@ -91,6 +91,12 @@ _GRADING_LEVELS = 6
 # c >= 2 sqrt(12 ln 10) = 10.51; rounded up.
 FAR_CUTOFF = 10.6
 
+# _bilinear_point: slices per history panel, target points per pair block,
+# and points per batch that carry the quadrature error estimate
+_COARSEN = 8
+_CHUNK = 32
+_PROBE = 16
+
 # Interior/far routing of farfield_velocity: |x| >= L/2 up to this relative
 # slack, so points placed on the L/2 ring by a rounded direction all take the
 # kernel route.
@@ -611,13 +617,13 @@ def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
     return out, err
 
 
-def _history_rules(times: np.ndarray, m_t: int, opts: SolverOptions, coarsen: int):
+def _history_rules(times: np.ndarray, m_t: int, opts: SolverOptions):
     """GL4 and embedded GL2 nodes of the history integral over [0, times[m_t]].
 
-    Panels group `coarsen` slices and are graded toward s = t; each node
+    Panels group `_COARSEN` slices and are graded toward s = t; each node
     carries (s, weight, stencil slice indices, Lagrange weights).
     """
-    idx_edges = list(range(0, m_t, coarsen)) + [m_t]
+    idx_edges = list(range(0, m_t, _COARSEN)) + [m_t]
     panels = []
     for i in range(len(idx_edges) - 2):
         panels.extend(_graded_panels(times[idx_edges[i]], times[idx_edges[i + 1]], 0,
@@ -655,11 +661,10 @@ class _CollapsedHistory:
     flux_mass: np.ndarray
 
 
-def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions,
-                       coarsen: int) -> _CollapsedHistory:
+def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions) -> _CollapsedHistory:
     def build():
         _, fluxes = traj.flux_history()
-        nodes4, nodes2 = _history_rules(traj.times, m_t, opts, coarsen)
+        nodes4, nodes2 = _history_rules(traj.times, m_t, opts)
         # per-slice weights of the two rules
         w4, w2, w_abs = (np.zeros(len(fluxes)) for _ in range(3))
         for _, weight, idx, lw in nodes4:
@@ -673,7 +678,7 @@ def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions,
                    for i in np.flatnonzero(w_abs))
         return _CollapsedHistory(nodes4, nodes2, q4, q2, mass)
 
-    return traj._cached(("collapsed", m_t, opts.refine, coarsen), build)
+    return traj._cached(("collapsed", m_t, opts.refine), build)
 
 
 def _pair_values(z, near, t: float, q, nodes, fluxes) -> np.ndarray:
@@ -701,9 +706,7 @@ def _pair_values(z, near, t: float, q, nodes, fluxes) -> np.ndarray:
     return vals
 
 
-def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float,
-                    opts: SolverOptions, coarsen: int = 8, chunk: int = 32,
-                    probe: int = 16):
+def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions):
     """B(u,u)(x, t) by kernel quadrature over the |y| <= L/2 history.
 
     Source pairs split at |x - y| = FAR_CUTOFF sqrt(t).  Near pairs sum the
@@ -722,11 +725,11 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float,
     if m_t == 0:
         return out, budget
     pts_y, fluxes = traj.flux_history()
-    hist = _collapsed_history(traj, m_t, opts, coarsen)
+    hist = _collapsed_history(traj, m_t, opts)
     cell = traj.grid.spacing**d
     cut2 = FAR_CUTOFF**2 * t
 
-    n_probe = min(probe, x.shape[0])
+    n_probe = min(_PROBE, x.shape[0])
     coarse_s = np.zeros((n_probe, d))
     sub = np.zeros((n_probe, d))
     stride_mask = np.zeros(pts_y.shape[0], dtype=bool)
@@ -735,8 +738,8 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float,
     stride_mask[stride_idx[(slice(None, None, 2),) * d].ravel()] = True
     far_mass = 0.0
 
-    for c0 in range(0, x.shape[0], chunk):
-        xs = x[c0:c0 + chunk]
+    for c0 in range(0, x.shape[0], _CHUNK):
+        xs = x[c0:c0 + _CHUNK]
         z = xs[:, None, :] - pts_y[None, :, :]
         near = np.sum(z * z, axis=-1) < cut2
         pairs = _pair_values(z, near, t, hist.q4, hist.nodes4, fluxes)

@@ -350,8 +350,9 @@ def pointwise_window_check(flow, t: float, radii, n_dirs: int = 16,
     dirs = kernels.sphere_points(d, n_dirs)
     per_radius_min = np.empty(radii.size)
     per_radius_max = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        mags = np.linalg.norm(flow.velocity(r * dirs, t), axis=-1)
+    us = [flow.velocity(r * dirs, t) for r in radii]
+    for i, (r, u) in enumerate(zip(radii, us)):
+        mags = np.linalg.norm(u, axis=-1)
         per_radius_min[i] = mags.min() * r**d
         per_radius_max[i] = mags.max() * r**d
     lower, upper = float(per_radius_min.min()), float(per_radius_max.max())
@@ -361,10 +362,10 @@ def pointwise_window_check(flow, t: float, radii, n_dirs: int = 16,
     # remainder contamination at the largest radius, relative to the floor
     rem_frac = 0.0
     if floor > 0:
-        r_big = radii.max()
-        u = flow.velocity(r_big * dirs, t)
+        i_big = int(np.argmax(radii))
+        r_big = radii[i_big]
         pred = flow.heat_term(r_big * dirs, t) + kernels.profile_field(r_big * dirs, m, d)
-        rem = np.max(np.linalg.norm(u - pred, axis=-1)) * r_big**d
+        rem = np.max(np.linalg.norm(us[i_big] - pred, axis=-1)) * r_big**d
         rem_frac = float(rem / floor)
 
     short = {}

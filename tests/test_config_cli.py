@@ -75,6 +75,8 @@ class TestParseConfig:
     def test_unknown_key_and_check(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("[scenario]\nflavor = vanilla\n")
+        with pytest.raises(ConfigError, match="unknown key scenario.seed"):
+            parse_config("[scenario]\nseed = 20260808\n")
         with pytest.raises(ConfigError, match="unknown check"):
             parse_config("[checks]\nrun = profile suchcheck\n")
 
@@ -87,6 +89,20 @@ class TestParseConfig:
         c1 = parse_config(QUICK)
         c2 = parse_config(QUICK.replace("directory = out", "directory = elsewhere"))
         assert c1.hash_source() == c2.hash_source()
+
+    @pytest.mark.parametrize("name,digest", [
+        ("canonical", "9b1657cd30a878ae"),
+        ("dipole", "83bf149c15cf4e56"),
+        ("free_control", "813040f26dff7162"),
+        ("short_time", "4c126817af7898ba"),
+    ])
+    def test_shipped_config_digests(self, name, digest):
+        # the digest names every artifact and trajectory_<digest>/ cache of a
+        # config, so an edit to the grammar or its defaults must not move it
+        from nsfarfield.solver import scenario_digest
+
+        text = (Path(__file__).parent.parent / "configs" / f"{name}.cfg").read_text()
+        assert scenario_digest(parse_config(text).hash_source()) == digest
 
 
 class TestScenarioBuild:
@@ -117,6 +133,20 @@ class TestScenarioBuild:
         _, _, force, _, _ = cli.build_scenario(cfg)
         assert np.linalg.norm(force_integral(force, 10.0)) < 1e-15
         assert np.abs(first_moment(force, 10.0)).max() < 1e-15
+
+    @pytest.mark.parametrize("kind,expected", [
+        ("gaussian_bump", [((0.25, -0.5), (0.002, -0.001))]),
+        ("dipole_pair", [((1.5, 0.5), (0.002, -0.001)), ((-1.5, -0.5), (-0.002, 0.001))]),
+        ("quadrupole", [((1.5, 0.5), (0.002, -0.001)), ((-1.5, -0.5), (0.002, -0.001)),
+                        ((0.0, 0.0), (-0.004, 0.002))]),
+    ])
+    def test_term_centers_and_amplitudes(self, kind, expected):
+        text = QUICK.replace("kind = gaussian_bump", f"kind = {kind}").replace(
+            "amplitude = 0.002 0.0",
+            "amplitude = 0.002 -0.001\ncenter = 0.25 -0.5\nseparation = 1.5 0.5")
+        _, _, force, _, _ = cli.build_scenario(parse_config(text))
+        assert [(t.profile.center, t.amplitude) for t in force.terms] == expected
+        assert all(t.profile.width == 1.0 for t in force.terms)
 
 
 class TestCli:

@@ -107,6 +107,24 @@ class TestPointwiseWindow:
         with pytest.raises(vf.HypothesisError):
             vf.pointwise_window_check(flow, 1.0, np.logspace(4, 8, 5, base=2))
 
+    def test_one_velocity_call_per_radius(self):
+        # the remainder at the largest radius reuses the velocities sampled there
+        c = np.array([1.0, 0.5])
+        m1 = np.array([[0.0, 0.4], [0.1, 0.0]])
+        calls = []
+
+        def u(x, t):
+            calls.append(t)
+            return kn.profile_field(x, c, 2) + kn.next_order_profile(x, m1, 2)
+
+        flow = vf.SyntheticFlow(2, u, m_of_t=lambda t: c)
+        radii = np.array([32.0, 256.0, 64.0, 128.0, 16.0])
+        rep = vf.pointwise_window_check(flow, 1.0, radii)
+        assert len(calls) == len(radii)
+        x = 256.0 * kn.sphere_points(2, 16)
+        rem = np.linalg.norm(kn.next_order_profile(x, m1, 2), axis=-1).max() * 256.0**2
+        assert rep.remainder_fraction == pytest.approx(rem / rep.sphere_floor, rel=1e-9)
+
     def test_control_mode_reports_fast_decay(self):
         # |u| ~ |x|^{-3}: the -d window fails, slope <= -(d+0.5)
         def u(x, t):
