@@ -199,12 +199,9 @@ def _load_or_solve(cfg: ScenarioConfig, out_dir: str, scenario) -> Trajectory:
 def _check_profile(cfg, flow):
     rep = verify.remainder_extract(flow, np.array(cfg.profile_radii), cfg.profile_time)
     # decay of |u| itself: the -d law for a nonzero-mean force
-    dirs = kernels.sphere_points(flow.d, cfg.window_directions)
-    sup = []
-    for r in cfg.profile_radii:
-        sup.append(float(np.linalg.norm(flow.velocity(r * dirs, cfg.profile_time),
-                                        axis=-1).max()))
-    sup = np.array(sup)
+    u = verify.sphere_velocities(flow, cfg.profile_radii, cfg.profile_time,
+                                 verify.SPHERE_DIRECTIONS)
+    sup = np.linalg.norm(u, axis=-1).max(axis=1)
     if np.all(sup < 1e-30):
         u_fit = None  # zero flow: nothing to fit, trivially consistent
     else:
@@ -240,8 +237,9 @@ def _check_window(cfg, flow):
         flow, cfg.window_time, np.array(cfg.window_radii),
         n_dirs=cfg.window_directions,
         short_times=cfg.short_times or None, control=control)
-    rows = [(float(r), float(rep.lower), float(rep.sphere_floor), float(rep.ratio))
-            for r in cfg.window_radii]
+    # per radius: min over directions of |u| r^d, the sphere floor, max/min
+    rows = [(r, lo, rep.sphere_floor, hi / max(lo, 1e-300))
+            for r, lo, hi in zip(rep.radii, rep.radius_min, rep.radius_max)]
     expected_fail = control
     payload = {
         "check": "window", "control_scenario": control,

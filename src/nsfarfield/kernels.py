@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, gamma, gammainc
 
 __all__ = [
     "SPHERE_AREA",
@@ -58,11 +58,13 @@ __all__ = [
 SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 # Switch to series evaluation of the radial profiles when u = (r/a)^2 < 1e-3.
-# The direct erf/expm1 forms lose ~|log10 u| digits to cancellation in
-# d*H - q as u -> 0; at the cut both branches agree to ~1e-12 relative, except
-# d*H - q in d = 3, whose erf form is only good to ~7e-10 there.
+# The direct erf/expm1 forms lose ~|log10 u| digits to cancellation as u -> 0;
+# at the cut both branches agree to ~1e-12 relative.  d*H - q in d = 3 uses
+# the cancellation-free incomplete-gamma form, good to ~3e-15 there.
 _SERIES_CUT = 1.0e-3
 _SERIES_TERMS = 10
+# Log-spaced radial panels of the L1 gradient-norm quadrature.
+_L1_PANELS = 240
 
 
 def _check_dim(d: int) -> int:
@@ -154,7 +156,11 @@ def _defect_over_u(u: np.ndarray, d: int) -> np.ndarray:
     big = ~small
     if np.any(big):
         ub = u[big]
-        out[big] = d * _mass_fraction_over_u(ub, d) - np.exp(-ub)
+        if d == 2:
+            out[big] = d * _mass_fraction_over_u(ub, d) - np.exp(-ub)
+        else:
+            # incomplete-gamma recurrence: d*H - q = lower_gamma(d/2+1, u) / u^(d/2)
+            out[big] = gamma(d / 2 + 1) * gammainc(d / 2 + 1, ub) / ub ** (d / 2)
     return out
 
 
@@ -423,8 +429,8 @@ def sphere_points(d: int, n: int | None = None) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
 
 
-def sphere_min(c, d: int, n: int | None = None) -> float:
-    """Minimum over the sampled unit sphere of |leading_tensor(w) @ c|.
+def sphere_min(c, d: int) -> float:
+    """Minimum over the default ``sphere_points`` sample of |leading_tensor(w) @ c|.
 
     Strictly positive iff c != 0 (up to sampling resolution); the profile
     m(w) = leading_tensor(w) c has no zero on the sphere unless c vanishes.
@@ -432,8 +438,7 @@ def sphere_min(c, d: int, n: int | None = None) -> float:
     c = np.asarray(c, dtype=float)
     if not np.any(c):
         return 0.0
-    omega = sphere_points(d, n)
-    values = profile_field(omega, c, d)
+    values = profile_field(sphere_points(d), c, d)
     return float(np.min(np.linalg.norm(values, axis=-1)))
 
 
@@ -459,7 +464,7 @@ def _grad_frobenius_radial(r, t: float, d: int):
     return np.sqrt(np.sum(f * f, axis=(-3, -2, -1)))
 
 
-def oseen_l1_gradient_norm(t: float, d: int, panels: int = 240) -> float:
+def oseen_l1_gradient_norm(t: float, d: int) -> float:
     """L1 norm over space of the Frobenius norm of F(.,t); equals const/sqrt(t).
 
     Computed by log-graded Gauss-Legendre radial quadrature of
@@ -468,7 +473,7 @@ def oseen_l1_gradient_norm(t: float, d: int, panels: int = 240) -> float:
     d = _check_dim(d)
     t = _check_time(t)
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    edges = np.sqrt(t) * np.logspace(-6, math.log10(40.0), panels + 1)
+    edges = np.sqrt(t) * np.logspace(-6, math.log10(40.0), _L1_PANELS + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)

@@ -91,10 +91,11 @@ _GRADING_LEVELS = 6
 # c >= 2 sqrt(12 ln 10) = 10.51; rounded up.
 FAR_CUTOFF = 10.6
 
-# _bilinear_point: slices per history panel, target points per pair block,
-# and points per batch that carry the quadrature error estimate
+# _bilinear_point: slices per history panel, points per pair block (memory
+# only: each point's source sum is its own row sum), and points per batch
+# that carry the quadrature error estimate
 _COARSEN = 8
-_CHUNK = 32
+_CHUNK = 8
 _PROBE = 16
 
 # Interior/far routing of farfield_velocity: |x| >= L/2 up to this relative

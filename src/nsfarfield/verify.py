@@ -47,8 +47,10 @@ __all__ = [
     "RegimeError",
     "HypothesisError",
     "ValidityRegionError",
+    "SPHERE_DIRECTIONS",
     "fit_power_law",
     "profile_predict",
+    "sphere_velocities",
     "remainder_extract",
     "pointwise_window_check",
     "weighted_norm_sweep",
@@ -60,6 +62,18 @@ __all__ = [
 ]
 
 _GL8 = np.polynomial.legendre.leggauss(8)
+
+# Directions per sphere |x| = r: 16 for the profile check's sup |u|, the
+# window check's default and the divergence increments; 8 for the remainder
+# and next-order fits; 12 for the far-field weighted-norm quadrature.
+SPHERE_DIRECTIONS = 16
+_FIT_DIRECTIONS = 8
+_NORM_DIRECTIONS = 12
+_SLOPE_SLACK = 0.25            # decay fits pass up to exponent -(d+1) + slack
+_WINDOW_RATIO_LIMIT = 5.0      # window pinch: max/min of |u| |x|^d
+_LEMLOG_VARIATION_LIMIT = 2.0  # spread of the kernel-mass ratio over a sweep
+_RADIAL_R_MAX = 1e6            # RadialNorms: outer radius and log-spaced panels
+_RADIAL_PANELS = 160
 
 
 class RegimeError(ValueError):
@@ -176,19 +190,13 @@ class FlowAdapter:
 
 
 class SyntheticFlow:
-    """A closed-form flow for oracle runs: a vectorized callable u(x, t).
+    """A closed-form flow for oracle runs: a vectorized callable u(x, t) with
+    no heat term."""
 
-    ``radial_modulus(r, t)``, when given, must return |u| on spheres and makes
-    weighted norms exact 1-D quadratures.
-    """
-
-    def __init__(self, d: int, velocity_fn, radial_modulus=None, grid=None,
-                 heat_fn=None, m_of_t=None, m1_of_t=None):
+    def __init__(self, d: int, velocity_fn, grid=None, m_of_t=None, m1_of_t=None):
         self.d = d
         self._fn = velocity_fn
-        self.radial_modulus = radial_modulus
         self.grid = grid
-        self._heat = heat_fn
         self._m = m_of_t
         self._m1 = m1_of_t
 
@@ -207,8 +215,22 @@ class SyntheticFlow:
         return np.zeros((self.d, self.d)) if self._m1 is None else np.asarray(self._m1(t), dtype=float)
 
     def heat_term(self, x, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape) if self._heat is None else self._heat(x, t)
+        return np.zeros(np.shape(x))
+
+
+def _spheres(radii, d: int, n_dirs: int) -> np.ndarray:
+    """Points r * w for each radius r and sphere direction w: (len(radii), n_dirs, d)."""
+    return np.asarray(radii, dtype=float)[:, None, None] * kernels.sphere_points(d, n_dirs)
+
+
+def sphere_velocities(flow, radii, t: float, n_dirs: int) -> np.ndarray:
+    """u(r w, t) on the points of ``_spheres``, from one ``flow.velocity`` call.
+
+    A point's far-field value is its own sum over sources, independent of the
+    rest of the batch, so one batch per time gives the numbers of one batch
+    per radius at a fraction of the per-call cost."""
+    x = _spheres(radii, flow.d, n_dirs)
+    return flow.velocity(x.reshape(-1, flow.d), t).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -262,45 +284,40 @@ def _check_validity_region(radii, t: float):
             f"samples at |x| = {bad} violate |x| >= e sqrt(t) = {bound:.3g}")
 
 
-def remainder_extract(flow, radii, t: float, n_dirs: int = 8,
-                      slope_slack: float = 0.25) -> FitReport:
+def remainder_extract(flow, radii, t: float) -> FitReport:
     """Fit the decay of R = u - heat - leading profile against |x|.
 
-    Pass requires the fitted exponent <= -(d+1) + slope_slack and the measured
-    constant max_dirs |R| |x|^{d+1} / sqrt(t) to vary by < 2x across radii.
-    The extras report ``onset_radius``: the smallest sampled radius at which
-    the remainder has dropped below a third of the leading term (the measured
-    far-field onset; never assumed).
+    Pass requires the fitted exponent <= -(d+1) + _SLOPE_SLACK and the
+    measured constant max_dirs |R| |x|^{d+1} / sqrt(t) to vary by < 2x across
+    radii.  The extras report ``onset_radius``: the smallest sampled radius at
+    which the remainder has dropped below a third of the leading term (the
+    measured far-field onset; never assumed).
     """
     radii = np.asarray(radii, dtype=float)
     _check_validity_region(radii, t)
     d = flow.d
-    dirs = kernels.sphere_points(d, n_dirs)
     m = flow.force_integral(t)
     floor = kernels.sphere_min(m, d) if np.any(m) else 0.0
-    worst = np.empty(radii.size)
-    onset = math.inf
-    for i, r in enumerate(radii):
-        x = r * dirs
-        u = flow.velocity(x, t)
-        pred = flow.heat_term(x, t)
-        if np.any(m):
-            pred = pred + kernels.profile_field(x, m, d)
-        worst[i] = np.max(np.linalg.norm(u - pred, axis=-1))
-        if floor > 0 and worst[i] < floor / r**d / 3.0:
-            onset = min(onset, float(r))
+    x = _spheres(radii, d, _FIT_DIRECTIONS)
+    pred = flow.heat_term(x, t)
+    if np.any(m):
+        pred = pred + kernels.profile_field(x, m, d)
+    u = sphere_velocities(flow, radii, t, _FIT_DIRECTIONS)
+    worst = np.linalg.norm(u - pred, axis=-1).max(axis=1)
+    settled = radii[worst < floor / radii**d / 3.0] if floor > 0 else radii[:0]
+    onset = float(settled.min()) if settled.size else math.inf
     if np.all(worst < 1e-30):
         # trivially zero remainder: report a pass without fitting noise
         return FitReport("remainder_decay", radii, worst, float("-inf"), 0.0,
                          -(d + 1.0), (float(radii.min()), float(radii.max())),
-                         0.0, slope_slack, True, bool(radii.max() / radii.min() >= 10),
+                         0.0, _SLOPE_SLACK, True, bool(radii.max() / radii.min() >= 10),
                          extras={"constant": 0.0, "constant_variation": 1.0,
                                  "trivially_zero": True})
     rep = fit_power_law(radii, worst, "remainder_decay",
-                        predicted_exponent=None, tolerance=slope_slack)
+                        predicted_exponent=None, tolerance=_SLOPE_SLACK)
     consts = worst * radii ** (d + 1.0) / math.sqrt(t)
     variation = float(consts.max() / consts.min())
-    slope_ok = rep.fitted_exponent <= -(d + 1.0) + slope_slack
+    slope_ok = rep.fitted_exponent <= -(d + 1.0) + _SLOPE_SLACK
     rep.predicted_exponent = -(d + 1.0)
     rep.passed = bool(slope_ok and variation < 2.0)
     rep.extras.update({"constant": float(consts.max()),
@@ -318,6 +335,8 @@ def remainder_extract(flow, radii, t: float, n_dirs: int = 8,
 class WindowReport:
     t: float
     radii: np.ndarray
+    radius_min: np.ndarray  # min over directions of |u| |x|^d, per radius
+    radius_max: np.ndarray  # max over directions of |u| |x|^d, per radius
     lower: float
     upper: float
     ratio: float
@@ -328,9 +347,8 @@ class WindowReport:
     short_time: dict = field(default_factory=dict)
 
 
-def pointwise_window_check(flow, t: float, radii, n_dirs: int = 16,
-                           ratio_limit: float = 5.0, short_times=None,
-                           control: bool = False) -> WindowReport:
+def pointwise_window_check(flow, t: float, radii, n_dirs: int = SPHERE_DIRECTIONS,
+                           short_times=None, control: bool = False) -> WindowReport:
     """Check the two-sided pinch |u(x,t)| |x|^d between positive constants.
 
     With a vanishing force integral the pinch cannot hold; ``control=True``
@@ -347,45 +365,36 @@ def pointwise_window_check(flow, t: float, radii, n_dirs: int = 16,
         raise HypothesisError(
             "force integral vanishes at this time; the |x|^-d window does not "
             "apply (run next_order_check instead)")
-    dirs = kernels.sphere_points(d, n_dirs)
-    per_radius_min = np.empty(radii.size)
-    per_radius_max = np.empty(radii.size)
-    us = [flow.velocity(r * dirs, t) for r in radii]
-    for i, (r, u) in enumerate(zip(radii, us)):
-        mags = np.linalg.norm(u, axis=-1)
-        per_radius_min[i] = mags.min() * r**d
-        per_radius_max[i] = mags.max() * r**d
-    lower, upper = float(per_radius_min.min()), float(per_radius_max.max())
-    fit = fit_power_law(radii, per_radius_max / radii**d, "window_decay")
-    window_pass = lower > 0 and upper / max(lower, 1e-300) < ratio_limit
+    u = sphere_velocities(flow, radii, t, n_dirs)
+    mags = np.linalg.norm(u, axis=-1)
+    radius_min, radius_max = mags.min(axis=1) * radii**d, mags.max(axis=1) * radii**d
+    lower, upper = float(radius_min.min()), float(radius_max.max())
+    fit = fit_power_law(radii, radius_max / radii**d, "window_decay")
+    window_pass = lower > 0 and upper / max(lower, 1e-300) < _WINDOW_RATIO_LIMIT
 
     # remainder contamination at the largest radius, relative to the floor
     rem_frac = 0.0
     if floor > 0:
         i_big = int(np.argmax(radii))
         r_big = radii[i_big]
-        pred = flow.heat_term(r_big * dirs, t) + kernels.profile_field(r_big * dirs, m, d)
-        rem = np.max(np.linalg.norm(us[i_big] - pred, axis=-1)) * r_big**d
+        x_big = r_big * kernels.sphere_points(d, n_dirs)
+        pred = flow.heat_term(x_big, t) + kernels.profile_field(x_big, m, d)
+        rem = np.max(np.linalg.norm(u[i_big] - pred, axis=-1)) * r_big**d
         rem_frac = float(rem / floor)
 
     short = {}
-    if short_times:
-        for ts in short_times:
-            _check_validity_region(radii, ts)
-            mt = flow.force_integral(ts)
-            vals = []
-            for r in radii:
-                mags = np.linalg.norm(flow.velocity(r * dirs, ts), axis=-1)
-                vals.append([mags.min() * r**d, mags.max() * r**d])
-            vals = np.array(vals)
-            short[float(ts)] = {
-                "lower_over_t": float(vals[:, 0].min() / ts),
-                "upper_over_t": float(vals[:, 1].max() / ts),
-                "force_integral_norm": float(np.linalg.norm(mt)),
-            }
+    for ts in short_times or ():
+        _check_validity_region(radii, ts)
+        mags = np.linalg.norm(sphere_velocities(flow, radii, ts, n_dirs), axis=-1)
+        short[float(ts)] = {
+            "lower_over_t": float((mags.min(axis=1) * radii**d).min() / ts),
+            "upper_over_t": float((mags.max(axis=1) * radii**d).max() / ts),
+            "force_integral_norm": float(np.linalg.norm(flow.force_integral(ts))),
+        }
 
     return WindowReport(
-        t=t, radii=radii, lower=lower, upper=upper,
+        t=t, radii=radii, radius_min=radius_min, radius_max=radius_max,
+        lower=lower, upper=upper,
         ratio=float(upper / max(lower, 1e-300)),
         window_pass=bool(window_pass),
         fitted_slope=fit.fitted_exponent,
@@ -405,16 +414,13 @@ def _regime_gap(d: int, alpha: float, p: float) -> float:
 
 
 class TrajectoryNorms:
-    """Weighted norms of a solved flow: grid quadrature inside r_split, angular
-    far-field quadrature out to r_far, fitted power-law extension beyond."""
+    """Weighted norms of a solved flow: grid quadrature inside r_split = L/2,
+    angular far-field quadrature out to r_far = 4L, power-law tail beyond."""
 
-    def __init__(self, flow: FlowAdapter, r_split: float | None = None,
-                 r_far: float | None = None, n_dirs: int = 12):
+    def __init__(self, flow: FlowAdapter):
         self.flow = flow
-        g = flow.grid
-        self.r_split = g.length / 2 if r_split is None else r_split
-        self.r_far = 4 * g.length if r_far is None else r_far
-        self.n_dirs = n_dirs
+        self.r_split = flow.grid.length / 2
+        self.r_far = 4 * flow.grid.length
         self._cache = {}
 
     def snap_time(self, t: float) -> float:
@@ -423,16 +429,13 @@ class TrajectoryNorms:
     def _far_samples(self, t: float):
         if t in self._cache:
             return self._cache[t]
-        d = self.flow.d
-        dirs = kernels.sphere_points(d, self.n_dirs)
         nodes, weights = _GL8
         lo, hi = math.log(self.r_split), math.log(self.r_far)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         log_r = mid + half * nodes
         radii = np.exp(log_r)
-        mags = np.empty((radii.size, self.n_dirs))
-        for i, r in enumerate(radii):
-            mags[i] = np.linalg.norm(self.flow.velocity(r * dirs, t), axis=-1)
+        mags = np.linalg.norm(sphere_velocities(self.flow, radii, t, _NORM_DIRECTIONS),
+                              axis=-1)
         # isotropic power-law tail fitted on the angular p-means
         slope = np.polyfit(log_r, np.log(np.maximum(mags.mean(axis=1), 1e-300)), 1)[0]
         self._cache[t] = (radii, half * weights, mags, float(slope))
@@ -465,18 +468,16 @@ class TrajectoryNorms:
 class RadialNorms:
     """Weighted norms of a synthetic flow with a radial modulus |u|(r, t)."""
 
-    def __init__(self, d: int, radial_modulus, r_max: float = 1e6, panels: int = 160):
+    def __init__(self, d: int, radial_modulus):
         self.d = d
         self.modulus = radial_modulus
-        self.r_max = r_max
-        self.panels = panels
 
     def norm(self, alpha: float, p: float, t: float) -> float:
         nodes, weights = _GL8
         if math.isinf(p):
-            r = np.logspace(-6, math.log10(self.r_max), 20001)
+            r = np.logspace(-6, math.log10(_RADIAL_R_MAX), 20001)
             return float(((1 + r) ** alpha * self.modulus(r, t)).max())
-        edges = np.logspace(-8, math.log10(self.r_max), self.panels + 1)
+        edges = np.logspace(-8, math.log10(_RADIAL_R_MAX), _RADIAL_PANELS + 1)
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -530,8 +531,7 @@ class DivergenceReport:
         return self.verdict.startswith("divergent")
 
 
-def divergence_detect(flow, alpha: float, p: float, t: float, radii,
-                      n_dirs: int = 16, norms=None) -> DivergenceReport:
+def divergence_detect(flow, alpha: float, p: float, t: float, radii) -> DivergenceReport:
     """Cauchy test on truncated weighted norms over increasing radii.
 
     Octave increments of the p-th power that fail to decay mean the full norm
@@ -549,17 +549,18 @@ def divergence_detect(flow, alpha: float, p: float, t: float, radii,
     if radii.size < 3 or np.any(np.diff(radii) <= 0):
         raise ValueError("need at least 3 increasing truncation radii")
     d = flow.d
-    dirs = kernels.sphere_points(d, n_dirs)
     nodes, weights = _GL8
+    # GL8 nodes and weights in log r on each octave, shape (octaves, 8)
+    octaves = [(math.log(lo), math.log(hi)) for lo, hi in zip(radii[:-1], radii[1:])]
+    rr = np.array([np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes) for lo, hi in octaves])
+    ww = np.array([0.5 * (hi - lo) * weights for lo, hi in octaves])
+    mags = np.linalg.norm(sphere_velocities(flow, rr.ravel(), t, SPHERE_DIRECTIONS),
+                          axis=-1).reshape(rr.shape + (-1,))
     increments = np.empty(radii.size - 1)
     for k in range(radii.size - 1):
-        lo, hi = math.log(radii[k]), math.log(radii[k + 1])
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        rr = np.exp(mid + half * nodes)
         acc = 0.0
-        for r, w in zip(rr, half * weights):
-            mags = np.linalg.norm(flow.velocity(r * dirs, t), axis=-1)
-            angular = float(np.mean((1 + r) ** (alpha * p) * mags**p))
+        for r, w, m in zip(rr[k], ww[k], mags[k]):
+            angular = float(np.mean((1 + r) ** (alpha * p) * m**p))
             acc += w * kernels.SPHERE_AREA[d] * r**d * angular
         increments[k] = acc
     ratios = increments[1:] / increments[:-1]
@@ -631,12 +632,12 @@ class LemlogReport:
     refinement_shift: float
 
 
-def lemlog_check(x_values, t_values, d: int = 2, variation_limit: float = 2.0) -> LemlogReport:
+def lemlog_check(x_values, t_values, d: int = 2) -> LemlogReport:
     """Measure sup of the space-time kernel mass against t log(|x|/sqrt(t)).
 
     Every (|x|, t) pair must satisfy |x| >= e sqrt(t).  Pass means the ratio
-    stays finite with < variation_limit spread across the sweep and is stable
-    under quadrature refinement.
+    stays finite with < _LEMLOG_VARIATION_LIMIT spread across the sweep and is
+    stable under quadrature refinement.
     """
     pairs = [(float(r), float(t)) for r in np.atleast_1d(x_values)
              for t in np.atleast_1d(t_values)]
@@ -654,7 +655,7 @@ def lemlog_check(x_values, t_values, d: int = 2, variation_limit: float = 2.0) -
     return LemlogReport(
         pairs=pairs, ratios=ratios, sup_ratio=float(ratios.max()),
         variation=variation,
-        passed=bool(variation < variation_limit and shift < 1e-3),
+        passed=bool(variation < _LEMLOG_VARIATION_LIMIT and shift < 1e-3),
         refinement_shift=float(shift),
     )
 
@@ -675,8 +676,7 @@ class NextOrderReport:
     note: str = ""
 
 
-def next_order_check(flow, t: float, radii, n_dirs: int = 8,
-                     slope_slack: float = 0.25) -> NextOrderReport:
+def next_order_check(flow, t: float, radii) -> NextOrderReport:
     """For a mean-zero force, fit |u| ~ |x|^{-d-1} and compare against the
     dipole-order profile built from the first force moment (minus the
     gradient-tensor contraction, from the kernel Taylor expansion).
@@ -699,18 +699,13 @@ def next_order_check(flow, t: float, radii, n_dirs: int = 8,
                                degenerate=True, passed=False,
                                note="first moment also vanishes: next order is "
                                     "higher still; no verdict")
-    dirs = kernels.sphere_points(d, n_dirs)
-    sup = np.empty(radii.size)
-    agree = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        x = r * dirs
-        u = flow.velocity(x, t)
-        mags = np.linalg.norm(u, axis=-1)
-        sup[i] = mags.max()
-        pred = flow.heat_term(x, t) - kernels.next_order_profile(x, m1, d)
-        agree[i] = float(np.max(np.linalg.norm(u - pred, axis=-1)) / mags.max())
+    x = _spheres(radii, d, _FIT_DIRECTIONS)
+    u = sphere_velocities(flow, radii, t, _FIT_DIRECTIONS)
+    sup = np.linalg.norm(u, axis=-1).max(axis=1)
+    pred = flow.heat_term(x, t) - kernels.next_order_profile(x, m1, d)
+    agree = np.linalg.norm(u - pred, axis=-1).max(axis=1) / sup
     fit = fit_power_law(radii, sup, "next_order_decay",
-                        predicted_exponent=-(d + 1.0), tolerance=slope_slack)
+                        predicted_exponent=-(d + 1.0), tolerance=_SLOPE_SLACK)
     outer = agree[radii.size // 2:]
     improving = bool(np.all(np.diff(outer) <= 1e-12 + 0.05 * outer[:-1]))
     converged = outer[-1] < outer[0] or outer[-1] < 1e-9

@@ -228,6 +228,21 @@ class TestCli:
         assert any(name.startswith("window_") for name in h1)
         assert h1 == h2
 
+    def test_profile_ignores_window_directions(self, tmp_path):
+        # the profile check samples its own fixed sphere, not the window
+        # check's direction count
+        base = QUICK.replace("run = lemlog", "run = profile")
+        base += "\n[checks]\nprofile_time = 0.5\nprofile_radii = 8 11.31 16 22.63 32\n"
+        payloads = []
+        for n_dirs in (16, 24):
+            cfg = tmp_path / f"dirs{n_dirs}.cfg"
+            cfg.write_text(base + f"window_directions = {n_dirs}\n")
+            out = tmp_path / f"o{n_dirs}"
+            code = cli.main(["verify", "--config", str(cfg), "--out", str(out)])
+            assert code in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE)
+            payloads.append(next(out.glob("profile_*.json")).read_text())
+        assert payloads[0] == payloads[1]
+
     def test_env_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "quick.cfg"
         cfg.write_text(QUICK)

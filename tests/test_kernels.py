@@ -228,9 +228,7 @@ class TestOseenGradKernel:
                 div += (kn.oseen_kernel(x0 + e, t, d) - kn.oseen_kernel(x0 - e, t, d))[j, :] / (2 * h)
             assert np.abs(div).max() < 1e-6
 
-    @pytest.mark.parametrize("d", [2, pytest.param(3, marks=pytest.mark.xfail(
-        strict=True, reason="the d = 3 erf branch of d*H - q keeps only ~9 digits "
-                            "at the cut (measured 6.5e-10 relative)"))])
+    @pytest.mark.parametrize("d", [2, 3])
     def test_small_u_series_branch(self, d):
         # W = (g - d H)/r^2 is summed as a series below u = r^2/(4t) = _SERIES_CUT
         t = 0.9

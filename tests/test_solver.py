@@ -407,6 +407,18 @@ class TestFarField:
         assert rel < 1e-3
         assert budget and all(v >= 0 for v in budget.values())
 
+    def test_kernel_route_values_independent_of_batch(self, canonical, opts):
+        # each point's value is its own sum over sources, so the checks may
+        # sample every sphere of one time in one batch: the batch, its
+        # reversal and row-by-row evaluation agree bit for bit
+        a, f, traj = canonical
+        x = np.concatenate([r * sphere_points(2, 8) for r in (L / 2, L, 3 * L)])
+        batch, _ = sv.farfield_velocity(traj, a, f, x, T, opts)
+        rows = np.array([sv.farfield_velocity(traj, a, f, xi, T, opts)[0] for xi in x])
+        reverse, _ = sv.farfield_velocity(traj, a, f, x[::-1], T, opts)
+        assert np.array_equal(batch, rows)
+        assert np.array_equal(batch, reverse[::-1])
+
     def test_interior_cross_check(self, box, opts):
         # snapshot (mean-free box field) vs the point-mode assembly, compared
         # through pairwise differences with two rings of periodic images

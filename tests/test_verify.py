@@ -9,6 +9,21 @@ from nsfarfield import kernels as kn
 from nsfarfield import verify as vf
 
 
+class CountingFlow:
+    """Wraps a flow and records the time of every ``velocity`` call."""
+
+    def __init__(self, flow):
+        self._flow = flow
+        self.calls = []
+
+    def velocity(self, x, t):
+        self.calls.append(t)
+        return self._flow.velocity(x, t)
+
+    def __getattr__(self, name):
+        return getattr(self._flow, name)
+
+
 @pytest.fixture
 def profile_flow():
     c = np.array([1.0, 0.5])
@@ -107,20 +122,19 @@ class TestPointwiseWindow:
         with pytest.raises(vf.HypothesisError):
             vf.pointwise_window_check(flow, 1.0, np.logspace(4, 8, 5, base=2))
 
-    def test_one_velocity_call_per_radius(self):
-        # the remainder at the largest radius reuses the velocities sampled there
+    def test_one_velocity_call_for_all_radii(self):
+        # every radius is sampled in one batch, and the remainder at the
+        # largest radius reuses the velocities sampled there
         c = np.array([1.0, 0.5])
         m1 = np.array([[0.0, 0.4], [0.1, 0.0]])
-        calls = []
 
         def u(x, t):
-            calls.append(t)
             return kn.profile_field(x, c, 2) + kn.next_order_profile(x, m1, 2)
 
-        flow = vf.SyntheticFlow(2, u, m_of_t=lambda t: c)
+        flow = CountingFlow(vf.SyntheticFlow(2, u, m_of_t=lambda t: c))
         radii = np.array([32.0, 256.0, 64.0, 128.0, 16.0])
         rep = vf.pointwise_window_check(flow, 1.0, radii)
-        assert len(calls) == len(radii)
+        assert flow.calls == [1.0]
         x = 256.0 * kn.sphere_points(2, 16)
         rem = np.linalg.norm(kn.next_order_profile(x, m1, 2), axis=-1).max() * 256.0**2
         assert rep.remainder_fraction == pytest.approx(rem / rep.sphere_floor, rel=1e-9)
@@ -275,6 +289,50 @@ class TestNextOrder:
         flow = vf.SyntheticFlow(2, lambda x, t: np.zeros_like(x))
         rep = vf.next_order_check(flow, 1.0, np.logspace(4, 7, 7, base=2))
         assert rep.degenerate and not rep.passed
+
+
+class TestOneBatchPerTime:
+    """Each check samples its spheres in one velocity call per evaluation time."""
+
+    def test_remainder_extract(self, profile_flow):
+        flow = CountingFlow(profile_flow[0])
+        vf.remainder_extract(flow, np.logspace(4, 7, 7, base=2), 1.0)
+        assert flow.calls == [1.0]
+
+    def test_next_order_check(self):
+        m1 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        flow = CountingFlow(vf.SyntheticFlow(
+            2, lambda x, t: -kn.next_order_profile(x, m1, 2), m1_of_t=lambda t: m1))
+        vf.next_order_check(flow, 1.0, np.logspace(4, 7, 7, base=2))
+        assert flow.calls == [1.0]
+
+    def test_divergence_detect(self, profile_flow):
+        flow = CountingFlow(profile_flow[0])
+        vf.divergence_detect(flow, 0.0, 1.0, 2.0, np.array([8.0, 16.0, 32.0, 64.0]))
+        assert flow.calls == [2.0]
+
+    def test_window_with_short_times(self, profile_flow):
+        flow = CountingFlow(profile_flow[0])
+        vf.pointwise_window_check(flow, 1.0, np.logspace(4, 8, 5, base=2),
+                                  short_times=[0.5, 0.25, 0.125])
+        assert flow.calls == [1.0, 0.5, 0.25, 0.125]
+
+    def test_trajectory_norms_one_call_per_time_across_pairs(self):
+        from types import SimpleNamespace
+
+        from nsfarfield.grid import BoxGrid
+
+        def u(x, t):
+            r2 = np.sum(x * x, axis=-1, keepdims=True)
+            return x / (t * (1.0 + r2) ** 1.5)
+
+        flow = CountingFlow(vf.SyntheticFlow(2, u, grid=BoxGrid(2, 8.0, 16)))
+        flow.traj = SimpleNamespace(nearest_time=float)
+        norms = vf.TrajectoryNorms(flow)
+        times = [1.0, 1.25, 1.5, 1.75, 2.0]
+        for alpha, p in ((0.0, math.inf), (1.0, math.inf), (0.0, 2.0)):
+            vf.weighted_norm_sweep(norms, 2, alpha, p, np.array(times))
+        assert sorted(flow.calls) == times
 
 
 class TestReportFiles:
