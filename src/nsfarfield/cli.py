@@ -199,9 +199,7 @@ def _load_or_solve(cfg: ScenarioConfig, out_dir: str, scenario) -> Trajectory:
 def _check_profile(cfg, flow):
     rep = verify.remainder_extract(flow, np.array(cfg.profile_radii), cfg.profile_time)
     # decay of |u| itself: the -d law for a nonzero-mean force
-    u = verify.sphere_velocities(flow, cfg.profile_radii, cfg.profile_time,
-                                 verify.SPHERE_DIRECTIONS)
-    sup = np.linalg.norm(u, axis=-1).max(axis=1)
+    sup = rep.extras["velocity_sup"]
     if np.all(sup < 1e-30):
         u_fit = None  # zero flow: nothing to fit, trivially consistent
     else:

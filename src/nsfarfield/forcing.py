@@ -170,9 +170,14 @@ class ForceModel:
     def value(self, x, t):
         """f(x, t) for points x of shape (..., d); returns (..., d)."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for term in self.terms:
-            scalar = term.profile.value(x) * float(term.time_profile.value(t))
+        return self.combine([term.profile.value(x) for term in self.terms], t, x.shape)
+
+    def combine(self, profiles, t, shape):
+        """f at time t from each term's spatial profile rho(x), given on points
+        of shape ``shape``, so a caller can evaluate the profiles once."""
+        out = np.zeros(shape)
+        for term, rho in zip(self.terms, profiles):
+            scalar = rho * float(term.time_profile.value(t))
             out += scalar[..., None] * np.asarray(term.amplitude)
         return out
 
@@ -269,11 +274,12 @@ def validate_assumptions(f: ForceModel, epsilon: float,
     times = (np.arange(time_samples) + 0.5) * dt
 
     space_weight = (1.0 + radii) ** (f.d + 2)
+    profiles = [term.profile.value(pts) for term in f.terms]
     eps_f1 = 0.0
     l1 = 0.0
     f3 = 0.0
     for t in times:
-        mag = np.linalg.norm(f.value(pts, float(t)), axis=-1)
+        mag = np.linalg.norm(f.combine(profiles, float(t), pts.shape), axis=-1)
         # 1 / min((1+|x|)^{-d-2}, (1+t)^{-(d+2)/2}) = max of the two blow-ups
         ratio = mag * np.maximum(space_weight, (1.0 + t) ** ((f.d + 2) / 2.0))
         eps_f1 = max(eps_f1, float(ratio.max(initial=0.0)))

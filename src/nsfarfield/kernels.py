@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, gamma, gammainc
+from scipy.special import erf, erfc, gamma, gammainc
 
 __all__ = [
     "SPHERE_AREA",
@@ -41,6 +41,7 @@ __all__ = [
     "leading_tensor",
     "grad_leading_tensor",
     "grad_leading_contract",
+    "psi_grad_contract",
     "psi_gradient_bound",
     "psi_residual",
     "profile_field",
@@ -170,6 +171,9 @@ def projected_gaussian(x, amplitude: float, width: float, c, d: int):
     Returns the field value at ``x`` (shape (..., d)).  This is the closed-form
     action of the Leray projector on a radial Gaussian times a constant vector;
     the Oseen kernel columns are the special case A = (4 pi t)^(-d/2), w = 2 sqrt(t).
+    ``amplitude`` and ``width`` may be arrays that broadcast against the point
+    shape ``x.shape[:-1]``, and ``c`` against ``x``: shape (k, 1) with points
+    (n, d) or (k, n, d) gives (k, n, d).
     """
     d = _check_dim(d)
     x = _as_points(x, d)
@@ -180,7 +184,7 @@ def projected_gaussian(x, amplitude: float, width: float, c, d: int):
     h = amplitude * _mass_fraction_over_u(u, d)
     defect = amplitude * _defect_over_u(u, d)  # d*H - q
     # value = (q - H) c + defect * (xh.c) xh ; xh.c xh = (x.c) x / r^2
-    xc = np.einsum("...j,j->...", x, c)
+    xc = np.einsum("...j,...j->...", x, c)
     with np.errstate(invalid="ignore", divide="ignore"):
         radial = np.where(r2 > 0.0, xc / r2, 0.0)
     return (q - h)[..., None] * c + (defect * radial)[..., None] * x
@@ -277,6 +281,11 @@ def oseen_grad_contract(z, t: float, d: int, s):
     r2 = np.sum(z * z, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         inv_r2 = np.where(r2 > 0.0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
+    return _radial_contract(z, s, p, w, inv_r2, d)
+
+
+def _radial_contract(z, s, p, w, inv_r2, d: int):
+    """-(P + 2W) (s z) - W tr(s) z + (P + (d+2) W) (z.s z) z / r^2."""
     sz = np.einsum("...kl,...l->...k", s, z)
     zsz = np.einsum("...k,...k->...", z, sz)
     tr = np.trace(s, axis1=-2, axis2=-1)
@@ -350,31 +359,57 @@ def grad_leading_contract(z, d: int, s):
     return coeff[..., None] * out
 
 
+def _psi_pw(r2, t: float, d: int):
+    """Radial coefficients dP = g/(2t) and dW = (g + d T)/r^2 of F - G at |z|^2 = r2.
+
+    F - G is the gradient of the dropped part |z|^-d Psi(z/sqrt(t)); g is the
+    heat kernel and T the heat mass outside radius r over sigma_{d-1} r^d.
+    Both coefficients are sums of positive terms: no cancellation, and in
+    d = 2 a single exp.
+    """
+    u = r2 / (4.0 * t)
+    e = np.exp(-u)
+    g = (4.0 * math.pi * t) ** (-d / 2.0) * e
+    tail = e if d == 2 else erfc(np.sqrt(u)) + 2.0 * np.sqrt(u / math.pi) * e
+    return g / (2.0 * t), (g + d * tail / (SPHERE_AREA[d] * r2 ** (d / 2.0))) / r2
+
+
+def psi_grad_contract(z, t: float, d: int, s):
+    """Contract F - G with a symmetric matrix field: out_j = sum_{k,l}
+    (F - G)[j,k,l](z, t) s[k,l], with F ``oseen_grad_kernel`` and G
+    ``grad_leading_tensor``.
+
+    The Gaussian-local part of ``oseen_grad_contract``, in its radial form
+    with the coefficients of ``_psi_pw``; it decays like exp(-|z|^2/(4t)).
+    ``z`` has shape (..., d) and ``s`` (..., d, d).  Raises ValueError at z = 0.
+    """
+    d = _check_dim(d)
+    t = _check_time(t)
+    z = _as_points(z, d)
+    s = np.asarray(s, dtype=float)
+    r2 = np.sum(z * z, axis=-1)
+    if np.any(r2 == 0.0):
+        raise ValueError("gradient of the dropped part is singular at z = 0")
+    dp, dw = _psi_pw(r2, t, d)
+    return _radial_contract(z, s, dp, dw, 1.0 / r2, d)
+
+
 def psi_gradient_bound(r: float, t: float, d: int) -> float:
     """Bound on |(F(z,tau) - G(z)) : s| / |s|_F over |z| >= r and 0 < tau <= t.
 
-    F is ``oseen_grad_kernel`` and G ``grad_leading_tensor``; F - G is the
-    gradient of the dropped part |z|^-d Psi(z/sqrt(tau)).  In the radial form
-    of ``oseen_grad_contract`` it has coefficients dP = g/(2 tau) and
-    dW = (g + d T)/r^2, with g the heat kernel and T the heat mass outside
-    radius r over sigma_{d-1} r^d.  Both are positive, so the contraction is at
-    most r |s|_F (2 dP + (d + 4 + sqrt(d)) dW).  Once r^2/(4t) >= d/2 + 1 this
-    grows with tau and falls with r, so its value at (r, t) covers the whole
-    range.  Raises ValueError below that radius.
+    In the radial form of ``psi_grad_contract`` both coefficients dP, dW are
+    positive, so the contraction is at most r |s|_F (2 dP + (d + 4 + sqrt(d)) dW).
+    Once r^2/(4t) >= d/2 + 1 this grows with tau and falls with r, so its
+    value at (r, t) covers the whole range.  Raises ValueError below that
+    radius.
     """
     d = _check_dim(d)
     t = _check_time(t)
     u = r * r / (4.0 * t)
     if u < d / 2.0 + 1.0:
         raise ValueError(f"bound needs r^2/(4t) >= {d / 2.0 + 1.0:g}, got {u:.3g}")
-    g = (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-u)
-    if d == 2:
-        tail_mass = math.exp(-u)
-    else:
-        tail_mass = math.erfc(math.sqrt(u)) + 2.0 * math.sqrt(u / math.pi) * math.exp(-u)
-    dp = g / (2.0 * t)
-    dw = (g + d * tail_mass / (SPHERE_AREA[d] * r**d)) / (r * r)
-    return r * (2.0 * dp + (d + 4.0 + math.sqrt(d)) * dw)
+    dp, dw = _psi_pw(r * r, t, d)
+    return float(r * (2.0 * dp + (d + 4.0 + math.sqrt(d)) * dw))
 
 
 def psi_residual(xi, d: int):

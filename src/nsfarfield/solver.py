@@ -31,18 +31,18 @@ approximate the free-space solution.
 Far-field evaluation assembles the same three Duhamel terms at arbitrary
 points from the closed-form kernels, with per-term error estimates.  The
 bilinear term sums the stored momentum flux over the central |y| <= L/2
-sub-box, split by source pair.  With the kernel written as
-K(z, tau) = L(z) + |z|^-d Psi(z / sqrt(tau)):
+sub-box.  With the gradient kernel split as F(z, tau) = G(z) + D(z, tau),
+G = grad L the leading part and D the gradient of |z|^-d Psi(z / sqrt(tau)):
 
-* near pairs, |x - y| < c sqrt(t), take the full gradient kernel at every node
-  of the graded time quadrature;
-* far pairs drop the Gaussian part Psi, so the time integral collapses onto
-  one flux field per evaluation time, Q(y) = sum over nodes of
-  weight * flux(y, s), contracted with grad L(x - y): one spatial sum.
+* every source pair contracts G(x - y) with one flux field per evaluation
+  time, Q(y) = sum over nodes of weight * flux(y, s): one spatial sum;
+* D is Gaussian-local, so it is added only for the (pair, node) entries
+  inside the node's reach, |x - y| < c sqrt(t - s); pairs inside every
+  node's reach take the full F instead, since G is singular at x = y.
 
-The cutoff c = FAR_CUTOFF puts the dropped part at a Gaussian tail of about
-1e-12; the ``psi_cutoff`` budget entry bounds it analytically, next to the
-time and space quadrature estimates and the |y| > L/2 truncation bound.
+The cutoff c = FAR_CUTOFF puts each dropped entry at a Gaussian tail of about
+1e-12; the ``psi_cutoff`` budget entry bounds their sum analytically, next to
+the time and space quadrature estimates and the |y| > L/2 truncation bound.
 """
 
 from __future__ import annotations
@@ -85,18 +85,22 @@ ADMISSION_LIMIT = 5e-2
 # singular end
 _GRADING_LEVELS = 6
 
-# Far-pair cutoff c: source pairs with |x - y| >= c sqrt(t) drop the Gaussian
-# part Psi of the kernel.  Psi decays like exp(-|z|^2 / (4 tau)) with
-# tau <= t, so a tail target exp(-c^2/4) <= 1e-12 needs
-# c >= 2 sqrt(12 ln 10) = 10.51; rounded up.
+# Reach c of the Gaussian part: a (source pair, time node) entry with
+# |x - y| >= c sqrt(tau), tau = t - s, drops the Psi part of the kernel.  Psi
+# decays like exp(-|z|^2 / (4 tau)), so a tail target exp(-c^2/4) <= 1e-12
+# needs c >= 2 sqrt(12 ln 10) = 10.51; rounded up.
 FAR_CUTOFF = 10.6
 
 # _bilinear_point: slices per history panel, points per pair block (memory
-# only: each point's source sum is its own row sum), and points per batch
-# that carry the quadrature error estimate
+# only: each point's source sum is its own row sum; _bilinear_grid_at blocks
+# its mode sums the same way), and points per batch that carry the
+# quadrature error estimate
 _COARSEN = 8
 _CHUNK = 8
 _PROBE = 16
+
+# _linear_point: floats per block of quadrature nodes (about 1 MB)
+_NODE_BLOCK = 1 << 17
 
 # Interior/far routing of farfield_velocity: |x| >= L/2 up to this relative
 # slack, so points placed on the L/2 ring by a rounded direction all take the
@@ -588,32 +592,43 @@ def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
 
     Each Gaussian force term contributes tau(s) * P[c rho_{t-s}](x - center)
     with rho_{t-s} the heat-fattened bump; the projection of a radial Gaussian
-    is evaluated in closed form, so only the s-integral is numerical.
+    is evaluated in closed form, so only the s-integral is numerical.  The
+    (node, term) entries with tau(s) != 0 go through ``projected_gaussian``
+    in blocks of about ``_NODE_BLOCK`` floats, one call per block, and are
+    summed in node order.
     """
     d = f.d
-    out = np.zeros_like(x)
-    coarse = np.zeros_like(x)
     if t == 0.0 or not f.terms:
-        return out, 0.0
+        return np.zeros_like(x), 0.0
     n_panels = max(8, min(slices_hint, 64))
     edges = np.linspace(0.0, t, n_panels + 1)
     panels = []
     for i in range(n_panels - 1):
         panels.extend(_graded_panels(edges[i], edges[i + 1], 0, opts.refine))
     panels.extend(_graded_panels(edges[-2], edges[-1], _GRADING_LEVELS, opts.refine))
-    for lo, hi in panels:
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        for rule, target in ((_GL4, out), (_GL2, coarse)):
-            for node, wgt in zip(*rule):
-                s = mid + half * node
-                for term in f.terms:
-                    tv = float(term.time_profile.value(s))
-                    if tv == 0.0:
-                        continue
-                    amp, width = term.profile.heat_evolved(t - s)
-                    z = x - np.asarray(term.profile.center)
-                    val = kernels.projected_gaussian(z, amp, width, np.asarray(term.amplitude), d)
-                    target += (half * wgt * tv) * val
+    centers = np.array([term.profile.center for term in f.terms])
+    amplitudes = np.array([term.amplitude for term in f.terms])
+    block = max(1, _NODE_BLOCK // x.size)
+    sums = []
+    for rule in (_GL4, _GL2):
+        nodes = [(0.5 * (hi + lo) + 0.5 * (hi - lo) * node, 0.5 * (hi - lo) * wgt)
+                 for lo, hi in panels for node, wgt in zip(*rule)]
+        tv = np.stack([term.time_profile.value(np.array([s for s, _ in nodes]))
+                       for term in f.terms], axis=-1)
+        ii, jj = np.nonzero(tv)          # node-major, as the quadrature sum runs
+        coef = np.array([w for _, w in nodes])[ii] * tv[ii, jj]
+        evolved = np.array([f.terms[j].profile.heat_evolved(t - nodes[i][0])
+                            for i, j in zip(ii, jj)]).reshape(-1, 2)
+        acc = np.zeros_like(x)
+        for b0 in range(0, ii.size, block):
+            e = slice(b0, b0 + block)
+            vals = kernels.projected_gaussian(x - centers[jj[e], None], evolved[e, :1],
+                                              evolved[e, 1:], amplitudes[jj[e], None], d)
+            vals *= coef[e, None, None]
+            vals[0] += acc
+            acc = vals.sum(axis=0)
+        sums.append(acc)
+    out, coarse = sums
     err = float(np.max(np.linalg.norm(out - coarse, axis=-1), initial=0.0))
     return out, err
 
@@ -647,7 +662,7 @@ def _history_rules(times: np.ndarray, m_t: int, opts: SolverOptions):
 
 @dataclass(frozen=True)
 class _CollapsedHistory:
-    """The history integral at one evaluation time, for the far-pair sum.
+    """The history integral at one evaluation time, for the leading-part sum.
 
     ``q4``/``q2`` are the fluxes collapsed by the GL4/GL2 rules,
     sum over nodes of weight * interpolated flux(s), shape (n_y, d, d);
@@ -682,41 +697,77 @@ def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions) -> _Coll
     return traj._cached(("collapsed", m_t, opts.refine), build)
 
 
-def _pair_values(z, near, t: float, q, nodes, fluxes) -> np.ndarray:
-    """Every (x, y) pair's share of B(x, t) per unit cell, shape (n_x, d, n_y).
+def _flux_at(fluxes, idx, lw, ys) -> np.ndarray:
+    """The flux at one time node, interpolated on its stencil, at rows ``ys``
+    of the per-slice flux arrays ``fluxes[i]``."""
+    flux = lw[0] * fluxes[idx[0]][ys]
+    for j in range(1, len(idx)):
+        flux = flux + lw[j] * fluxes[idx[j]][ys]
+    return flux
 
-    ``z`` holds x - y, shape (n_x, n_y, d).  Far pairs contract grad L(z) with
-    the collapsed flux ``q``; near pairs sum the full gradient kernel over the
-    time ``nodes``, with the flux interpolated at each node.
+
+def _pair_values(z, r2, t: float, q, nodes, fluxes):
+    """Every (x, y) pair's share of B(x, t) per unit cell, shape (n_x, d, n_y),
+    and the (n_x, n_y) mask of the pairs inside every node's reach.
+
+    ``z`` holds x - y, shape (n_x, n_y, d), and ``r2`` its squared length.
+    The gradient kernel splits as F(z, tau) = G(z) + D(z, tau), G = grad L
+    and D the Gaussian-local rest.  Every pair contracts G with the collapsed
+    flux ``q``; D is added at each time node (s, tau = t - s) whose reach
+    |z|^2 < c^2 tau covers the pair, with the flux interpolated at the node.
+    Sorted by |z|^2, a node's covered pairs are a prefix.  A pair inside
+    every node's reach takes the full F at every node instead, so no pair
+    next to a source point evaluates the singular G.
     """
-    d = z.shape[-1]
-    vals = np.empty((z.shape[0], d, z.shape[1]))
-    fx, fy = np.nonzero(~near)
-    vals[fx, :, fy] = kernels.grad_leading_contract(z[fx, fy], d, q[fy])
-    nx, ny = np.nonzero(near)
-    if ny.size:
-        zn = z[nx, ny]
-        acc = np.zeros_like(zn)
-        uy, inv = np.unique(ny, return_inverse=True)
+    n_x, n_y, d = z.shape
+    reach = FAR_CUTOFF**2 * (t - np.array([s for s, *_ in nodes]))
+    inside = r2 < reach.min()
+    # inside pairs get a placeholder z here; their values are replaced below
+    lead_z = np.where(inside[..., None], 1.0, z) if inside.any() else z
+    # (n_x, d, n_y): each point's sum over sources runs along a contiguous row
+    vals = np.ascontiguousarray(np.moveaxis(
+        kernels.grad_leading_contract(lead_z, d, q), -1, 1))
+
+    pairs = np.flatnonzero((r2 < reach.max()) & ~inside)
+    if pairs.size:
+        pairs = pairs[np.argsort(r2.ravel()[pairs], kind="stable")]
+        cx, cy = np.divmod(pairs, n_y)
+        zc = z[cx, cy]
+        ks = np.searchsorted(r2[cx, cy], reach)
+        # each slice's flux gathered once, for the longest prefix a node needs
+        rows = {}
+        for (_, _, idx, _), k in zip(nodes, ks):
+            for i in idx:
+                rows[i] = max(rows.get(i, 0), k)
+        near_flux = {i: fluxes[i][cy[:k]] for i, k in rows.items()}
+        acc = np.zeros_like(zc)
+        for (s, weight, idx, lw), k in zip(nodes, ks):
+            if k:
+                acc[:k] += weight * kernels.psi_grad_contract(
+                    zc[:k], t - s, d, _flux_at(near_flux, idx, lw, slice(0, k)))
+        vals[cx, :, cy] += acc
+
+    if inside.any():
+        ix, iy = np.nonzero(inside)
+        zi = z[ix, iy]
+        acc = np.zeros_like(zi)
         for s, weight, idx, lw in nodes:
-            flux_s = lw[0] * fluxes[idx[0]][uy]
-            for j in range(1, len(idx)):
-                flux_s = flux_s + lw[j] * fluxes[idx[j]][uy]
-            acc += weight * kernels.oseen_grad_contract(zn, t - s, d, flux_s[inv])
-        vals[nx, :, ny] = acc
-    return vals
+            acc += weight * kernels.oseen_grad_contract(zi, t - s, d,
+                                                        _flux_at(fluxes, idx, lw, iy))
+        vals[ix, :, iy] = acc
+    return vals, inside
 
 
 def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions):
     """B(u,u)(x, t) by kernel quadrature over the |y| <= L/2 history.
 
-    Source pairs split at |x - y| = FAR_CUTOFF sqrt(t).  Near pairs sum the
-    full gradient kernel over every time node; far pairs drop the Gaussian
-    part Psi and contract grad L(x - y) with the collapsed flux, one spatial
-    sum.  Returns (values, error_budget dict).  Quadrature error is
-    estimated on a probe subset of the batch (embedded lower-order rule in s,
-    stride-2 subsample in y; both doubled as a safety margin); the dropped Psi
-    part and the |y| > L/2 truncation are bounded analytically.
+    Every source pair contracts grad L(x - y) with the collapsed flux, one
+    spatial sum; the Gaussian-local rest of the kernel is added only at the
+    time nodes whose reach FAR_CUTOFF sqrt(t - s) covers the pair (see
+    ``_pair_values``).  Returns (values, error_budget dict).  Quadrature error
+    is estimated on a probe subset of the batch (embedded lower-order rule in
+    s, stride-2 subsample in y; both doubled as a safety margin); the dropped
+    Psi part and the |y| > L/2 truncation are bounded analytically.
     """
     d = traj.grid.d
     m_t = traj.slice_index(t)
@@ -728,7 +779,6 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
     pts_y, fluxes = traj.flux_history()
     hist = _collapsed_history(traj, m_t, opts)
     cell = traj.grid.spacing**d
-    cut2 = FAR_CUTOFF**2 * t
 
     n_probe = min(_PROBE, x.shape[0])
     coarse_s = np.zeros((n_probe, d))
@@ -737,19 +787,21 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
     side = round(pts_y.shape[0] ** (1.0 / d))
     stride_idx = np.arange(pts_y.shape[0]).reshape((side,) * d)
     stride_mask[stride_idx[(slice(None, None, 2),) * d].ravel()] = True
-    far_mass = 0.0
+    psi_mass = 0.0
 
     for c0 in range(0, x.shape[0], _CHUNK):
         xs = x[c0:c0 + _CHUNK]
         z = xs[:, None, :] - pts_y[None, :, :]
-        near = np.sum(z * z, axis=-1) < cut2
-        pairs = _pair_values(z, near, t, hist.q4, hist.nodes4, fluxes)
+        r2 = np.sum(z * z, axis=-1)
+        pairs, inside = _pair_values(z, r2, t, hist.q4, hist.nodes4, fluxes)
         out[c0:c0 + xs.shape[0]] = cell * pairs.sum(axis=-1)
-        far_mass = max(far_mass, float(
-            np.where(near, 0.0, hist.flux_mass).sum(axis=-1).max()))
+        # a dropped (pair, node) entry has tau <= |z|^2 / c^2: its Psi part is
+        # at most psi_gradient_bound(1, 1/c^2) |z|^-(d+1) times the node flux
+        psi_mass = max(psi_mass, float(
+            (np.where(inside, np.inf, r2) ** (-(d + 1) / 2.0) @ hist.flux_mass).max()))
         n_p = max(0, min(n_probe - c0, xs.shape[0]))
         if n_p:
-            coarse = _pair_values(z[:n_p], near[:n_p], t, hist.q2, hist.nodes2, fluxes)
+            coarse, _ = _pair_values(z[:n_p], r2[:n_p], t, hist.q2, hist.nodes2, fluxes)
             coarse_s[c0:c0 + n_p] = cell * coarse.sum(axis=-1)
             sub[c0:c0 + n_p] = (cell * 2**d) * pairs[:n_p][..., stride_mask].sum(axis=-1)
 
@@ -762,8 +814,8 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
         "space_quadrature": 2.0 * float(
             np.max(np.linalg.norm(out[:n_probe] - sub, axis=-1), initial=0.0)),
         "truncation": float(tail),
-        "psi_cutoff": (kernels.psi_gradient_bound(FAR_CUTOFF * math.sqrt(t), t, d)
-                       * cell * far_mass if far_mass else 0.0),
+        "psi_cutoff": (kernels.psi_gradient_bound(1.0, FAR_CUTOFF**-2, d)
+                       * cell * psi_mass if psi_mass else 0.0),
     })
     return out, budget
 
@@ -781,8 +833,15 @@ def _bilinear_grid_at(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOpt
     kvecs = np.stack([np.broadcast_to(k, traj.grid.shape)[keep]
                       for k in traj.grid.wavenumbers], axis=-1)
     amps = spec[:, keep] / traj.grid.n**traj.grid.d
-    phase = np.exp(1j * x @ kvecs.T)
-    vals = np.real(phase @ amps.T)
+    # elementwise phases and one row sum per point, so a point's value does
+    # not depend on the batch (a matrix product rounds by the batch's shape)
+    vals = np.empty_like(x)
+    for c0 in range(0, x.shape[0], _CHUNK):
+        xs = x[c0:c0 + _CHUNK]
+        arg = sum(xs[:, j, None] * kvecs[:, j] for j in range(traj.grid.d))
+        phase = np.exp(1j * arg)
+        for j in range(traj.grid.d):
+            vals[c0:c0 + xs.shape[0], j] = np.real(phase * amps[j]).sum(axis=-1)
     return vals
 
 

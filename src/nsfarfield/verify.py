@@ -63,9 +63,10 @@ __all__ = [
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 
-# Directions per sphere |x| = r: 16 for the profile check's sup |u|, the
-# window check's default and the divergence increments; 8 for the remainder
-# and next-order fits; 12 for the far-field weighted-norm quadrature.
+# Directions per sphere |x| = r: 16 for the remainder fit (which also gives
+# the profile check's sup |u|), the window check's default and the divergence
+# increments; 8 for the next-order fit; 12 for the far-field weighted-norm
+# quadrature.
 SPHERE_DIRECTIONS = 16
 _FIT_DIRECTIONS = 8
 _NORM_DIRECTIONS = 12
@@ -291,18 +292,20 @@ def remainder_extract(flow, radii, t: float) -> FitReport:
     measured constant max_dirs |R| |x|^{d+1} / sqrt(t) to vary by < 2x across
     radii.  The extras report ``onset_radius``: the smallest sampled radius at
     which the remainder has dropped below a third of the leading term (the
-    measured far-field onset; never assumed).
+    measured far-field onset; never assumed), and ``velocity_sup``: the
+    per-radius max over directions of |u| itself, from the same samples.
     """
     radii = np.asarray(radii, dtype=float)
     _check_validity_region(radii, t)
     d = flow.d
     m = flow.force_integral(t)
     floor = kernels.sphere_min(m, d) if np.any(m) else 0.0
-    x = _spheres(radii, d, _FIT_DIRECTIONS)
+    x = _spheres(radii, d, SPHERE_DIRECTIONS)
     pred = flow.heat_term(x, t)
     if np.any(m):
         pred = pred + kernels.profile_field(x, m, d)
-    u = sphere_velocities(flow, radii, t, _FIT_DIRECTIONS)
+    u = sphere_velocities(flow, radii, t, SPHERE_DIRECTIONS)
+    sup = np.linalg.norm(u, axis=-1).max(axis=1)
     worst = np.linalg.norm(u - pred, axis=-1).max(axis=1)
     settled = radii[worst < floor / radii**d / 3.0] if floor > 0 else radii[:0]
     onset = float(settled.min()) if settled.size else math.inf
@@ -312,7 +315,7 @@ def remainder_extract(flow, radii, t: float) -> FitReport:
                          -(d + 1.0), (float(radii.min()), float(radii.max())),
                          0.0, _SLOPE_SLACK, True, bool(radii.max() / radii.min() >= 10),
                          extras={"constant": 0.0, "constant_variation": 1.0,
-                                 "trivially_zero": True})
+                                 "trivially_zero": True, "velocity_sup": sup})
     rep = fit_power_law(radii, worst, "remainder_decay",
                         predicted_exponent=None, tolerance=_SLOPE_SLACK)
     consts = worst * radii ** (d + 1.0) / math.sqrt(t)
@@ -322,7 +325,8 @@ def remainder_extract(flow, radii, t: float) -> FitReport:
     rep.passed = bool(slope_ok and variation < 2.0)
     rep.extras.update({"constant": float(consts.max()),
                        "constant_variation": variation,
-                       "onset_radius": onset})
+                       "onset_radius": onset,
+                       "velocity_sup": sup})
     return rep
 
 

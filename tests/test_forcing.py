@@ -57,6 +57,24 @@ class TestValidateAssumptions:
         assert not rep_big.pass_f1
 
 
+    def test_each_profile_evaluated_once(self, monkeypatch):
+        # the spatial profiles do not depend on time: one lattice evaluation
+        # per term, whatever the number of time samples
+        calls = []
+        value = GaussianBump.value
+
+        def counting(self, x):
+            calls.append(self)
+            return value(self, x)
+
+        monkeypatch.setattr(GaussianBump, "value", counting)
+        terms = [SeparableTerm(GaussianBump(2, width=w), SmoothBump(0.0, 1.0), (1e-3, 0.0))
+                 for w in (1.0, 1.5)]
+        force = ForceModel(2, terms=terms)
+        rep = validate_assumptions(force, 1.0, points_per_axis=32, time_samples=17)
+        assert len(calls) == 2 and rep.l1_norm > 0
+
+
 class TestForceIntegral:
     def test_zero_at_time_zero(self):
         f = unit_bump_force()

@@ -316,6 +316,31 @@ class TestGradLeadingContract:
             kn.psi_gradient_bound(1.0, 1.0, d)
 
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_psi_contract_is_oseen_minus_leading(self, d):
+        # D = F - G in closed form; the direct difference is exact only up to
+        # the rounding of F and G, so the scale is the larger of the two, and
+        # where D is not small (u <= 3) also |F - G| itself
+        rng = np.random.default_rng(31)
+        t = 0.7
+        u = np.logspace(-3, math.log10(50.0), 120)
+        dirs = rng.normal(size=(u.size, d))
+        z = (np.sqrt(4.0 * t * u) / np.linalg.norm(dirs, axis=-1))[:, None] * dirs
+        s = self._symmetric(rng, u.size, d)
+        full = kn.oseen_grad_contract(z, t, d, s)
+        lead = kn.grad_leading_contract(z, d, s)
+        got = kn.psi_grad_contract(z, t, d, s)
+        err = np.linalg.norm(got - (full - lead), axis=-1)
+        scale = np.maximum(np.linalg.norm(full, axis=-1), np.linalg.norm(lead, axis=-1))
+        assert np.all(err <= 1e-13 * scale)
+        near = u <= 3.0
+        assert np.all(err[near] <= 1e-13 * np.linalg.norm(full - lead, axis=-1)[near])
+
+    def test_psi_contract_singular_at_origin(self):
+        with pytest.raises(ValueError):
+            kn.psi_grad_contract(np.zeros(2), 1.0, 2, np.eye(2))
+
+
 class TestProfileField:
     def test_zero_amplitude(self):
         omega = kn.sphere_points(2, 16)
@@ -414,3 +439,16 @@ class TestProjectedGaussian:
             e[k] = 1.0
             col = kn.projected_gaussian(x, amp, width, e, d)
             np.testing.assert_allclose(col, kern[..., :, k], rtol=1e-12, atol=1e-16)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_array_amplitude_and_width(self, d):
+        # a (k, 1) amplitude/width stack gives the k scalar calls, bit for bit
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(25, d)) * 3
+        c = rng.normal(size=d)
+        amp = rng.uniform(0.1, 1.0, size=6)
+        width = rng.uniform(0.5, 3.0, size=6)
+        got = kn.projected_gaussian(x, amp[:, None], width[:, None], c, d)
+        ref = np.stack([kn.projected_gaussian(x, float(a), float(w), c, d)
+                        for a, w in zip(amp, width)])
+        assert got.shape == (6, 25, d) and np.array_equal(got, ref)

@@ -329,19 +329,49 @@ class TestBilinear:
 
     def test_collapsed_far_pairs_match_all_pairs_reference(self, canonical, opts,
                                                            monkeypatch):
-        # the reference treats every source as near: the full kernel at every
-        # time node, the evaluator as it stood before the far-pair collapse
+        # the reference keeps every (pair, node) entry: the full kernel at
+        # every time node, the evaluator as it stood before the split.  The
+        # L/2 ring and the box corner pass next to source points, and
+        # (-L/2, 0) is one
         _, _, traj = canonical
         dirs = sphere_points(2, 8)
-        cases = [(r, t) for r in (L, 2 * L, 4 * L) for t in (T / 2, T)]
-        collapsed = [sv._bilinear_point(traj, r * dirs, t, opts) for r, t in cases]
+        on_source = np.array([[-L / 2, 0.0]])
+        assert np.any(np.all(traj.flux_history()[0] == on_source, axis=-1))
+        cases = [(r * dirs, t) for r in (L / 2, L / 2 * math.sqrt(2), L, 2 * L, 4 * L)
+                 for t in (T / 2, T)]
+        cases += [(on_source, t) for t in (T / 2, T)]
+        split = [sv._bilinear_point(traj, x, t, opts) for x, t in cases]
         monkeypatch.setattr(sv, "FAR_CUTOFF", math.inf)
-        for (r, t), (vals, budget) in zip(cases, collapsed):
-            ref, ref_budget = sv._bilinear_point(traj, r * dirs, t, opts)
+        for (x, t), (vals, budget) in zip(cases, split):
+            ref, ref_budget = sv._bilinear_point(traj, x, t, opts)
             gap = np.linalg.norm(vals - ref, axis=-1)
             assert gap.max() <= 1e-9 * np.linalg.norm(ref, axis=-1).min()
             assert budget["psi_cutoff"] >= gap.max()
             assert ref_budget["psi_cutoff"] == 0.0
+
+    def test_kernel_evaluations_match_node_reach(self, canonical, monkeypatch):
+        # D and F are evaluated once per (pair, node) entry with
+        # |x - y|^2 < c^2 (t - s), and for no other entry
+        from nsfarfield import kernels
+
+        _, _, traj = canonical
+        pts_y, fluxes = traj.flux_history()
+        m_t = traj.slice_index(T)
+        hist = sv._collapsed_history(traj, m_t, sv.SolverOptions(slices=M))
+        x = np.concatenate([(L / 2) * sphere_points(2, 8), [[-L / 2, 0.0], [9.3, 2.1]]])
+        z = x[:, None, :] - pts_y[None, :, :]
+        r2 = np.sum(z * z, axis=-1)
+        counted = []
+        for name in ("psi_grad_contract", "oseen_grad_contract"):
+            def counting(zz, *args, _fn=getattr(kernels, name)):
+                counted.append(len(zz))
+                return _fn(zz, *args)
+            monkeypatch.setattr(kernels, name, counting)
+        _, inside = sv._pair_values(z, r2, T, hist.q4, hist.nodes4, fluxes)
+        taus = T - np.array([node[0] for node in hist.nodes4])
+        expected = sum(int(np.count_nonzero(r2 < sv.FAR_CUTOFF**2 * tau)) for tau in taus)
+        assert inside.any() and 0 < sum(counted) == expected
+        assert expected < 0.1 * r2.size * taus.size
 
     def test_ring_at_half_width_takes_the_kernel_route(self, canonical, opts,
                                                        monkeypatch):
@@ -418,6 +448,50 @@ class TestFarField:
         reverse, _ = sv.farfield_velocity(traj, a, f, x[::-1], T, opts)
         assert np.array_equal(batch, rows)
         assert np.array_equal(batch, reverse[::-1])
+
+    def test_interior_route_values_independent_of_batch(self, canonical, opts):
+        # points inside L/2 take the spectral route: the same bitwise batch
+        # independence holds there
+        a, f, traj = canonical
+        x = np.concatenate([r * sphere_points(2, 5) for r in (1.0, 2.5, 6.0)])
+        batch, _ = sv.farfield_velocity(traj, a, f, x, T, opts)
+        rows = np.array([sv.farfield_velocity(traj, a, f, xi, T, opts)[0] for xi in x])
+        reverse, _ = sv.farfield_velocity(traj, a, f, x[::-1], T, opts)
+        assert np.array_equal(batch, rows)
+        assert np.array_equal(batch, reverse[::-1])
+
+    def test_linear_point_matches_per_node_sum(self, opts):
+        # the blocked evaluation sums the same (node, term) values in the
+        # same order as one projected Gaussian per node and term
+        from nsfarfield import kernels
+
+        terms = [SeparableTerm(GaussianBump(2, width=1.0, center=(0.5, -0.25)),
+                               SmoothBump(0.0, 0.3), (0.002, 0.001)),
+                 SeparableTerm(GaussianBump(2, width=1.5), SmoothBump(0.1, 0.5), (-0.001, 0.0))]
+        f = ForceModel(2, terms=terms)
+        x = np.concatenate([r * sphere_points(2, 6) for r in (3.0, 10.0, 40.0)])
+        t = 0.4
+        got, err = sv._linear_point(f, x, t, opts, slices_hint=16)
+        edges = np.linspace(0.0, t, 17)
+        panels = [p for i in range(15) for p in sv._graded_panels(edges[i], edges[i + 1], 0, 1)]
+        panels += sv._graded_panels(edges[-2], edges[-1], sv._GRADING_LEVELS, 1)
+        sums = []
+        for rule in (sv._GL4, sv._GL2):
+            acc = np.zeros_like(x)
+            for lo, hi in panels:
+                mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+                for node, wgt in zip(*rule):
+                    s = mid + half * node
+                    for term in terms:
+                        tv = float(term.time_profile.value(s))
+                        if tv:
+                            amp, width = term.profile.heat_evolved(t - s)
+                            acc += (half * wgt * tv) * kernels.projected_gaussian(
+                                x - np.asarray(term.profile.center), amp, width,
+                                np.asarray(term.amplitude), 2)
+            sums.append(acc)
+        assert np.array_equal(got, sums[0])
+        assert err == float(np.max(np.linalg.norm(sums[0] - sums[1], axis=-1)))
 
     def test_interior_cross_check(self, box, opts):
         # snapshot (mean-free box field) vs the point-mode assembly, compared

@@ -299,6 +299,22 @@ class TestOneBatchPerTime:
         vf.remainder_extract(flow, np.logspace(4, 7, 7, base=2), 1.0)
         assert flow.calls == [1.0]
 
+    def test_profile_check(self, profile_flow):
+        # the sup |u| of the profile check comes from the remainder's samples
+        from types import SimpleNamespace
+
+        from nsfarfield import cli
+
+        radii = np.logspace(4, 7, 7, base=2)
+        flow = CountingFlow(profile_flow[0])
+        cfg = SimpleNamespace(profile_radii=list(radii), profile_time=1.0)
+        _, payload = cli._check_profile(cfg, flow)
+        assert flow.calls == [1.0] and payload["passed"]
+        sup = np.linalg.norm(vf.sphere_velocities(profile_flow[0], radii, 1.0,
+                                                  vf.SPHERE_DIRECTIONS), axis=-1).max(axis=1)
+        fit = vf.fit_power_law(radii, sup, predicted_exponent=-2.0)
+        assert payload["velocity_exponent"] == fit.fitted_exponent
+
     def test_next_order_check(self):
         m1 = np.array([[0.0, 1.0], [0.0, 0.0]])
         flow = CountingFlow(vf.SyntheticFlow(
