@@ -37,8 +37,10 @@ G = grad L the leading part and D the gradient of |z|^-d Psi(z / sqrt(tau)):
 * every source pair contracts G(x - y) with one flux field per evaluation
   time, Q(y) = sum over nodes of weight * flux(y, s): one spatial sum;
 * D is Gaussian-local, so it is added only for the (pair, node) entries
-  inside the node's reach, |x - y| < c sqrt(t - s); pairs inside every
-  node's reach take the full F instead, since G is singular at x = y.
+  inside the node's reach, |x - y| < c sqrt(t - s);
+* pairs with |x - y| < 2 sqrt(t - s) at the earliest node s take the full
+  F at every node instead: G is singular at x = y, and where |G| far
+  exceeds |F| the sum G + D cancels.
 
 The cutoff c = FAR_CUTOFF puts each dropped entry at a Gaussian tail of about
 1e-12; the ``psi_cutoff`` budget entry bounds their sum analytically, next to
@@ -90,6 +92,12 @@ _GRADING_LEVELS = 6
 # decays like exp(-|z|^2 / (4 tau)), so a tail target exp(-c^2/4) <= 1e-12
 # needs c >= 2 sqrt(12 ln 10) = 10.51; rounded up.
 FAR_CUTOFF = 10.6
+# Core of the split: a pair with |x - y| < _CORE sqrt(tau) at the earliest
+# node takes the full kernel F at every node.  Outside it every entry has
+# |z|^2 >= 4 tau, where |G| <= 4.5 |F| in d <= 3, so G + D loses under one
+# digit to cancellation; nearer the source the loss grows like
+# (sqrt(tau) / |z|)^(d+1).
+_CORE = 2.0
 
 # _bilinear_point: slices per history panel, points per pair block (memory
 # only: each point's source sum is its own row sum; _bilinear_grid_at blocks
@@ -708,27 +716,29 @@ def _flux_at(fluxes, idx, lw, ys) -> np.ndarray:
 
 def _pair_values(z, r2, t: float, q, nodes, fluxes):
     """Every (x, y) pair's share of B(x, t) per unit cell, shape (n_x, d, n_y),
-    and the (n_x, n_y) mask of the pairs inside every node's reach.
+    and the (n_x, n_y) mask of the core pairs, which drop no entry.
 
     ``z`` holds x - y, shape (n_x, n_y, d), and ``r2`` its squared length.
     The gradient kernel splits as F(z, tau) = G(z) + D(z, tau), G = grad L
     and D the Gaussian-local rest.  Every pair contracts G with the collapsed
     flux ``q``; D is added at each time node (s, tau = t - s) whose reach
     |z|^2 < c^2 tau covers the pair, with the flux interpolated at the node.
-    Sorted by |z|^2, a node's covered pairs are a prefix.  A pair inside
-    every node's reach takes the full F at every node instead, so no pair
-    next to a source point evaluates the singular G.
+    Sorted by |z|^2, a node's covered pairs are a prefix.  A core pair,
+    |z| < _CORE sqrt(tau) at the earliest node or inside every node's reach,
+    takes the full F at every node instead: no pair next to a source point
+    evaluates the singular G, and none sums a G + D that cancels.
     """
     n_x, n_y, d = z.shape
-    reach = FAR_CUTOFF**2 * (t - np.array([s for s, *_ in nodes]))
-    inside = r2 < reach.min()
-    # inside pairs get a placeholder z here; their values are replaced below
-    lead_z = np.where(inside[..., None], 1.0, z) if inside.any() else z
+    tau = t - np.array([s for s, *_ in nodes])
+    reach = FAR_CUTOFF**2 * tau
+    core = r2 < max(reach.min(), _CORE**2 * tau.max())
+    # core pairs get a placeholder z here; their values are replaced below
+    lead_z = np.where(core[..., None], 1.0, z) if core.any() else z
     # (n_x, d, n_y): each point's sum over sources runs along a contiguous row
     vals = np.ascontiguousarray(np.moveaxis(
         kernels.grad_leading_contract(lead_z, d, q), -1, 1))
 
-    pairs = np.flatnonzero((r2 < reach.max()) & ~inside)
+    pairs = np.flatnonzero((r2 < reach.max()) & ~core)
     if pairs.size:
         pairs = pairs[np.argsort(r2.ravel()[pairs], kind="stable")]
         cx, cy = np.divmod(pairs, n_y)
@@ -747,15 +757,15 @@ def _pair_values(z, r2, t: float, q, nodes, fluxes):
                     zc[:k], t - s, d, _flux_at(near_flux, idx, lw, slice(0, k)))
         vals[cx, :, cy] += acc
 
-    if inside.any():
-        ix, iy = np.nonzero(inside)
+    if core.any():
+        ix, iy = np.nonzero(core)
         zi = z[ix, iy]
         acc = np.zeros_like(zi)
         for s, weight, idx, lw in nodes:
             acc += weight * kernels.oseen_grad_contract(zi, t - s, d,
                                                         _flux_at(fluxes, idx, lw, iy))
         vals[ix, :, iy] = acc
-    return vals, inside
+    return vals, core
 
 
 def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions):
@@ -793,12 +803,12 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
         xs = x[c0:c0 + _CHUNK]
         z = xs[:, None, :] - pts_y[None, :, :]
         r2 = np.sum(z * z, axis=-1)
-        pairs, inside = _pair_values(z, r2, t, hist.q4, hist.nodes4, fluxes)
+        pairs, core = _pair_values(z, r2, t, hist.q4, hist.nodes4, fluxes)
         out[c0:c0 + xs.shape[0]] = cell * pairs.sum(axis=-1)
         # a dropped (pair, node) entry has tau <= |z|^2 / c^2: its Psi part is
         # at most psi_gradient_bound(1, 1/c^2) |z|^-(d+1) times the node flux
         psi_mass = max(psi_mass, float(
-            (np.where(inside, np.inf, r2) ** (-(d + 1) / 2.0) @ hist.flux_mass).max()))
+            (np.where(core, np.inf, r2) ** (-(d + 1) / 2.0) @ hist.flux_mass).max()))
         n_p = max(0, min(n_probe - c0, xs.shape[0]))
         if n_p:
             coarse, _ = _pair_values(z[:n_p], r2[:n_p], t, hist.q2, hist.nodes2, fluxes)

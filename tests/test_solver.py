@@ -350,8 +350,8 @@ class TestBilinear:
             assert ref_budget["psi_cutoff"] == 0.0
 
     def test_kernel_evaluations_match_node_reach(self, canonical, monkeypatch):
-        # D and F are evaluated once per (pair, node) entry with
-        # |x - y|^2 < c^2 (t - s), and for no other entry
+        # D is evaluated once per (pair, node) entry with |x - y|^2 < c^2 (t - s)
+        # outside the core, F once per (core pair, node), and neither elsewhere
         from nsfarfield import kernels
 
         _, _, traj = canonical
@@ -361,16 +361,19 @@ class TestBilinear:
         x = np.concatenate([(L / 2) * sphere_points(2, 8), [[-L / 2, 0.0], [9.3, 2.1]]])
         z = x[:, None, :] - pts_y[None, :, :]
         r2 = np.sum(z * z, axis=-1)
-        counted = []
+        counted = {}
         for name in ("psi_grad_contract", "oseen_grad_contract"):
-            def counting(zz, *args, _fn=getattr(kernels, name)):
-                counted.append(len(zz))
+            def counting(zz, *args, _fn=getattr(kernels, name), _name=name):
+                counted[_name] = counted.get(_name, 0) + len(zz)
                 return _fn(zz, *args)
             monkeypatch.setattr(kernels, name, counting)
-        _, inside = sv._pair_values(z, r2, T, hist.q4, hist.nodes4, fluxes)
+        _, core = sv._pair_values(z, r2, T, hist.q4, hist.nodes4, fluxes)
         taus = T - np.array([node[0] for node in hist.nodes4])
-        expected = sum(int(np.count_nonzero(r2 < sv.FAR_CUTOFF**2 * tau)) for tau in taus)
-        assert inside.any() and 0 < sum(counted) == expected
+        reach = sv.FAR_CUTOFF**2 * taus
+        assert np.array_equal(core, r2 < max(reach.min(), 4.0 * taus.max()))
+        expected = sum(int(np.count_nonzero((r2 < c2) & ~core)) for c2 in reach)
+        assert core.any() and 0 < counted["psi_grad_contract"] == expected
+        assert counted["oseen_grad_contract"] == int(core.sum()) * taus.size
         assert expected < 0.1 * r2.size * taus.size
 
     def test_ring_at_half_width_takes_the_kernel_route(self, canonical, opts,
