@@ -295,8 +295,8 @@ def _check_lemlog(cfg, flow):
     ts = [t0 * 0.5**k for k in range(4)]
     xs = [8.0, 16.0, 32.0, 64.0]
     rep = verify.lemlog_check(xs, ts, d=cfg.dimension)
-    rows = [(r, ratio, rep.sup_ratio, 0.0)
-            for (r, _), ratio in zip(rep.pairs, rep.ratios)]
+    rows = [(r / math.sqrt(t), ratio, rep.sup_ratio, 0.0)
+            for (r, t), ratio in zip(rep.pairs, rep.ratios)]
     payload = {"check": "lemlog", "passed": bool(rep.passed),
                "sup_ratio": rep.sup_ratio, "variation": rep.variation,
                "refinement_shift": rep.refinement_shift}

@@ -19,8 +19,9 @@ Checks implemented here:
 * ``divergence_detect``      -- the same norms are infinite outside that
                                 regime: truncated-norm octave increments fail
                                 the Cauchy test.
-* ``lemlog_check``           -- the space-time kernel mass over |y| <= |x|
-                                grows at most like t log(|x|/sqrt(t)).
+* ``lemlog_check``           -- the space-time kernel mass over |y| <= |x|,
+                                t G(|x|/sqrt(t)) by self-similarity, grows at
+                                most like t log(|x|/sqrt(t)).
 * ``next_order_check``       -- for mean-zero forces the leading profile
                                 vanishes and the dipole-order profile with the
                                 first force moment takes over at |x|^(-d-1).
@@ -55,6 +56,7 @@ __all__ = [
     "pointwise_window_check",
     "weighted_norm_sweep",
     "divergence_detect",
+    "kernel_spacetime_mass",
     "lemlog_check",
     "next_order_check",
     "write_csv",
@@ -73,6 +75,8 @@ _NORM_DIRECTIONS = 12
 _SLOPE_SLACK = 0.25            # decay fits pass up to exponent -(d+1) + slack
 _WINDOW_RATIO_LIMIT = 5.0      # window pinch: max/min of |u| |x|^d
 _LEMLOG_VARIATION_LIMIT = 2.0  # spread of the kernel-mass ratio over a sweep
+_MASS_R_LO, _MASS_R_MAX = 0.1, 40.0  # kernel mass: radial GL8 panels, geometric
+_MASS_RATIO, _MASS_FINE_RATIO = 1.25, 1.1  # at this ratio; finer for refinement_shift
 _RADIAL_R_MAX = 1e6            # RadialNorms: outer radius and log-spaced panels
 _RADIAL_PANELS = 160
 
@@ -585,45 +589,33 @@ def divergence_detect(flow, alpha: float, p: float, t: float, radii) -> Divergen
 # ---------------------------------------------------------------------------
 
 
-def _kernel_ball_mass(R: float, s: float, d: int) -> float:
-    """Integral over |y| <= R of the Frobenius norm of the projected heat kernel."""
-    nodes, weights = _GL8
-    sigma = math.sqrt(s)
-    edges = [0.0, min(sigma / 8.0, R)]
-    r = edges[-1]
-    while r < R:
-        r = min(r * 1.6, R)
-        edges.append(r)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        rr = mid + half * nodes
-        vals = kernels.SPHERE_AREA[d] * rr ** (d - 1) * kernels.oseen_frobenius_radial(rr, s, d)
-        total += half * float(np.dot(weights, vals))
-    return total
+def _mass_profile(rho: float, d: int, ratio: float = _MASS_RATIO) -> float:
+    """G(rho) = integral over r > 0 of m(r) min(1, (rho/r)^2), m = sigma r^(d-1) |K(r,1)|_F.
 
-
-def kernel_spacetime_mass(R: float, t: float, d: int, levels: int = 14) -> float:
-    """Space-time kernel mass: integral over s in (0, t], |y| <= R of |K(y,s)|.
-
-    The s-integrand grows like log(R/sqrt(s)) as s -> 0; substituting
-    s = sigma^2 and grading geometrically toward sigma = 0 tames it.
+    GL8 on [0, _MASS_R_LO] and geometric panels up to _MASS_R_MAX, with rho as
+    an edge (a kink).  Beyond _MASS_R_MAX the Gaussian part of m is below
+    exp(-400), so m(r) = sqrt(d(d-1))/r and the tail is closed form.
     """
+    n = math.ceil(math.log(_MASS_R_MAX / _MASS_R_LO) / math.log(ratio))
+    edges = np.union1d(np.geomspace(_MASS_R_LO, _MASS_R_MAX, n + 1),
+                       [0.0, min(rho, _MASS_R_MAX)])
     nodes, weights = _GL8
-    sig_max = math.sqrt(t)
-    edges = [sig_max * 0.5**j for j in range(levels, -1, -1)]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        for node, w in zip(nodes, weights):
-            sigma = mid + half * node
-            total += half * w * 2.0 * sigma * _kernel_ball_mass(R, sigma * sigma, d)
-    # the remaining [0, sig_min] segment is O(sig_min^2 log); bound it crudely
-    sig_min = edges[0]
-    total += sig_min**2 * (1.0 + abs(math.log(max(R, 1e-300) / sig_min)))
-    return total
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    r = mid[:, None] + half[:, None] * nodes
+    m = kernels.SPHERE_AREA[d] * r ** (d - 1) * kernels.oseen_frobenius_radial(r, 1.0, d)
+    body = float(np.sum(half[:, None] * weights * m * np.minimum(1.0, (rho / r) ** 2)))
+    c, x = math.sqrt(d * (d - 1)), rho / _MASS_R_MAX
+    return body + c * (x * x / 2.0 if x <= 1.0 else math.log(x) + 0.5)
+
+
+def kernel_spacetime_mass(R: float, t: float, d: int) -> float:
+    """Space-time kernel mass: integral over s in (0, t], |y| <= R of |K(y,s)|_F.
+
+    K(y,s) = s^(-d/2) K(y/sqrt(s), 1), so the ball at time s holds the unit-time
+    mass inside R/sqrt(s); integrating that over s gives t G(R/sqrt(t)) with
+    G from ``_mass_profile``.  G grows like sqrt(d(d-1)) log(rho).
+    """
+    return t * _mass_profile(R / math.sqrt(t), d)
 
 
 @dataclass
@@ -649,12 +641,11 @@ def lemlog_check(x_values, t_values, d: int = 2) -> LemlogReport:
         if r < math.e * math.sqrt(t) * (1 - 1e-12):
             raise ValidityRegionError(
                 f"pair |x|={r}, t={t} violates |x| >= e sqrt(t)")
-    masses = [kernel_spacetime_mass(r, t, d) for r, t in pairs]
-    ratios = np.array([lhs / (t * max(math.log(r / math.sqrt(t)), 1.0))
-                       for lhs, (r, t) in zip(masses, pairs)])
-    # quadrature refinement of the first pair
-    fine = kernel_spacetime_mass(*pairs[0], d, levels=18)
-    shift = abs(fine - masses[0]) / max(abs(fine), 1e-300)
+    ratios = np.array([kernel_spacetime_mass(r, t, d)
+                       / (t * max(math.log(r / math.sqrt(t)), 1.0)) for r, t in pairs])
+    # quadrature refinement: the same rule on finer panels, at every distinct rho
+    shift = max(abs(1.0 - _mass_profile(rho, d) / _mass_profile(rho, d, _MASS_FINE_RATIO))
+                for rho in {r / math.sqrt(t) for r, t in pairs})
     variation = float(ratios.max() / ratios.min())
     return LemlogReport(
         pairs=pairs, ratios=ratios, sup_ratio=float(ratios.max()),

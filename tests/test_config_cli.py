@@ -268,6 +268,10 @@ class TestCli:
         assert code == cli.EXIT_PASS
         summary = json.loads(next(out.glob("verify_*.json")).read_text())
         assert list(summary["checks"]) == ["lemlog"]
+        # the lemlog CSV abscissa is rho = |x|/sqrt(t), one per (|x|, t) row
+        rows = next(out.glob("lemlog_*.csv")).read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [
+            r / math.sqrt(0.25 * 0.5**k) for r in (8.0, 16.0, 32.0, 64.0) for k in range(4)]
 
     def test_verify_builds_scenario_once(self, tmp_path, monkeypatch):
         # a cold verify solves the scenario it already built, a warm one loads;

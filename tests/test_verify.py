@@ -268,6 +268,27 @@ class TestLemlog:
         with pytest.raises(vf.ValidityRegionError):
             vf.lemlog_check([1.0], [1.0], d=2)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_log_growth_constant(self, d):
+        # far from the Gaussian core |K(y,s)|_F = sqrt(d(d-1)) / (sigma |y|^d),
+        # so doubling R adds exactly sqrt(d(d-1)) t log 2 to the mass
+        t = 0.5
+        for rho in (16.0, 32.0, 64.0):
+            r = rho * math.sqrt(t)
+            step = (vf.kernel_spacetime_mass(2.0 * r, t, d)
+                    - vf.kernel_spacetime_mass(r, t, d)) / (t * math.log(2.0))
+            assert step == pytest.approx(math.sqrt(d * (d - 1)), rel=1e-12)
+
+    @pytest.mark.parametrize("r,t,expected", [
+        (8.0, 1.0, 2.793815080469858),
+        (64.0, 0.125, 0.9006220895712324),
+        (math.e, 1.0, 1.307146021443518),
+    ])
+    def test_matches_nested_space_time_quadrature(self, r, t, expected):
+        # reference values: GL8 in sqrt(s) over 14 geometric panels, a radial
+        # quadrature at every node and a bound for the skipped s < t 4^-14
+        assert vf.kernel_spacetime_mass(r, t, 2) == pytest.approx(expected, rel=2e-8)
+
 
 class TestNextOrder:
     def test_exact_dipole_profile(self):
