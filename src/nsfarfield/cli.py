@@ -13,8 +13,8 @@ failure.  Outputs are deterministic for a fixed config: file names carry the
 scenario hash, JSON is sorted, and wall-clock time goes only to
 ``run.log`` which is excluded from any determinism comparison.
 
-Flags mirror the environment variables NSFF_CONFIG, NSFF_OUT, NSFF_THREADS,
-NSFF_ONLY (explicit flags win).
+Flags mirror the environment variables NSFF_CONFIG, NSFF_OUT, NSFF_ONLY
+(explicit flags win); ``--threads`` alone sets the far-field worker threads.
 """
 
 from __future__ import annotations
@@ -295,8 +295,8 @@ def _check_lemlog(cfg, flow):
     ts = [t0 * 0.5**k for k in range(4)]
     xs = [8.0, 16.0, 32.0, 64.0]
     rep = verify.lemlog_check(xs, ts, d=cfg.dimension)
-    rows = [(r / math.sqrt(t), ratio, rep.sup_ratio, 0.0)
-            for (r, t), ratio in zip(rep.pairs, rep.ratios)]
+    rows = [(r / math.sqrt(t), ratio, pred, ratio - pred)
+            for (r, t), ratio, pred in zip(rep.pairs, rep.ratios, rep.predictions)]
     payload = {"check": "lemlog", "passed": bool(rep.passed),
                "sup_ratio": rep.sup_ratio, "variation": rep.variation,
                "refinement_shift": rep.refinement_shift}
@@ -426,8 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scenario config file")
         p.add_argument("--out", default=env.get("NSFF_OUT"),
                        help="output directory (default: config output.directory)")
-        p.add_argument("--threads", type=int,
-                       default=int(env.get("NSFF_THREADS", "0")) or None,
+        p.add_argument("--threads", type=int, default=1,
                        help="worker threads for far-field batches")
 
     kc = sub.add_parser("kernel-check", help="kernel invariant suite")
@@ -460,7 +459,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
 
     out_dir = args.out or cfg.output_directory
-    threads = args.threads or cfg.threads
     only = None
     if getattr(args, "only", None):
         only = [c.strip() for c in args.only.split(",") if c.strip()]
@@ -475,10 +473,10 @@ def main(argv=None) -> int:
             simulate(cfg, out_dir)
             return EXIT_PASS
         if args.command == "verify":
-            return run_verify(cfg, out_dir, only=only, threads=threads)
+            return run_verify(cfg, out_dir, only=only, threads=args.threads)
         if args.command == "report":
             return run_report(cfg, out_dir)
-        return run_scenario(cfg, out_dir, only=only, threads=threads)
+        return run_scenario(cfg, out_dir, only=only, threads=args.threads)
     except SolverError as exc:
         print(f"NUMERICAL FAILURE: {exc}")
         return EXIT_NUMERICAL_FAILURE

@@ -95,7 +95,6 @@ class ScenarioConfig:
     next_order_radii: tuple = _key("checks", "next_order_radii",
                                    "16 22.6 32 45.25 64 90.5 128", _floats)
     output_directory: str = _key("output", "directory", "out")
-    threads: int = _key("output", "threads", "1", int)
     raw: dict = field(default_factory=dict, repr=False)
 
     def hash_source(self) -> tuple:
@@ -235,8 +234,6 @@ def _violations(cfg: ScenarioConfig) -> list:
                 problems.append(
                     f"checks.divergence_pairs: ({alpha:g},{p:g}) has alpha + d/p < d; "
                     "it belongs under sweep_pairs")
-    if cfg.threads < 1:
-        problems.append("output.threads: need at least 1")
     for label, t_check, radii in (("profile", cfg.profile_time, cfg.profile_radii),
                                   ("window", cfg.window_time, cfg.window_radii),
                                   ("next_order", cfg.next_order_time, cfg.next_order_radii)):

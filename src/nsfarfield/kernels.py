@@ -27,6 +27,7 @@ series expansion below ``_SERIES_CUT``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "oseen_l1_gradient_norm",
     "envelope_constant",
     "grad_envelope_constant",
+    "gauss_panels",
 ]
 
 # Surface area of the unit sphere S^{d-1}; index by dimension d.
@@ -507,50 +509,58 @@ def oseen_l1_gradient_norm(t: float, d: int) -> float:
     """
     d = _check_dim(d)
     t = _check_time(t)
-    nodes, weights = np.polynomial.legendre.leggauss(8)
     edges = np.sqrt(t) * np.logspace(-6, math.log10(40.0), _L1_PANELS + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        r = mid + half * nodes
-        vals = SPHERE_AREA[d] * r ** (d - 1) * _grad_frobenius_radial(r, t, d)
-        total += half * float(np.dot(weights, vals))
-    return total
+    r, weights = (a.ravel() for a in gauss_panels(edges[:-1], edges[1:], 8))
+    vals = SPHERE_AREA[d] * r ** (d - 1) * _grad_frobenius_radial(r, t, d)
+    return float(np.dot(weights, vals))
 
 
-def _log_sample_pairs(d: int, n_x: int = 10, n_t: int = 10, rng=None):
-    """Log-spaced (x, t) sample used for envelope-constant measurements."""
+def gauss_panels(lo, hi, order: int):
+    """Gauss-Legendre rule of ``order`` nodes mapped onto the panels [lo, hi].
+
+    ``lo`` and ``hi`` are panel edges (scalars or arrays of one shape).
+    Returns (nodes, weights), each of shape ``lo.shape + (order,)``: the
+    nodes mid + half * xi and weights half * w of every panel, with
+    mid = (hi + lo) / 2 and half = (hi - lo) / 2.  Exact for polynomials of
+    degree 2 order - 1 on each panel.
+    """
+    xi, w = _legendre(order)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return mid + half * xi, half * w
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: ``leggauss``
+    costs about 0.2 ms, and the kernel-mass sweep maps one rule ~60 times."""
+    xi, w = np.polynomial.legendre.leggauss(order)
+    xi.flags.writeable = w.flags.writeable = False
+    return xi, w
+
+
+def _envelope(kernel, order: float, d: int, n_x: int, n_t: int) -> float:
+    """Measured C with |kernel(x,t)|_F <= C min(|x|^-order, t^-order/2) on a
+    log-spaced (x, t) sample."""
     radii = np.logspace(-2, 2, n_x)
     times = np.logspace(-2, 2, n_t)
-    if rng is None:
-        rng = np.random.default_rng(20260808)
-    dirs = rng.normal(size=(n_x, d))
+    dirs = np.random.default_rng(20260808).normal(size=(n_x, d))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    return radii, times, dirs
+    best = 0.0
+    for t in times:
+        k = kernel(radii[:, None] * dirs, float(t), d)
+        vals = np.sqrt(np.sum(k * k, axis=tuple(range(1, k.ndim))))
+        bound = np.minimum(radii ** (-order), float(t) ** (-order / 2.0))
+        best = max(best, float(np.max(vals / bound)))
+    return best
 
 
 def envelope_constant(d: int, n_x: int = 10, n_t: int = 10) -> float:
     """Measured constant C with |K(x,t)|_F <= C min(|x|^-d, t^-d/2) on a log grid."""
-    radii, times, dirs = _log_sample_pairs(d, n_x, n_t)
-    best = 0.0
-    for t in times:
-        x = radii[:, None] * dirs
-        vals = np.sqrt(np.sum(oseen_kernel(x, float(t), d) ** 2, axis=(-2, -1)))
-        bound = np.minimum(radii ** (-float(d)), float(t) ** (-d / 2.0))
-        best = max(best, float(np.max(vals / bound)))
-    return best
+    return _envelope(oseen_kernel, float(d), d, n_x, n_t)
 
 
 def grad_envelope_constant(d: int, n_x: int = 10, n_t: int = 10) -> float:
     """Measured constant C with |F(x,t)|_F <= C min(|x|^-(d+1), t^-(d+1)/2)."""
-    radii, times, dirs = _log_sample_pairs(d, n_x, n_t)
-    best = 0.0
-    for t in times:
-        x = radii[:, None] * dirs
-        f = oseen_grad_kernel(x, float(t), d)
-        vals = np.sqrt(np.sum(f * f, axis=(-3, -2, -1)))
-        bound = np.minimum(radii ** (-(d + 1.0)), float(t) ** (-(d + 1) / 2.0))
-        best = max(best, float(np.max(vals / bound)))
-    return best
-
-
+    return _envelope(oseen_grad_kernel, d + 1.0, d, n_x, n_t)

@@ -77,9 +77,6 @@ __all__ = [
     "load_trajectory",
 ]
 
-_GL4 = np.polynomial.legendre.leggauss(4)
-_GL2 = np.polynomial.legendre.leggauss(2)
-
 # admission guard: measured force + data constants must stay below this
 ADMISSION_LIMIT = 5e-2
 
@@ -158,6 +155,15 @@ def _graded_panels(a: float, b: float, levels: int, refine: int):
         for i in range(refine):
             out.append((lo + (hi - lo) * i / refine, lo + (hi - lo) * (i + 1) / refine))
     return out
+
+
+def _time_panels(edges, refine: int):
+    """(lo, hi) arrays of the panels over ``edges``: one per interval, split
+    ``refine`` times, the last interval graded toward its end."""
+    levels = [0] * (len(edges) - 2) + [_GRADING_LEVELS]
+    panels = [p for lo, hi, lv in zip(edges[:-1], edges[1:], levels)
+              for p in _graded_panels(lo, hi, lv, refine)]
+    return tuple(np.array(panels).T)
 
 
 def _lagrange_weights(ts: np.ndarray, s: float) -> np.ndarray:
@@ -289,12 +295,9 @@ class Trajectory:
         """Snap to the closest sample time."""
         return float(self.times[int(np.argmin(np.abs(self.times - t)))])
 
-    def field_at(self, t: float, include_drift: bool = False) -> VectorFieldGrid:
+    def field_at(self, t: float) -> VectorFieldGrid:
         i = self.slice_index(t)
-        comps = self.snapshots[i]
-        if include_drift:
-            comps = comps + self.drift[i].reshape((self.grid.d,) + (1,) * self.grid.d)
-        return VectorFieldGrid(self.grid, comps.copy(), time=float(self.times[i]))
+        return VectorFieldGrid(self.grid, self.snapshots[i].copy(), time=float(self.times[i]))
 
     def decay_constant(self) -> float:
         """Measured sup over slices of (1+|x|)^d |u| on the grid snapshots."""
@@ -414,11 +417,8 @@ class _SliceRule:
 
 def _slice_rule(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions) -> _SliceRule:
     dt = _uniform_step(times)
-    nodes = [(0.5 * (hi + lo) + 0.5 * (hi - lo) * node, 0.5 * (hi - lo) * wgt)
-             for lo, hi in _graded_panels(0.0, dt, _GRADING_LEVELS, opts.refine)
-             for node, wgt in zip(*_GL4)]
-    offsets = np.array([s for s, _ in nodes])
-    weights = np.array([w for _, w in nodes])
+    offsets, weights = (a.ravel() for a in kernels.gauss_panels(
+        *_time_panels([0.0, dt], opts.refine), 4))
     factors = np.exp(-(dt - offsets).reshape((-1,) + (1,) * ops.grid.d) * ops.k2)
     return _SliceRule(dt, offsets, weights, factors, np.exp(-dt * ops.k2))
 
@@ -609,23 +609,17 @@ def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
     if t == 0.0 or not f.terms:
         return np.zeros_like(x), 0.0
     n_panels = max(8, min(slices_hint, 64))
-    edges = np.linspace(0.0, t, n_panels + 1)
-    panels = []
-    for i in range(n_panels - 1):
-        panels.extend(_graded_panels(edges[i], edges[i + 1], 0, opts.refine))
-    panels.extend(_graded_panels(edges[-2], edges[-1], _GRADING_LEVELS, opts.refine))
+    panels = _time_panels(np.linspace(0.0, t, n_panels + 1), opts.refine)
     centers = np.array([term.profile.center for term in f.terms])
     amplitudes = np.array([term.amplitude for term in f.terms])
     block = max(1, _NODE_BLOCK // x.size)
     sums = []
-    for rule in (_GL4, _GL2):
-        nodes = [(0.5 * (hi + lo) + 0.5 * (hi - lo) * node, 0.5 * (hi - lo) * wgt)
-                 for lo, hi in panels for node, wgt in zip(*rule)]
-        tv = np.stack([term.time_profile.value(np.array([s for s, _ in nodes]))
-                       for term in f.terms], axis=-1)
+    for order in (4, 2):
+        s, w = (a.ravel() for a in kernels.gauss_panels(*panels, order))
+        tv = np.stack([term.time_profile.value(s) for term in f.terms], axis=-1)
         ii, jj = np.nonzero(tv)          # node-major, as the quadrature sum runs
-        coef = np.array([w for _, w in nodes])[ii] * tv[ii, jj]
-        evolved = np.array([f.terms[j].profile.heat_evolved(t - nodes[i][0])
+        coef = w[ii] * tv[ii, jj]
+        evolved = np.array([f.terms[j].profile.heat_evolved(t - s[i])
                             for i, j in zip(ii, jj)]).reshape(-1, 2)
         acc = np.zeros_like(x)
         for b0 in range(0, ii.size, block):
@@ -647,23 +641,14 @@ def _history_rules(times: np.ndarray, m_t: int, opts: SolverOptions):
     Panels group `_COARSEN` slices and are graded toward s = t; each node
     carries (s, weight, stencil slice indices, Lagrange weights).
     """
-    idx_edges = list(range(0, m_t, _COARSEN)) + [m_t]
-    panels = []
-    for i in range(len(idx_edges) - 2):
-        panels.extend(_graded_panels(times[idx_edges[i]], times[idx_edges[i + 1]], 0,
-                                     opts.refine))
-    panels.extend(_graded_panels(times[idx_edges[-2]], times[idx_edges[-1]],
-                                 _GRADING_LEVELS, opts.refine))
+    panels = _time_panels(times[list(range(0, m_t, _COARSEN)) + [m_t]], opts.refine)
     n_slices = times.size - 1
     rules = []
-    for rule in (_GL4, _GL2):
+    for order in (4, 2):
         nodes = []
-        for lo, hi in panels:
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            for node, wgt in zip(*rule):
-                s = mid + half * node
-                idx = _stencil(int(np.searchsorted(times, s, side="right")), n_slices)
-                nodes.append((s, half * wgt, idx, _lagrange_weights(times[idx], s)))
+        for s, weight in zip(*(a.ravel() for a in kernels.gauss_panels(*panels, order))):
+            idx = _stencil(int(np.searchsorted(times, s, side="right")), n_slices)
+            nodes.append((s, weight, idx, _lagrange_weights(times[idx], s)))
         rules.append(nodes)
     return rules
 

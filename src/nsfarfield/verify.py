@@ -63,8 +63,6 @@ __all__ = [
     "write_json",
 ]
 
-_GL8 = np.polynomial.legendre.leggauss(8)
-
 # Directions per sphere |x| = r: 16 for the remainder fit (which also gives
 # the profile check's sup |u|), the window check's default and the divergence
 # increments; 8 for the next-order fit; 12 for the far-field weighted-norm
@@ -245,20 +243,17 @@ def sphere_velocities(flow, radii, t: float, n_dirs: int) -> np.ndarray:
 
 @dataclass
 class ProfilePrediction:
-    """Far-field prediction at (x, t): heat term + leading profile, with the
-    dipole-order correction and the remainder envelope alongside.
+    """Far-field prediction at a batch of points: heat term + leading profile,
+    with the dipole-order correction alongside.
 
     ``next_order`` is the expansion term of the flow itself: Taylor-expanding
     the convolution kernel K(x-y) in y gives MINUS the contraction of
     grad(leading_tensor) with the first force moment.
     """
 
-    x: np.ndarray
-    t: float
     heat: np.ndarray
     leading: np.ndarray
     next_order: np.ndarray
-    remainder_scale: float  # sqrt(t) / |x|^{d+1}, the predicted remainder size
 
     @property
     def total(self) -> np.ndarray:
@@ -266,19 +261,17 @@ class ProfilePrediction:
 
 
 def profile_predict(flow, x, t: float) -> ProfilePrediction:
-    """Assemble the far-field prediction from the flow's moments."""
+    """Assemble the far-field prediction at the points ``x`` (shape (..., d))
+    from the flow's heat term and force moments at time t."""
     x = np.asarray(x, dtype=float)
     if np.all(x == 0):
         raise ValueError("profile prediction is singular at x = 0")
     d = flow.d
     m = flow.force_integral(t)
     m1 = flow.first_moment(t)
-    heat = flow.heat_term(x, t)
     leading = kernels.profile_field(x, m, d) if np.any(m) else np.zeros(x.shape)
     nxt = -kernels.next_order_profile(x, m1, d) if np.any(m1) else np.zeros(x.shape)
-    r = float(np.linalg.norm(np.atleast_2d(x)[0]))
-    return ProfilePrediction(x=x, t=t, heat=heat, leading=leading, next_order=nxt,
-                             remainder_scale=math.sqrt(max(t, 0.0)) / r ** (d + 1))
+    return ProfilePrediction(heat=flow.heat_term(x, t), leading=leading, next_order=nxt)
 
 
 def _check_validity_region(radii, t: float):
@@ -302,12 +295,8 @@ def remainder_extract(flow, radii, t: float) -> FitReport:
     radii = np.asarray(radii, dtype=float)
     _check_validity_region(radii, t)
     d = flow.d
-    m = flow.force_integral(t)
-    floor = kernels.sphere_min(m, d) if np.any(m) else 0.0
-    x = _spheres(radii, d, SPHERE_DIRECTIONS)
-    pred = flow.heat_term(x, t)
-    if np.any(m):
-        pred = pred + kernels.profile_field(x, m, d)
+    floor = kernels.sphere_min(flow.force_integral(t), d)
+    pred = profile_predict(flow, _spheres(radii, d, SPHERE_DIRECTIONS), t).total
     u = sphere_velocities(flow, radii, t, SPHERE_DIRECTIONS)
     sup = np.linalg.norm(u, axis=-1).max(axis=1)
     worst = np.linalg.norm(u - pred, axis=-1).max(axis=1)
@@ -368,7 +357,7 @@ def pointwise_window_check(flow, t: float, radii, n_dirs: int = SPHERE_DIRECTION
     _check_validity_region(radii, t)
     d = flow.d
     m = flow.force_integral(t)
-    floor = kernels.sphere_min(m, d) if np.any(m) else 0.0
+    floor = kernels.sphere_min(m, d)
     if floor <= 1e-14 * (np.linalg.norm(m) + 1.0) and not control:
         raise HypothesisError(
             "force integral vanishes at this time; the |x|^-d window does not "
@@ -385,8 +374,7 @@ def pointwise_window_check(flow, t: float, radii, n_dirs: int = SPHERE_DIRECTION
     if floor > 0:
         i_big = int(np.argmax(radii))
         r_big = radii[i_big]
-        x_big = r_big * kernels.sphere_points(d, n_dirs)
-        pred = flow.heat_term(x_big, t) + kernels.profile_field(x_big, m, d)
+        pred = profile_predict(flow, r_big * kernels.sphere_points(d, n_dirs), t).total
         rem = np.max(np.linalg.norm(u[i_big] - pred, axis=-1)) * r_big**d
         rem_frac = float(rem / floor)
 
@@ -437,16 +425,13 @@ class TrajectoryNorms:
     def _far_samples(self, t: float):
         if t in self._cache:
             return self._cache[t]
-        nodes, weights = _GL8
-        lo, hi = math.log(self.r_split), math.log(self.r_far)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        log_r = mid + half * nodes
+        log_r, weights = kernels.gauss_panels(math.log(self.r_split), math.log(self.r_far), 8)
         radii = np.exp(log_r)
         mags = np.linalg.norm(sphere_velocities(self.flow, radii, t, _NORM_DIRECTIONS),
                               axis=-1)
         # isotropic power-law tail fitted on the angular p-means
         slope = np.polyfit(log_r, np.log(np.maximum(mags.mean(axis=1), 1e-300)), 1)[0]
-        self._cache[t] = (radii, half * weights, mags, float(slope))
+        self._cache[t] = (radii, weights, mags, float(slope))
         return self._cache[t]
 
     def norm(self, alpha: float, p: float, t: float) -> float:
@@ -459,9 +444,7 @@ class TrajectoryNorms:
             return max(inner, outer)
         inner = restrict_annulus_norm(snap, 0.0, self.r_split, alpha, p) ** p
         radii, wts, mags, slope = self._far_samples(t)
-        shell = kernels.SPHERE_AREA[flow.d] * radii ** flow.d  # log-radius measure
-        angular = ((1 + radii[:, None]) ** (alpha * p) * mags**p).mean(axis=1)
-        outer = float(np.dot(wts, shell * angular))
+        outer = _shell_integral(radii, wts, mags, alpha, p, flow.d)
         # analytic extension past r_far assuming |u| ~ A r^slope
         a_amp = float(np.mean(mags[-1] * radii[-1] ** (-slope)))
         decay = alpha * p + slope * p + flow.d
@@ -473,6 +456,18 @@ class TrajectoryNorms:
         return (inner + outer + tail) ** (1.0 / p)
 
 
+def _shell_integral(radii, weights, mags, alpha: float, p: float, d: int) -> float:
+    """Integral of (1+|x|)^(alpha p) |u|^p over the shells at ``radii``.
+
+    ``radii``/``weights`` are a quadrature rule in log r, so each shell
+    carries the measure sigma_{d-1} r^d; ``mags`` holds |u| on the sphere
+    of each radius, shape (radii, directions), and enters by its mean.
+    """
+    shell = kernels.SPHERE_AREA[d] * radii**d
+    angular = ((1 + radii[:, None]) ** (alpha * p) * mags**p).mean(axis=1)
+    return float(np.dot(weights, shell * angular))
+
+
 class RadialNorms:
     """Weighted norms of a synthetic flow with a radial modulus |u|(r, t)."""
 
@@ -481,19 +476,14 @@ class RadialNorms:
         self.modulus = radial_modulus
 
     def norm(self, alpha: float, p: float, t: float) -> float:
-        nodes, weights = _GL8
         if math.isinf(p):
             r = np.logspace(-6, math.log10(_RADIAL_R_MAX), 20001)
             return float(((1 + r) ** alpha * self.modulus(r, t)).max())
         edges = np.logspace(-8, math.log10(_RADIAL_R_MAX), _RADIAL_PANELS + 1)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            r = mid + half * nodes
-            vals = ((1 + r) ** (alpha * p) * self.modulus(r, t) ** p
-                    * kernels.SPHERE_AREA[self.d] * r ** (self.d - 1))
-            total += half * float(np.dot(weights, vals))
-        return total ** (1.0 / p)
+        r, weights = (a.ravel() for a in kernels.gauss_panels(edges[:-1], edges[1:], 8))
+        vals = ((1 + r) ** (alpha * p) * self.modulus(r, t) ** p
+                * kernels.SPHERE_AREA[self.d] * r ** (self.d - 1))
+        return float(np.dot(weights, vals)) ** (1.0 / p)
 
 
 def weighted_norm_sweep(norms, d: int, alpha: float, p: float, times,
@@ -556,21 +546,13 @@ def divergence_detect(flow, alpha: float, p: float, t: float, radii) -> Divergen
     radii = np.asarray(radii, dtype=float)
     if radii.size < 3 or np.any(np.diff(radii) <= 0):
         raise ValueError("need at least 3 increasing truncation radii")
-    d = flow.d
-    nodes, weights = _GL8
     # GL8 nodes and weights in log r on each octave, shape (octaves, 8)
-    octaves = [(math.log(lo), math.log(hi)) for lo, hi in zip(radii[:-1], radii[1:])]
-    rr = np.array([np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes) for lo, hi in octaves])
-    ww = np.array([0.5 * (hi - lo) * weights for lo, hi in octaves])
+    log_r, weights = kernels.gauss_panels(np.log(radii[:-1]), np.log(radii[1:]), 8)
+    rr = np.exp(log_r)
     mags = np.linalg.norm(sphere_velocities(flow, rr.ravel(), t, SPHERE_DIRECTIONS),
                           axis=-1).reshape(rr.shape + (-1,))
-    increments = np.empty(radii.size - 1)
-    for k in range(radii.size - 1):
-        acc = 0.0
-        for r, w, m in zip(rr[k], ww[k], mags[k]):
-            angular = float(np.mean((1 + r) ** (alpha * p) * m**p))
-            acc += w * kernels.SPHERE_AREA[d] * r**d * angular
-        increments[k] = acc
+    increments = np.array([_shell_integral(r, w, m, alpha, p, flow.d)
+                           for r, w, m in zip(rr, weights, mags)])
     ratios = increments[1:] / increments[:-1]
     if np.all(np.abs(ratios - 1.0) < 0.25):
         verdict = "divergent-log"
@@ -599,11 +581,9 @@ def _mass_profile(rho: float, d: int, ratio: float = _MASS_RATIO) -> float:
     n = math.ceil(math.log(_MASS_R_MAX / _MASS_R_LO) / math.log(ratio))
     edges = np.union1d(np.geomspace(_MASS_R_LO, _MASS_R_MAX, n + 1),
                        [0.0, min(rho, _MASS_R_MAX)])
-    nodes, weights = _GL8
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    r = mid[:, None] + half[:, None] * nodes
+    r, weights = kernels.gauss_panels(edges[:-1], edges[1:], 8)
     m = kernels.SPHERE_AREA[d] * r ** (d - 1) * kernels.oseen_frobenius_radial(r, 1.0, d)
-    body = float(np.sum(half[:, None] * weights * m * np.minimum(1.0, (rho / r) ** 2)))
+    body = float(np.sum(weights * m * np.minimum(1.0, (rho / r) ** 2)))
     c, x = math.sqrt(d * (d - 1)), rho / _MASS_R_MAX
     return body + c * (x * x / 2.0 if x <= 1.0 else math.log(x) + 0.5)
 
@@ -622,6 +602,7 @@ def kernel_spacetime_mass(R: float, t: float, d: int) -> float:
 class LemlogReport:
     pairs: list           # (|x|, t) tuples
     ratios: np.ndarray    # LHS / (t log(|x|/sqrt(t)))
+    predictions: np.ndarray  # the ratios' large-rho form, exact for rho >= _MASS_R_MAX
     sup_ratio: float
     variation: float
     passed: bool
@@ -641,14 +622,19 @@ def lemlog_check(x_values, t_values, d: int = 2) -> LemlogReport:
         if r < math.e * math.sqrt(t) * (1 - 1e-12):
             raise ValidityRegionError(
                 f"pair |x|={r}, t={t} violates |x| >= e sqrt(t)")
-    ratios = np.array([kernel_spacetime_mass(r, t, d)
-                       / (t * max(math.log(r / math.sqrt(t)), 1.0)) for r, t in pairs])
+    logs = [math.log(r / math.sqrt(t)) for r, t in pairs]
+    ratios = np.array([kernel_spacetime_mass(r, t, d) / (t * max(lg, 1.0))
+                       for (r, t), lg in zip(pairs, logs)])
+    # beyond _MASS_R_MAX, G(rho) = c log(rho) + c0 exactly (the closed-form tail)
+    c = math.sqrt(d * (d - 1))
+    c0 = _mass_profile(_MASS_R_MAX, d) - c * math.log(_MASS_R_MAX)
+    predictions = np.array([(c * lg + c0) / max(lg, 1.0) for lg in logs])
     # quadrature refinement: the same rule on finer panels, at every distinct rho
     shift = max(abs(1.0 - _mass_profile(rho, d) / _mass_profile(rho, d, _MASS_FINE_RATIO))
                 for rho in {r / math.sqrt(t) for r, t in pairs})
     variation = float(ratios.max() / ratios.min())
     return LemlogReport(
-        pairs=pairs, ratios=ratios, sup_ratio=float(ratios.max()),
+        pairs=pairs, ratios=ratios, predictions=predictions, sup_ratio=float(ratios.max()),
         variation=variation,
         passed=bool(variation < _LEMLOG_VARIATION_LIMIT and shift < 1e-3),
         refinement_shift=float(shift),
@@ -694,10 +680,10 @@ def next_order_check(flow, t: float, radii) -> NextOrderReport:
                                degenerate=True, passed=False,
                                note="first moment also vanishes: next order is "
                                     "higher still; no verdict")
-    x = _spheres(radii, d, _FIT_DIRECTIONS)
+    prof = profile_predict(flow, _spheres(radii, d, _FIT_DIRECTIONS), t)
+    pred = prof.total + prof.next_order
     u = sphere_velocities(flow, radii, t, _FIT_DIRECTIONS)
     sup = np.linalg.norm(u, axis=-1).max(axis=1)
-    pred = flow.heat_term(x, t) - kernels.next_order_profile(x, m1, d)
     agree = np.linalg.norm(u - pred, axis=-1).max(axis=1) / sup
     fit = fit_power_law(radii, sup, "next_order_decay",
                         predicted_exponent=-(d + 1.0), tolerance=_SLOPE_SLACK)

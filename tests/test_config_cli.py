@@ -77,6 +77,8 @@ class TestParseConfig:
             parse_config("[scenario]\nflavor = vanilla\n")
         with pytest.raises(ConfigError, match="unknown key scenario.seed"):
             parse_config("[scenario]\nseed = 20260808\n")
+        with pytest.raises(ConfigError, match="unknown key output.threads"):
+            parse_config("[output]\nthreads = 2\n")
         with pytest.raises(ConfigError, match="unknown check"):
             parse_config("[checks]\nrun = profile suchcheck\n")
 
@@ -272,6 +274,11 @@ class TestCli:
         rows = next(out.glob("lemlog_*.csv")).read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [
             r / math.sqrt(0.25 * 0.5**k) for r in (8.0, 16.0, 32.0, 64.0) for k in range(4)]
+        # every rho here is >= 16, where the prediction is the ratio's exact
+        # large-rho form: the residual is value - prediction, at round-off
+        for row in rows:
+            _, value, pred, resid = (float(v) for v in row.split(","))
+            assert resid == value - pred and abs(resid) < 1e-15 * value
 
     def test_verify_builds_scenario_once(self, tmp_path, monkeypatch):
         # a cold verify solves the scenario it already built, a warm one loads;

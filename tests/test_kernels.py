@@ -424,6 +424,30 @@ class TestNextOrderProfile:
             np.testing.assert_allclose(val, fd, rtol=1e-6)
 
 
+class TestGaussPanels:
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    def test_exact_to_degree_2n_minus_1(self, order):
+        edges = np.array([-1.3, -0.2, 0.05, 1.7, 4.0])
+        nodes, weights = kn.gauss_panels(edges[:-1], edges[1:], order)
+        assert nodes.shape == weights.shape == (4, order)
+        coef = np.random.default_rng(41).normal(size=2 * order)
+        poly = np.polynomial.Polynomial(coef)
+        exact = poly.integ()(edges[1:]) - poly.integ()(edges[:-1])
+        np.testing.assert_allclose(np.sum(weights * poly(nodes), axis=-1), exact,
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_nodes_are_mid_plus_half_xi(self):
+        lo, hi = np.array([0.0, 0.3, 1.1]), np.array([0.3, 1.1, 2.9])
+        xi, w = np.polynomial.legendre.leggauss(4)
+        nodes, weights = kn.gauss_panels(lo, hi, 4)
+        for i in range(lo.size):
+            mid, half = 0.5 * (hi[i] + lo[i]), 0.5 * (hi[i] - lo[i])
+            assert np.array_equal(nodes[i], mid + half * xi)
+            assert np.array_equal(weights[i], half * w)
+        scalar = kn.gauss_panels(0.3, 1.1, 4)
+        assert np.array_equal(scalar[0], nodes[1]) and np.array_equal(scalar[1], weights[1])
+
+
 class TestProjectedGaussian:
     @pytest.mark.parametrize("d", [2, 3])
     def test_oseen_columns_agree(self, d):

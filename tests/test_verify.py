@@ -70,6 +70,22 @@ class TestProfilePredict:
         p2 = vf.profile_predict(flow, 2 * x, 1.0)
         np.testing.assert_allclose(p2.leading, 0.25 * p1.leading, rtol=1e-13)
 
+    def test_batch_matches_rows(self):
+        # every term is pointwise, so a sphere batch gives the rows' numbers
+        class HeatFlow(vf.SyntheticFlow):
+            def heat_term(self, x, t):
+                return np.exp(-np.sum(x * x, axis=-1) / (4 * t))[..., None] * x
+
+        m, m1 = np.array([1.0, -0.5]), np.array([[0.2, 1.0], [-0.3, 0.4]])
+        flow = HeatFlow(2, lambda x, t: np.zeros_like(x), m_of_t=lambda t: m,
+                        m1_of_t=lambda t: m1)
+        x = np.array([3.0, 5.0])[:, None, None] * kn.sphere_points(2, 6)
+        batch = vf.profile_predict(flow, x, 2.0)
+        for part in ("heat", "leading", "next_order", "total"):
+            rows = np.array([[getattr(vf.profile_predict(flow, xi, 2.0), part)
+                              for xi in ring] for ring in x])
+            assert np.any(rows) and np.array_equal(getattr(batch, part), rows)
+
 
 class TestRemainderExtract:
     def test_zero_flow_trivial_pass(self):
@@ -278,6 +294,14 @@ class TestLemlog:
             step = (vf.kernel_spacetime_mass(2.0 * r, t, d)
                     - vf.kernel_spacetime_mass(r, t, d)) / (t * math.log(2.0))
             assert step == pytest.approx(math.sqrt(d * (d - 1)), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_prediction_is_the_large_rho_form(self, d):
+        # beyond rho = 40 the mass profile is sqrt(d(d-1)) log(rho) + C0 exactly
+        rep = vf.lemlog_check([8.0, 40.0, 64.0, 1000.0], [1.0], d)
+        rel = np.abs(rep.ratios - rep.predictions) / rep.ratios
+        assert np.all(rel[1:] < 1e-15)
+        assert 0 < rel[0] < 1e-8
 
     @pytest.mark.parametrize("r,t,expected", [
         (8.0, 1.0, 2.793815080469858),
