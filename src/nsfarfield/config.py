@@ -237,6 +237,9 @@ def _violations(cfg: ScenarioConfig) -> list:
     for label, t_check, radii in (("profile", cfg.profile_time, cfg.profile_radii),
                                   ("window", cfg.window_time, cfg.window_radii),
                                   ("next_order", cfg.next_order_time, cfg.next_order_radii)):
+        if label in cfg.checks and len(radii) < 5:
+            problems.append(f"checks.{label}_radii: need at least 5 radii for the "
+                            f"power-law fit, got {len(radii)}")
         if label in cfg.checks and radii:
             bound = math.e * math.sqrt(t_check)
             bad = [r for r in radii if r < bound]
@@ -244,6 +247,11 @@ def _violations(cfg: ScenarioConfig) -> list:
                 problems.append(
                     f"checks.{label}_radii: radii {bad} violate |x| >= e sqrt(t) "
                     f"= {bound:.4g}")
+    radii = cfg.divergence_radii
+    if "divergence" in cfg.checks and (
+            len(radii) < 3 or any(hi <= lo for lo, hi in zip(radii, radii[1:]))):
+        problems.append(f"checks.divergence_radii: need at least 3 increasing radii, "
+                        f"got {list(radii)}")
     if "sweep" in cfg.checks:
         late = [t for t in cfg.sweep_times if t > cfg.horizon + 1e-12]
         if late:

@@ -30,9 +30,11 @@ approximate the free-space solution.
 
 Far-field evaluation assembles the same three Duhamel terms at arbitrary
 points from the closed-form kernels, with per-term error estimates.  The
-bilinear term sums the stored momentum flux over the central |y| <= L/2
-sub-box.  With the gradient kernel split as F(z, tau) = G(z) + D(z, tau),
-G = grad L the leading part and D the gradient of |z|^-d Psi(z / sqrt(tau)):
+bilinear term has one evaluator for every point, inside |x| < L/2 as well as
+beyond it: a kernel sum of the stored momentum flux over the central
+|y| <= L/2 sub-box.  With the gradient kernel split as
+F(z, tau) = G(z) + D(z, tau), G = grad L the leading part and D the
+gradient of |z|^-d Psi(z / sqrt(tau)):
 
 * every source pair contracts G(x - y) with one flux field per evaluation
   time, Q(y) = sum over nodes of weight * flux(y, s): one spatial sum;
@@ -97,20 +99,15 @@ FAR_CUTOFF = 10.6
 _CORE = 2.0
 
 # _bilinear_point: slices per history panel, points per pair block (memory
-# only: each point's source sum is its own row sum; _bilinear_grid_at blocks
-# its mode sums the same way), and points per batch that carry the
-# quadrature error estimate
+# only: each point's source sum is its own row sum, so a point's value does
+# not depend on its batch), and points per batch that carry the quadrature
+# error estimate
 _COARSEN = 8
 _CHUNK = 8
 _PROBE = 16
 
 # _linear_point: floats per block of quadrature nodes (about 1 MB)
 _NODE_BLOCK = 1 << 17
-
-# Interior/far routing of farfield_velocity: |x| >= L/2 up to this relative
-# slack, so points placed on the L/2 ring by a rounded direction all take the
-# kernel route.
-_ROUTE_RTOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -815,57 +812,23 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
     return out, budget
 
 
-def _bilinear_grid_at(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions):
-    """Interior fallback: spectral B evaluated at arbitrary points by direct
-    Fourier summation of the dealiased modes."""
-    ops = _SpectralOps(traj.grid)
-    m_t = traj.slice_index(t)
-    times = traj.times[: m_t + 1]
-    series = _bilinear_series(ops, traj.snapshots, traj.drift, times, opts)
-    spec = np.fft.fftn(series[-1], axes=tuple(range(1, traj.grid.d + 1)))
-    spec *= traj.grid.dealias_mask
-    keep = np.abs(spec).max(axis=0) > 0
-    kvecs = np.stack([np.broadcast_to(k, traj.grid.shape)[keep]
-                      for k in traj.grid.wavenumbers], axis=-1)
-    amps = spec[:, keep] / traj.grid.n**traj.grid.d
-    # elementwise phases and one row sum per point, so a point's value does
-    # not depend on the batch (a matrix product rounds by the batch's shape)
-    vals = np.empty_like(x)
-    for c0 in range(0, x.shape[0], _CHUNK):
-        xs = x[c0:c0 + _CHUNK]
-        arg = sum(xs[:, j, None] * kvecs[:, j] for j in range(traj.grid.d))
-        phase = np.exp(1j * arg)
-        for j in range(traj.grid.d):
-            vals[c0:c0 + xs.shape[0], j] = np.real(phase * amps[j]).sum(axis=-1)
-    return vals
-
-
 def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: float,
-                      opts: SolverOptions = SolverOptions(), with_bilinear: bool = True):
+                      opts: SolverOptions = SolverOptions()):
     """Velocity at arbitrary points from the closed-form Duhamel terms.
 
-    Returns (values (..., d), error_budget).  Points with |x| >= L/2 use the
-    gradient-kernel quadrature for the bilinear term; interior points fall
-    back to the spectral representation (the kernel route loses its distance
-    cushion there).
+    Returns (values (..., d), error_budget).  The bilinear term of every
+    point, inside |x| < L/2 as well, is the gradient-kernel quadrature of
+    ``_bilinear_point``; its four budget entries carry the ``bilinear_``
+    prefix.
     """
     d = traj.grid.d
     pts, single, lead = _require_points(x, d)
     t = float(t)
     lin_vals, lin_err = _linear_point(f, pts, t, opts, slices_hint=traj.times.size - 1)
+    bil, b_budget = _bilinear_point(traj, pts, t, opts)
     budget = {"heat": 0.0, "linear_quadrature": lin_err}   # the heat term is exact
-    total = a.value(pts, t) + lin_vals
-    if with_bilinear:
-        radii = np.linalg.norm(pts, axis=-1)
-        far = radii >= (1.0 - _ROUTE_RTOL) * traj.grid.length / 2.0
-        bil = np.zeros_like(pts)
-        if np.any(far):
-            vals, b_budget = _bilinear_point(traj, pts[far], t, opts)
-            bil[far] = vals
-            budget.update({f"bilinear_{k}": v for k, v in b_budget.items()})
-        if np.any(~far):
-            bil[~far] = _bilinear_grid_at(traj, pts[~far], t, opts)
-        total = total - bil
+    budget.update({f"bilinear_{k}": v for k, v in b_budget.items()})
+    total = a.value(pts, t) + lin_vals - bil
     out = total.reshape(lead + (d,)) if not single else total[0]
     return out, budget
 
@@ -894,12 +857,13 @@ def linear_response(f: ForceModel, t: float, *, grid: BoxGrid | None = None,
     return out, err
 
 
-def bilinear_term(traj: Trajectory, t: float, *, grid_mode: bool = True, x=None,
+def bilinear_term(traj: Trajectory, t: float, *, x=None,
                   opts: SolverOptions = SolverOptions()):
-    """B(u,u)(t) from the trajectory history: grid field or point values."""
+    """B(u,u)(t) from the trajectory history: the grid field, or (values,
+    error_budget) at points x."""
     if t > traj.horizon + 1e-12:
         raise ValueError("time beyond the trajectory horizon")
-    if grid_mode and x is None:
+    if x is None:
         ops = _SpectralOps(traj.grid)
         m_t = traj.slice_index(t)
         series = _bilinear_series(ops, traj.snapshots, traj.drift,

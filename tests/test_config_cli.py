@@ -165,6 +165,27 @@ class TestCli:
         cfg.write_text("[grid]\npoints = 100\n")
         assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("check,key,value", [
+        ("profile", "profile_radii", "16 32 64"),
+        ("profile", "profile_radii", ""),
+        ("window", "window_radii", "32 64 128 256"),
+        ("next_order", "next_order_radii", "16 32"),
+        ("divergence", "divergence_radii", "32 64"),
+        ("divergence", "divergence_radii", "32 128 64"),
+    ])
+    def test_too_few_radii_is_a_config_error(self, tmp_path, check, key, value):
+        # a selected check's fit needs 5 radii (3 increasing ones for the
+        # divergence octaves); fewer is a config error, not a failed check
+        text = QUICK.replace("run = lemlog", f"run = {check}")
+        text += f"\n[checks]\n{key} = {value}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert all(p.startswith(f"checks.{key}:") for p in exc.value.problems)
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(text)
+        code = cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG_ERROR
+
     def test_missing_config(self):
         assert cli.main(["simulate", "--config", "/nonexistent.cfg"]) == cli.EXIT_CONFIG_ERROR
 

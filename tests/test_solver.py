@@ -318,7 +318,7 @@ class TestBilinear:
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         consts = []
         for r in (L / 2, L, 2 * L, 4 * L):
-            vals, _ = sv.bilinear_term(traj, t, grid_mode=False, x=r * dirs, opts=opts)
+            vals, _ = sv.bilinear_term(traj, t, x=r * dirs, opts=opts)
             consts.append(np.max(np.linalg.norm(vals, axis=-1)) * r**3 / math.sqrt(t))
         assert max(consts) / min(consts) < 2.0
 
@@ -376,21 +376,6 @@ class TestBilinear:
         assert counted["oseen_grad_contract"] == int(core.sum()) * taus.size
         assert expected < 0.1 * r2.size * taus.size
 
-    def test_ring_at_half_width_takes_the_kernel_route(self, canonical, opts,
-                                                       monkeypatch):
-        # a rounded direction puts |x| a few ulps below L/2; it must not fall
-        # back to the spectral interior route
-        a, f, traj = canonical
-        ring = (L / 2) * sphere_points(2, 16)
-        assert np.linalg.norm(ring, axis=-1).min() < L / 2
-
-        def interior(*args, **kwargs):
-            raise AssertionError("ring point routed to the interior fallback")
-
-        monkeypatch.setattr(sv, "_bilinear_grid_at", interior)
-        vals, budget = sv.farfield_velocity(traj, a, f, ring, T, opts)
-        assert np.all(np.isfinite(vals)) and "bilinear_psi_cutoff" in budget
-
     def test_cache_entries_built_once_across_threads(self, box):
         # more workers than cores, frequent thread switches: a check-then-act
         # race would build the entry more than once
@@ -443,25 +428,36 @@ class TestFarField:
     def test_kernel_route_values_independent_of_batch(self, canonical, opts):
         # each point's value is its own sum over sources, so the checks may
         # sample every sphere of one time in one batch: the batch, its
-        # reversal and row-by-row evaluation agree bit for bit
+        # reversal and row-by-row evaluation agree bit for bit, inside L/2
+        # as well as beyond it
         a, f, traj = canonical
-        x = np.concatenate([r * sphere_points(2, 8) for r in (L / 2, L, 3 * L)])
+        x = np.concatenate([r * sphere_points(2, 8)
+                            for r in (1.0, 2.5, 6.0, L / 2, L, 3 * L)])
         batch, _ = sv.farfield_velocity(traj, a, f, x, T, opts)
         rows = np.array([sv.farfield_velocity(traj, a, f, xi, T, opts)[0] for xi in x])
         reverse, _ = sv.farfield_velocity(traj, a, f, x[::-1], T, opts)
         assert np.array_equal(batch, rows)
         assert np.array_equal(batch, reverse[::-1])
 
-    def test_interior_route_values_independent_of_batch(self, canonical, opts):
-        # points inside L/2 take the spectral route: the same bitwise batch
-        # independence holds there
+    def test_interior_bilinear_matches_grid_field(self, canonical, opts):
+        # inside |x| < L/2 the far-field assembly takes the same kernel route:
+        # at lattice points its B = heat + L - u is the grid field's B, within
+        # the batch's bilinear budget, and the budget is reported
         a, f, traj = canonical
-        x = np.concatenate([r * sphere_points(2, 5) for r in (1.0, 2.5, 6.0)])
-        batch, _ = sv.farfield_velocity(traj, a, f, x, T, opts)
-        rows = np.array([sv.farfield_velocity(traj, a, f, xi, T, opts)[0] for xi in x])
-        reverse, _ = sv.farfield_velocity(traj, a, f, x[::-1], T, opts)
-        assert np.array_equal(batch, rows)
-        assert np.array_equal(batch, reverse[::-1])
+        pts = np.array([(0.5, 0.5), (1.0, 0.0), (3.5, 0.0), (2.75, -2.75),
+                        (4.0, 4.0), (7.0, 0.0)])
+        assert np.linalg.norm(pts, axis=-1).max() < L / 2
+        u, budget = sv.farfield_velocity(traj, a, f, pts, T, opts)
+        b = a.value(pts, T) + sv.linear_response(f, T, x=pts, slices=M, opts=opts)[0] - u
+        field = sv.bilinear_term(traj, T, opts=opts).components
+        idx = np.rint((pts + L) / traj.grid.spacing).astype(int)
+        b_grid = np.stack([field[:, i, j] for i, j in idx])
+        gap = np.linalg.norm(b - b_grid, axis=-1)
+        keys = [f"bilinear_{k}" for k in ("time_quadrature", "space_quadrature",
+                                          "truncation", "psi_cutoff")]
+        assert all(k in budget for k in keys)
+        assert np.all(gap <= 0.2 * np.linalg.norm(b_grid, axis=-1))
+        assert gap.max() <= sum(budget[k] for k in keys)
 
     def test_linear_point_matches_per_node_sum(self, opts):
         # the blocked evaluation sums the same (node, term) values in the
@@ -516,9 +512,9 @@ class TestFarField:
                 if i == j == 0:
                     continue
                 shift = np.array([i * 2 * L, j * 2 * L])
-                v, _ = sv.farfield_velocity(traj, a, f, pts + shift, t, opts,
-                                            with_bilinear=False)
-                point += v
+                x = pts + shift
+                point += a.value(x, t) + sv.linear_response(f, t, x=x, slices=M,
+                                                            opts=opts)[0]
         idx = np.rint((pts + L) / box.spacing).astype(int)
         grid_vals = np.stack([traj.field_at(t).components[:, i, j] for i, j in idx])
         dg = grid_vals - grid_vals[-1]
@@ -526,8 +522,8 @@ class TestFarField:
         assert np.abs(dg - dp).max() < 1e-3 * np.abs(grid_vals).max()
 
     def test_stokes_check(self, box, opts):
-        # with the bilinear term switched off the point assembly is exactly
-        # heat + L; compare against the grid-mode Stokes solution the same way
+        # the point assembly of heat + L alone, compared against the grid-mode
+        # Stokes solution the same way
         w = 0.5
         a = build_initial_data(2, kind="curl_bump", amplitude=0.001, width=w)
         f = bump_force(amp=0.004, width=w)
@@ -541,8 +537,8 @@ class TestFarField:
                   for i in range(-2, 3) for j in range(-2, 3)]
         point = np.zeros_like(pts)
         for s in shifts:
-            v, _ = sv.farfield_velocity(traj, a, f, pts + s, t, opts, with_bilinear=False)
-            point += v
+            x = pts + s
+            point += a.value(x, t) + sv.linear_response(f, t, x=x, slices=M, opts=opts)[0]
         idx = np.rint((pts + L) / box.spacing).astype(int)
         grid_vals = np.stack([stokes[:, i, j] for i, j in idx])
         dg = grid_vals - grid_vals[-1]
