@@ -23,6 +23,23 @@ where xh = x/r and H(r) = M(r) / (sigma_{d-1} r^d) is the mean density inside
 radius r divided by d.  The Oseen kernel is the special case q = g_t (columns
 c = e_k).  Both H and d*H - q have removable singularities at r = 0, handled by
 series expansion below ``_SERIES_CUT``.
+
+In d = 2 the three gradient contractions (``oseen_grad_contract``,
+``psi_grad_contract``, ``grad_leading_contract``) also take the flux in
+complex form.  Every gradient kernel here annihilates the identity, since
+grad L : I = F : I = 0 (K is divergence-free), so only the traceless part of a
+symmetric flux Q counts; it is the complex number
+
+    sigma = (Q_11 - Q_22)/2 + i Q_12,    Q = [[Re s, Im s], [Im s, -Re s]] + tr(Q)/2 I,
+
+and for u (x) u it is (u_0 + i u_1)^2 / 2.  With w = z_0 + i z_1 each pair is
+one complex product, returned as o_0 + i o_1: the leading part is
+-(2/pi) conj(sigma / w^3), the Cauchy-type form of Greengard & Rokhlin,
+J. Comput. Phys. 73 (1987), and a radial form with coefficients P, W is
+-(P/2) sigma conj(w) + ((P + 4W)/2) conj(sigma) w^3 / r^2.
+
+``scipy.special`` is imported only by the d = 3 branches: no d = 2 path
+calls erf, erfc, gamma or gammainc.
 """
 
 from __future__ import annotations
@@ -31,7 +48,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import erf, erfc, gamma, gammainc
 
 __all__ = [
     "SPHERE_AREA",
@@ -76,11 +92,12 @@ def _check_dim(d: int) -> int:
     return d
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be > 0, got {t!r}")
-    return t
+def _check_time(t):
+    """``t`` as a float, or as a float array when it is one; every entry > 0."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):
+        raise ValueError(f"time must be > 0, got {t.min()!r}")
+    return float(t) if t.ndim == 0 else t
 
 
 def _as_points(x, d: int) -> np.ndarray:
@@ -128,6 +145,8 @@ def _mass_fraction_over_u(u: np.ndarray, d: int) -> np.ndarray:
         if d == 2:
             out[big] = -np.expm1(-ub) / (2.0 * ub)
         else:
+            from scipy.special import erf
+
             su = np.sqrt(ub)
             out[big] = (
                 (math.sqrt(math.pi) / 4.0) * erf(su) / (ub * su)
@@ -162,6 +181,8 @@ def _defect_over_u(u: np.ndarray, d: int) -> np.ndarray:
         if d == 2:
             out[big] = d * _mass_fraction_over_u(ub, d) - np.exp(-ub)
         else:
+            from scipy.special import gamma, gammainc
+
             # incomplete-gamma recurrence: d*H - q = lower_gamma(d/2+1, u) / u^(d/2)
             out[big] = gamma(d / 2 + 1) * gammainc(d / 2 + 1, ub) / ub ** (d / 2)
     return out
@@ -266,7 +287,7 @@ def oseen_grad_kernel(x, t: float, d: int):
     return out
 
 
-def oseen_grad_contract(z, t: float, d: int, s):
+def oseen_grad_contract(z, t, d: int, s):
     """Contract the gradient kernel with a symmetric matrix field:
     out_j = sum_{k,l} F[j,k,l](z, t) s[k,l], without materializing F.
 
@@ -274,11 +295,16 @@ def oseen_grad_contract(z, t: float, d: int, s):
     broadcastable).  Using the radial coefficients P, W of the gradient kernel,
 
         out = -(P + 2W) (s z) - W tr(s) z + (P + (d+2) W) (z.s z) z / r^2.
+
+    In d = 2 ``s`` may instead be the complex traceless flux sigma, shape
+    (...), and the value is o_0 + i o_1 (see the module docstring).  ``t`` is
+    a time or an array of times that broadcasts against ``z.shape[:-1]``.
+    The value at z = 0 is 0.
     """
     d = _check_dim(d)
     t = _check_time(t)
     z = _as_points(z, d)
-    s = np.asarray(s, dtype=float)
+    s = _as_flux(s)
     p, w = _grad_pw(z, t, d)
     r2 = np.sum(z * z, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -286,8 +312,28 @@ def oseen_grad_contract(z, t: float, d: int, s):
     return _radial_contract(z, s, p, w, inv_r2, d)
 
 
+def _as_flux(s):
+    """``s`` as a real (..., d, d) flux, or as the complex sigma of d = 2."""
+    s = np.asarray(s)
+    return s.astype(complex if np.iscomplexobj(s) else float, copy=False)
+
+
+def _complex_points(z):
+    """z_0 + i z_1 for points z of shape (..., 2): a view of a contiguous z."""
+    return np.ascontiguousarray(z).view(complex)[..., 0]
+
+
 def _radial_contract(z, s, p, w, inv_r2, d: int):
-    """-(P + 2W) (s z) - W tr(s) z + (P + (d+2) W) (z.s z) z / r^2."""
+    """-(P + 2W) (s z) - W tr(s) z + (P + (d+2) W) (z.s z) z / r^2.
+
+    For the complex sigma of d = 2: -(P/2) sigma conj(w) + ((P + 4W)/2)
+    conj(sigma) w^3 / r^2 with w = z_0 + i z_1; the W tr(s) z term drops
+    with the trace.
+    """
+    if np.iscomplexobj(s):
+        zc = _complex_points(z)
+        return 0.5 * ((p + 4.0 * w) * inv_r2 * np.conj(s) * (zc * zc * zc)
+                      - p * s * np.conj(zc))
     sz = np.einsum("...kl,...l->...k", s, z)
     zsz = np.einsum("...k,...k->...", z, sz)
     tr = np.trace(s, axis1=-2, axis2=-1)
@@ -345,11 +391,18 @@ def grad_leading_contract(z, d: int, s):
 
         out = d / (sigma_{d-1} r^(d+2)) (2 s z + tr(s) z - (d+2) (z.s z) z / r^2).
 
-    ``z`` has shape (..., d) and ``s`` (..., d, d).  Raises ValueError at z = 0.
+    ``z`` has shape (..., d) and ``s`` (..., d, d).  In d = 2 ``s`` may be the
+    complex sigma, shape (...); the value is then o_0 + i o_1 =
+    -(2/pi) conj(sigma / w^3), w = z_0 + i z_1.  Raises ValueError at z = 0.
     """
     d = _check_dim(d)
     z = _as_points(z, d)
-    s = np.asarray(s, dtype=float)
+    s = _as_flux(s)
+    if np.iscomplexobj(s):
+        zc = _complex_points(z)
+        if np.any(zc == 0.0):
+            raise ValueError("gradient of the leading tensor is singular at z = 0")
+        return (-2.0 / math.pi) * np.conj(s / (zc * zc * zc))
     r2 = np.sum(z * z, axis=-1)
     if np.any(r2 == 0.0):
         raise ValueError("gradient of the leading tensor is singular at z = 0")
@@ -372,7 +425,12 @@ def _psi_pw(r2, t: float, d: int):
     u = r2 / (4.0 * t)
     e = np.exp(-u)
     g = (4.0 * math.pi * t) ** (-d / 2.0) * e
-    tail = e if d == 2 else erfc(np.sqrt(u)) + 2.0 * np.sqrt(u / math.pi) * e
+    if d == 2:
+        tail = e
+    else:
+        from scipy.special import erfc
+
+        tail = erfc(np.sqrt(u)) + 2.0 * np.sqrt(u / math.pi) * e
     return g / (2.0 * t), (g + d * tail / (SPHERE_AREA[d] * r2 ** (d / 2.0))) / r2
 
 
@@ -383,12 +441,14 @@ def psi_grad_contract(z, t: float, d: int, s):
 
     The Gaussian-local part of ``oseen_grad_contract``, in its radial form
     with the coefficients of ``_psi_pw``; it decays like exp(-|z|^2/(4t)).
-    ``z`` has shape (..., d) and ``s`` (..., d, d).  Raises ValueError at z = 0.
+    ``z`` has shape (..., d) and ``s`` (..., d, d), or in d = 2 the complex
+    sigma, shape (...), for the value o_0 + i o_1.  Raises ValueError at
+    z = 0.
     """
     d = _check_dim(d)
     t = _check_time(t)
     z = _as_points(z, d)
-    s = np.asarray(s, dtype=float)
+    s = _as_flux(s)
     r2 = np.sum(z * z, axis=-1)
     if np.any(r2 == 0.0):
         raise ValueError("gradient of the dropped part is singular at z = 0")

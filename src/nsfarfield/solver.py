@@ -47,6 +47,9 @@ gradient of |z|^-d Psi(z / sqrt(tau)):
 The cutoff c = FAR_CUTOFF puts each dropped entry at a Gaussian tail of about
 1e-12; the ``psi_cutoff`` budget entry bounds their sum analytically, next to
 the time and space quadrature estimates and the |y| > L/2 truncation bound.
+In d = 2 the kernels annihilate the trace of the flux, so the history keeps
+only its traceless part as one complex number per source point, and each pair
+is one complex product (see ``kernels``).
 """
 
 from __future__ import annotations
@@ -316,9 +319,14 @@ class Trajectory:
         return (sl,) * self.grid.d
 
     def flux_history(self):
-        """Per-slice momentum flux (u+D)(x)(u+D) restricted to |y| <= L/2.
+        """Per-slice momentum flux of u + D, D the drift, on |y| <= L/2.
 
-        Returns (points (n_y, d), fluxes list of (n_y, d, d) arrays).
+        Returns (points (n_y, d), fluxes): one array per slice.  In d = 2 a
+        flux is its traceless part sigma = (Q_11 - Q_22)/2 + i Q_12 of
+        Q = (u+D)(x)(u+D), that is ((u_0+D_0) + i (u_1+D_1))^2 / 2, complex
+        of shape (n_y,): every far-field kernel annihilates the identity, so
+        the trace drops out (see ``kernels``).  In d = 3 it is Q itself, real
+        of shape (n_y, d, d).
         """
         def build():
             d = self.grid.d
@@ -328,7 +336,11 @@ class Trajectory:
             for i, comps in enumerate(self.snapshots):
                 u = comps[(slice(None),) + region].reshape(d, -1)
                 u = u + self.drift[i][:, None]
-                fluxes.append(np.einsum("ky,ly->ykl", u, u))
+                if d == 2:
+                    w = u[0] + 1j * u[1]
+                    fluxes.append(0.5 * (w * w))
+                else:
+                    fluxes.append(np.einsum("ky,ly->ykl", u, u))
             return pts, fluxes
 
         return self._cached("flux", build)
@@ -655,9 +667,11 @@ class _CollapsedHistory:
     """The history integral at one evaluation time, for the leading-part sum.
 
     ``q4``/``q2`` are the fluxes collapsed by the GL4/GL2 rules,
-    sum over nodes of weight * interpolated flux(s), shape (n_y, d, d);
-    ``flux_mass`` is sum over GL4 nodes of weight * sum_j |lw_j| |flux_j|_F,
-    which bounds the node sum of |flux(s)|_F at each source point.
+    sum over nodes of weight * interpolated flux(s), in the form of
+    ``Trajectory.flux_history``; ``flux_mass`` is sum over GL4 nodes of
+    weight * sum_j |lw_j| |Q_j|_F, which bounds the node sum of |Q(s)|_F at
+    each source point.  Q = (u+D)(x)(u+D) has rank one, so
+    |Q|_F = |u+D|^2 = 2 |sigma| in d = 2.
     """
 
     nodes4: list
@@ -680,11 +694,17 @@ def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions) -> _Coll
             w2[idx] += weight * lw
         q4 = sum(w4[i] * fluxes[i] for i in np.flatnonzero(w4))
         q2 = sum(w2[i] * fluxes[i] for i in np.flatnonzero(w2))
-        mass = sum(w_abs[i] * np.sqrt(np.sum(fluxes[i] ** 2, axis=(-2, -1)))
-                   for i in np.flatnonzero(w_abs))
+        mass = sum(w_abs[i] * _flux_norm(fluxes[i]) for i in np.flatnonzero(w_abs))
         return _CollapsedHistory(nodes4, nodes2, q4, q2, mass)
 
     return traj._cached(("collapsed", m_t, opts.refine), build)
+
+
+def _flux_norm(flux) -> np.ndarray:
+    """|Q|_F at each source point of one ``flux_history`` slice."""
+    if np.iscomplexobj(flux):
+        return 2.0 * np.abs(flux)
+    return np.sqrt(np.sum(flux**2, axis=(-2, -1)))
 
 
 def _flux_at(fluxes, idx, lw, ys) -> np.ndarray:
@@ -697,18 +717,22 @@ def _flux_at(fluxes, idx, lw, ys) -> np.ndarray:
 
 
 def _pair_values(z, r2, t: float, q, nodes, fluxes):
-    """Every (x, y) pair's share of B(x, t) per unit cell, shape (n_x, d, n_y),
+    """Every (x, y) pair's share of B(x, t) per unit cell, shape (n_x, c, n_y),
     and the (n_x, n_y) mask of the core pairs, which drop no entry.
 
-    ``z`` holds x - y, shape (n_x, n_y, d), and ``r2`` its squared length.
-    The gradient kernel splits as F(z, tau) = G(z) + D(z, tau), G = grad L
-    and D the Gaussian-local rest.  Every pair contracts G with the collapsed
-    flux ``q``; D is added at each time node (s, tau = t - s) whose reach
-    |z|^2 < c^2 tau covers the pair, with the flux interpolated at the node.
-    Sorted by |z|^2, a node's covered pairs are a prefix.  A core pair,
-    |z| < _CORE sqrt(tau) at the earliest node or inside every node's reach,
-    takes the full F at every node instead: no pair next to a source point
-    evaluates the singular G, and none sums a G + D that cancels.
+    A share is the complex o_0 + i o_1 in d = 2 (c = 1, the flux is sigma)
+    and the d real components in d = 3 (c = d).  ``z`` holds x - y, shape
+    (n_x, n_y, d), and ``r2`` its squared length.  The gradient kernel splits
+    as F(z, tau) = G(z) + D(z, tau), G = grad L and D the Gaussian-local
+    rest.  Every pair contracts G with the collapsed flux ``q``; D is added
+    at each time node (s, tau = t - s) whose reach |z|^2 < c^2 tau covers the
+    pair, with the flux interpolated at the node.  Sorted by |z|^2, a node's
+    covered pairs are a prefix.  A core pair, |z| < _CORE sqrt(tau) at the
+    earliest node or inside every node's reach, takes the full F at every
+    node instead: no pair next to a source point evaluates the singular G,
+    and none sums a G + D that cancels.  The full F of all (core pair, node)
+    entries is one kernel call, and each core pair's node sum runs in node
+    order.
     """
     n_x, n_y, d = z.shape
     tau = t - np.array([s for s, *_ in nodes])
@@ -716,9 +740,10 @@ def _pair_values(z, r2, t: float, q, nodes, fluxes):
     core = r2 < max(reach.min(), _CORE**2 * tau.max())
     # core pairs get a placeholder z here; their values are replaced below
     lead_z = np.where(core[..., None], 1.0, z) if core.any() else z
-    # (n_x, d, n_y): each point's sum over sources runs along a contiguous row
-    vals = np.ascontiguousarray(np.moveaxis(
-        kernels.grad_leading_contract(lead_z, d, q), -1, 1))
+    # (n_x, c, n_y): each point's sum over sources runs along a contiguous row
+    lead = kernels.grad_leading_contract(lead_z, d, q).reshape(n_x, n_y, -1)
+    vals = np.ascontiguousarray(np.moveaxis(lead, -1, 1))
+    n_c = vals.shape[1]
 
     pairs = np.flatnonzero((r2 < reach.max()) & ~core)
     if pairs.size:
@@ -732,22 +757,31 @@ def _pair_values(z, r2, t: float, q, nodes, fluxes):
             for i in idx:
                 rows[i] = max(rows.get(i, 0), k)
         near_flux = {i: fluxes[i][cy[:k]] for i, k in rows.items()}
-        acc = np.zeros_like(zc)
+        acc = np.zeros((pairs.size, n_c), dtype=vals.dtype)
         for (s, weight, idx, lw), k in zip(nodes, ks):
             if k:
                 acc[:k] += weight * kernels.psi_grad_contract(
-                    zc[:k], t - s, d, _flux_at(near_flux, idx, lw, slice(0, k)))
+                    zc[:k], t - s, d, _flux_at(near_flux, idx, lw, slice(0, k))
+                ).reshape(k, n_c)
         vals[cx, :, cy] += acc
 
     if core.any():
         ix, iy = np.nonzero(core)
-        zi = z[ix, iy]
-        acc = np.zeros_like(zi)
-        for s, weight, idx, lw in nodes:
-            acc += weight * kernels.oseen_grad_contract(zi, t - s, d,
-                                                        _flux_at(fluxes, idx, lw, iy))
+        # (node, core pair) entries, node-major
+        zi = np.broadcast_to(z[ix, iy], (tau.size, ix.size, d)).reshape(-1, d)
+        flux = np.concatenate([_flux_at(fluxes, idx, lw, iy) for _, _, idx, lw in nodes])
+        full = kernels.oseen_grad_contract(zi, np.repeat(tau, ix.size), d, flux)
+        acc = np.zeros((ix.size, n_c), dtype=vals.dtype)
+        for (_, weight, _, _), f in zip(nodes, full.reshape(tau.size, ix.size, n_c)):
+            acc += weight * f
         vals[ix, :, iy] = acc
     return vals, core
+
+
+def _components(v) -> np.ndarray:
+    """Per-point sums (n, c) of ``_pair_values`` shares as real (n, d) vectors:
+    o_0 + i o_1 becomes (o_0, o_1), and real components stay as they are."""
+    return np.ascontiguousarray(v).view(float)
 
 
 def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions):
@@ -756,10 +790,11 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
     Every source pair contracts grad L(x - y) with the collapsed flux, one
     spatial sum; the Gaussian-local rest of the kernel is added only at the
     time nodes whose reach FAR_CUTOFF sqrt(t - s) covers the pair (see
-    ``_pair_values``).  Returns (values, error_budget dict).  Quadrature error
-    is estimated on a probe subset of the batch (embedded lower-order rule in
-    s, stride-2 subsample in y; both doubled as a safety margin); the dropped
-    Psi part and the |y| > L/2 truncation are bounded analytically.
+    ``_pair_values``).  In d = 2 each point's row sum o_0 + i o_1 becomes
+    the vector (o_0, o_1).  Returns (values, error_budget dict).  Quadrature
+    error is estimated on a probe subset of the batch (embedded lower-order
+    rule in s, stride-2 subsample in y; both doubled as a safety margin); the
+    dropped Psi part and the |y| > L/2 truncation are bounded analytically.
     """
     d = traj.grid.d
     m_t = traj.slice_index(t)
@@ -786,7 +821,7 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
         z = xs[:, None, :] - pts_y[None, :, :]
         r2 = np.sum(z * z, axis=-1)
         pairs, core = _pair_values(z, r2, t, hist.q4, hist.nodes4, fluxes)
-        out[c0:c0 + xs.shape[0]] = cell * pairs.sum(axis=-1)
+        out[c0:c0 + xs.shape[0]] = _components(cell * pairs.sum(axis=-1))
         # a dropped (pair, node) entry has tau <= |z|^2 / c^2: its Psi part is
         # at most psi_gradient_bound(1, 1/c^2) |z|^-(d+1) times the node flux
         psi_mass = max(psi_mass, float(
@@ -794,8 +829,9 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
         n_p = max(0, min(n_probe - c0, xs.shape[0]))
         if n_p:
             coarse, _ = _pair_values(z[:n_p], r2[:n_p], t, hist.q2, hist.nodes2, fluxes)
-            coarse_s[c0:c0 + n_p] = cell * coarse.sum(axis=-1)
-            sub[c0:c0 + n_p] = (cell * 2**d) * pairs[:n_p][..., stride_mask].sum(axis=-1)
+            coarse_s[c0:c0 + n_p] = _components(cell * coarse.sum(axis=-1))
+            sub[c0:c0 + n_p] = _components(
+                (cell * 2**d) * pairs[:n_p][..., stride_mask].sum(axis=-1))
 
     c_dec = traj.decay_constant()
     tail = (c_dec**2 * (1.0 + traj.grid.length / 2.0) ** (-2 * d) * 2.0

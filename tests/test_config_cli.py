@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -250,6 +253,29 @@ class TestCli:
         h2 = run(tmp_path / "t2", "2")
         assert any(name.startswith("window_") for name in h1)
         assert h1 == h2
+
+    def test_d2_run_leaves_scipy_special_unloaded(self, tmp_path):
+        # only the d = 3 kernel branches import scipy.special
+        text = QUICK.replace("run = lemlog", "run = kernel profile window sweep divergence lemlog")
+        text += ("\n[checks]\nprofile_time = 0.5\nprofile_radii = 8 11.31 16 22.63 32\n"
+                 "window_time = 0.5\nsweep_times = 0.25 0.3125 0.375 0.4375 0.5\n"
+                 "divergence_time = 0.5\n")
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(text)
+        probe = ("import sys\nfrom nsfarfield import cli\n"
+                 f"code = cli.main(['all', '--config', {str(cfg)!r}, '--out', "
+                 f"{str(tmp_path / 'out')!r}])\n"
+                 "print(code, 'scipy.special' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        code, loaded = run.stdout.split()[-2:]
+        assert int(code) in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE)
+        assert loaded == "False"
+        report = json.loads(next((tmp_path / "out").glob("report_*.json")).read_text())
+        assert len(report["checks"]) == 6
+        assert not [c for c, v in report["checks"].items() if "error" in v]
 
     def test_profile_ignores_window_directions(self, tmp_path):
         # the profile check samples its own fixed sphere, not the window

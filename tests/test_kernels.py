@@ -341,6 +341,69 @@ class TestGradLeadingContract:
             kn.psi_grad_contract(np.zeros(2), 1.0, 2, np.eye(2))
 
 
+class TestComplexFlux:
+    """The d = 2 complex forms against the real-tensor contractions of the
+    traceless [[Re sigma, Im sigma], [Im sigma, -Re sigma]] and of a full
+    symmetric tensor with that traceless part."""
+
+    @staticmethod
+    def _cases(seed, n=60):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, 2)) * 3
+        z[0] = 0.0
+        sigma = rng.normal(size=n) + 1j * rng.normal(size=n)
+        tau = rng.uniform(0.05, 2.0, size=n)
+        traceless = np.stack([np.stack([sigma.real, sigma.imag], axis=-1),
+                              np.stack([sigma.imag, -sigma.real], axis=-1)], axis=-2)
+        full = traceless + rng.normal(size=(n, 1, 1)) * np.eye(2)
+        return z, sigma, tau, (traceless, full)
+
+    @staticmethod
+    def _assert_close(got, ref):
+        ref = ref[..., 0] + 1j * ref[..., 1]
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_oseen_contract(self):
+        z, sigma, tau, tensors = self._cases(41)
+        got = kn.oseen_grad_contract(z, tau, 2, sigma)
+        assert got[0] == 0.0
+        for s in tensors:
+            self._assert_close(got, kn.oseen_grad_contract(z, tau, 2, s))
+
+    def test_psi_and_leading_contract(self):
+        z, sigma, _, tensors = self._cases(43)
+        z, sigma = z[1:], sigma[1:]
+        for s in tensors:
+            self._assert_close(kn.psi_grad_contract(z, 0.7, 2, sigma),
+                               kn.psi_grad_contract(z, 0.7, 2, s[1:]))
+            self._assert_close(kn.grad_leading_contract(z, 2, sigma),
+                               kn.grad_leading_contract(z, 2, s[1:]))
+        with pytest.raises(ValueError):
+            kn.grad_leading_contract(np.zeros(2), 2, 1.0 + 0.5j)
+        with pytest.raises(ValueError):
+            kn.psi_grad_contract(np.zeros(2), 1.0, 2, 1.0 + 0.5j)
+
+    def test_array_time_matches_one_call_per_time(self):
+        z, sigma, _, _ = self._cases(47, n=4 * 30)
+        taus = np.array([0.02, 0.3, 1.0, 2.5])
+        blocks = [slice(30 * i, 30 * (i + 1)) for i in range(4)]
+        ref = np.concatenate([kn.oseen_grad_contract(z[b], tau, 2, sigma[b])
+                              for b, tau in zip(blocks, taus)])
+        flat = kn.oseen_grad_contract(z, np.repeat(taus, 30), 2, sigma)
+        broadcast = kn.oseen_grad_contract(z.reshape(4, 30, 2), taus[:, None], 2,
+                                           sigma.reshape(4, 30))
+        np.testing.assert_array_equal(flat, ref)
+        np.testing.assert_array_equal(broadcast.ravel(), ref)
+
+    def test_array_time_rejects_nonpositive(self):
+        z, sigma, tau, _ = self._cases(53)
+        for bad in (0.0, -0.5, math.nan):
+            t = tau.copy()
+            t[7] = bad
+            with pytest.raises(ValueError):
+                kn.oseen_grad_contract(z, t, 2, sigma)
+
+
 class TestProfileField:
     def test_zero_amplitude(self):
         omega = kn.sphere_points(2, 16)

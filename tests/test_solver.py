@@ -349,6 +349,28 @@ class TestBilinear:
             assert budget["psi_cutoff"] >= gap.max()
             assert ref_budget["psi_cutoff"] == 0.0
 
+    def test_complex_flux_history_matches_real_tensor(self, canonical):
+        # sigma = (Q_11 - Q_22)/2 + i Q_12 of Q = (u + D)(x)(u + D), and
+        # flux_mass sums |Q|_F = 2 |sigma|
+        _, _, traj = canonical
+        pts_y, fluxes = traj.flux_history()
+        sl = slice(N // 4, 3 * N // 4)
+        real = []
+        for i, comps in enumerate(traj.snapshots):
+            u = comps[:, sl, sl].reshape(2, -1) + traj.drift[i][:, None]
+            q = np.einsum("ky,ly->ykl", u, u)
+            sigma = 0.5 * (q[:, 0, 0] - q[:, 1, 1]) + 1j * q[:, 0, 1]
+            frob = np.sqrt(np.sum(q**2, axis=(-2, -1)))
+            assert fluxes[i].dtype == complex and fluxes[i].shape == (pts_y.shape[0],)
+            assert np.all(np.abs(fluxes[i] - sigma) <= 1e-15 * frob)
+            real.append(frob)
+        hist = sv._collapsed_history(traj, traj.slice_index(T), sv.SolverOptions(slices=M))
+        w_abs = np.zeros(len(fluxes))
+        for _, weight, idx, lw in hist.nodes4:
+            w_abs[idx] += weight * np.abs(lw)
+        mass = sum(w_abs[i] * real[i] for i in np.flatnonzero(w_abs))
+        np.testing.assert_allclose(hist.flux_mass, mass, rtol=1e-15, atol=0.0)
+
     def test_kernel_evaluations_match_node_reach(self, canonical, monkeypatch):
         # D is evaluated once per (pair, node) entry with |x - y|^2 < c^2 (t - s)
         # outside the core, F once per (core pair, node), and neither elsewhere
