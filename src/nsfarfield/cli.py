@@ -14,7 +14,8 @@ scenario hash, JSON is sorted, and wall-clock time goes only to
 ``run.log`` which is excluded from any determinism comparison.
 
 Flags mirror the environment variables NSFF_CONFIG, NSFF_OUT, NSFF_ONLY
-(explicit flags win); ``--threads`` alone sets the far-field worker threads.
+(explicit flags win).  ``--threads`` is accepted and has no effect: far-field
+batches run serially.
 """
 
 from __future__ import annotations
@@ -87,27 +88,15 @@ def build_scenario(cfg: ScenarioConfig):
 
 
 class _ThreadedFlow(verify.FlowAdapter):
-    """FlowAdapter whose far-field batches run on a bounded thread pool.
+    """The checks' FlowAdapter: each far-field batch is one serial call.
 
-    Chunks are concatenated in input order, so results are byte-identical to
-    the serial evaluation.
+    The name and the unused ``threads`` argument stay because the acceptance
+    suite builds it with ``threads=2`` and the benchmark's far-field batch
+    span wraps ``_ThreadedFlow.velocity``.
     """
 
     def __init__(self, traj, a, f, opts, threads: int = 1):
         super().__init__(traj, a, f, opts)
-        self.threads = max(1, int(threads))
-
-    def velocity(self, x, t: float):
-        x = np.asarray(x, dtype=float)
-        if self.threads == 1 or x.ndim == 1 or x.shape[0] < 2 * self.threads:
-            return super().velocity(x, t)
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(x.shape[0]), self.threads)
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            parts = list(pool.map(lambda idx: super(_ThreadedFlow, self).velocity(x[idx], t),
-                                  chunks))
-        return np.concatenate(parts, axis=0)
 
 
 def run_kernel_check(out_dir: str, d: int = 2) -> int:
@@ -192,7 +181,10 @@ def _load_or_solve(cfg: ScenarioConfig, out_dir: str, scenario) -> Trajectory:
     *_, digest = scenario
     tdir = _traj_dir(out_dir, digest)
     if os.path.isdir(tdir):
-        return load_trajectory(tdir)
+        try:
+            return load_trajectory(tdir)
+        except (OSError, ValueError) as exc:
+            print(f"cannot reuse {tdir} ({exc}); solving again")
     return simulate(cfg, out_dir, scenario)
 
 
@@ -329,13 +321,12 @@ _CHECK_RUNNERS = {
 }
 
 
-def run_verify(cfg: ScenarioConfig, out_dir: str, only=None, threads: int = 1,
-               scenario=None) -> int:
+def run_verify(cfg: ScenarioConfig, out_dir: str, only=None, scenario=None) -> int:
     """Run the configured checks; ``scenario`` is ``build_scenario(cfg)`` if already built."""
     scenario = scenario or build_scenario(cfg)
     _, data, force, opts, digest = scenario
     traj = _load_or_solve(cfg, out_dir, scenario)
-    flow = _ThreadedFlow(traj, data, force, opts, threads=threads)
+    flow = _ThreadedFlow(traj, data, force, opts)
     selected = [c for c in cfg.checks if only is None or c in only]
     summary = {"scenario": cfg.name, "hash": digest, "checks": {}}
     status = EXIT_PASS
@@ -397,7 +388,7 @@ def run_report(cfg: ScenarioConfig, out_dir: str) -> int:
     return EXIT_PASS if all_pass else EXIT_CHECK_FAILURE
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str, only=None, threads: int = 1) -> int:
+def run_scenario(cfg: ScenarioConfig, out_dir: str, only=None) -> int:
     """simulate + verify + report; partial results are preserved on failure."""
     t0 = time.time()
     scenario = build_scenario(cfg)
@@ -406,7 +397,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, only=None, threads: int = 1)
     except SolverError as exc:
         print(f"simulate: NUMERICAL FAILURE ({exc})")
         return EXIT_NUMERICAL_FAILURE
-    status = run_verify(cfg, out_dir, only=only, threads=threads, scenario=scenario)
+    status = run_verify(cfg, out_dir, only=only, scenario=scenario)
     report_status = run_report(cfg, out_dir)
     with open(os.path.join(out_dir, "run.log"), "a") as fh:
         fh.write(f"run_scenario finished in {time.time() - t0:.1f}s\n")
@@ -427,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=env.get("NSFF_OUT"),
                        help="output directory (default: config output.directory)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for far-field batches")
+                       help="ignored; far-field batches run serially")
 
     kc = sub.add_parser("kernel-check", help="kernel invariant suite")
     kc.add_argument("--out", default=env.get("NSFF_OUT", "out"))
@@ -473,10 +464,10 @@ def main(argv=None) -> int:
             simulate(cfg, out_dir)
             return EXIT_PASS
         if args.command == "verify":
-            return run_verify(cfg, out_dir, only=only, threads=args.threads)
+            return run_verify(cfg, out_dir, only=only)
         if args.command == "report":
             return run_report(cfg, out_dir)
-        return run_scenario(cfg, out_dir, only=only, threads=args.threads)
+        return run_scenario(cfg, out_dir, only=only)
     except SolverError as exc:
         print(f"NUMERICAL FAILURE: {exc}")
         return EXIT_NUMERICAL_FAILURE

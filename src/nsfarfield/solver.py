@@ -58,7 +58,6 @@ import functools
 import hashlib
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,16 +264,13 @@ class Trajectory:
         self.drift = np.asarray(drift)      # (M+1, d) uniform box drift
         self.iteration_log = list(iteration_log)
         self.scenario_hash = scenario_hash
-        # derived data built on first use; far-field worker threads share it
-        self._cache = {}
-        self._cache_lock = threading.RLock()
+        self._cache = {}                    # derived data built on first use
 
     def _cached(self, key, build):
-        """The cache entry under ``key``, built exactly once by ``build()``."""
-        with self._cache_lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
+        """The cache entry under ``key``, built by ``build()`` on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @property
     def horizon(self) -> float:
@@ -363,19 +359,28 @@ class Trajectory:
 
 
 def load_trajectory(directory) -> Trajectory:
+    """Read a ``Trajectory.save`` directory; ValueError if its manifest is incomplete."""
     with open(os.path.join(directory, "manifest.txt")) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     scenario_hash = ""
+    slices = None
     entries = []
     log = []
     for ln in lines:
         parts = ln.split()
         if parts[0] == "scenario_hash" and len(parts) > 1:
             scenario_hash = parts[1]
+        elif parts[0] == "slices" and len(parts) > 1:
+            slices = int(parts[1])
         elif parts[0] == "iteration_log":
             log = [float(v) for v in parts[1:]]
         elif parts[0] == "snapshot":
             entries.append(parts)
+    if not entries:
+        raise ValueError(f"{directory}: the manifest lists no snapshot")
+    if slices != len(entries) - 1:
+        raise ValueError(f"{directory}: the manifest lists {len(entries)} snapshots "
+                         f"for {slices} slices")
     entries.sort(key=lambda p: int(p[1]))
     times, snaps, drifts = [], [], []
     grid = None

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,41 @@ window_radii = 16 24 32 48 64
 [output]
 directory = out
 """
+
+
+def _artifact_hashes(out):
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(out).rglob("*")) if p.is_file() and p.name != "run.log"}
+
+
+def _drop_snapshot_line(tdir):
+    manifest = tdir / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(ln for ln in lines if not ln.startswith("snapshot 3 ")))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+# ways a cached trajectory directory can be left incomplete
+_DAMAGE = {
+    "manifest_deleted": lambda tdir: (tdir / "manifest.txt").unlink(),
+    "snapshot_truncated": lambda tdir: _truncate(tdir / "u00003.nsvf"),
+    "snapshot_deleted": lambda tdir: (tdir / "u00003.nsvf").unlink(),
+    "snapshot_line_dropped": _drop_snapshot_line,
+}
+
+
+@pytest.fixture(scope="module")
+def fresh_verify(tmp_path_factory):
+    """A cold `verify` of QUICK: (config, output directory, artifact hashes)."""
+    root = tmp_path_factory.mktemp("fresh")
+    cfg = root / "quick.cfg"
+    cfg.write_text(QUICK)
+    out = root / "out"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PASS
+    return cfg, out, _artifact_hashes(out)
 
 
 class TestParseConfig:
@@ -346,3 +382,13 @@ class TestCli:
                 code = cli.main([command, "--config", str(cfg),
                                  "--out", str(tmp_path / command)])
                 assert code == cli.EXIT_PASS and len(calls) == 1, command
+
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_incomplete_trajectory_is_solved_again(self, fresh_verify, tmp_path, damage):
+        cfg, fresh, expected = fresh_verify
+        out = tmp_path / "out"
+        shutil.copytree(fresh, out)
+        _DAMAGE[damage](next(out.glob("trajectory_*")))
+        code = cli.main(["verify", "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_PASS
+        assert _artifact_hashes(out) == expected

@@ -398,36 +398,21 @@ class TestBilinear:
         assert counted["oseen_grad_contract"] == int(core.sum()) * taus.size
         assert expected < 0.1 * r2.size * taus.size
 
-    def test_cache_entries_built_once_across_threads(self, box):
-        # more workers than cores, frequent thread switches: a check-then-act
-        # race would build the entry more than once
-        import sys
+    def test_threaded_flow_is_one_serial_batch(self, canonical, opts, monkeypatch):
+        # a thread count leaves the batch on the calling thread, as one
+        # farfield_velocity call; the first 8 points are the L/2 ring
         import threading
-        import time
 
-        traj = sv.Trajectory(box, np.array([0.0]), [np.zeros((2, N, N))],
-                             np.zeros((1, 2)), [])
-        builds = []
+        from nsfarfield import cli
 
-        def build():
-            builds.append(1)
-            time.sleep(0.01)
-            return len(builds)
+        def refuse(self):
+            raise RuntimeError("far-field batch started a thread")
 
-        results = []
-        workers = [threading.Thread(target=lambda: results.append(traj._cached("k", build)))
-                   for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert builds == [1] and results == [1] * 8
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        a, f, traj = canonical
+        x = np.concatenate([(L / 2) * sphere_points(2, 8), [[12.0, 3.0], [-20.0, 5.5]]])
+        got = cli._ThreadedFlow(traj, a, f, opts, threads=2).velocity(x, T)
+        assert np.array_equal(got, sv.farfield_velocity(traj, a, f, x, T, opts)[0])
 
 
 class TestFarField:
