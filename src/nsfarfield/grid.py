@@ -33,6 +33,7 @@ __all__ = [
 
 _MAGIC = b"NSVF"
 _VERSION = 1
+_HEADER_BYTES = 34   # magic, version, endian tag, then u32 d, u32 N, f64 L, f64 time, u32 ncomp
 
 
 class BoxGrid:
@@ -201,21 +202,21 @@ class VectorFieldGrid:
 
 
 def read_snapshot(path) -> VectorFieldGrid:
-    """Read a snapshot written by VectorFieldGrid.save."""
+    """Read a snapshot written by VectorFieldGrid.save; ValueError if it is
+    not one or is cut short."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a field snapshot: bad magic {magic!r}")
-        (version,) = struct.unpack("B", fh.read(1))
-        if version != _VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        endian = fh.read(1)
+        head = fh.read(_HEADER_BYTES)
+        if head[:4] != _MAGIC:
+            raise ValueError(f"not a field snapshot: bad magic {head[:4]!r}")
+        if len(head) < _HEADER_BYTES:
+            raise ValueError(f"snapshot header cut at {len(head)} of {_HEADER_BYTES} bytes")
+        if head[4] != _VERSION:
+            raise ValueError(f"unsupported snapshot version {head[4]}")
+        endian = head[5:6]
         if endian not in (b"<", b">"):
             raise ValueError(f"bad endianness tag {endian!r}")
         tag = endian.decode()
-        d, n = struct.unpack(f"{tag}II", fh.read(8))
-        length, time = struct.unpack(f"{tag}dd", fh.read(16))
-        (ncomp,) = struct.unpack(f"{tag}I", fh.read(4))
+        d, n, length, time, ncomp = struct.unpack(f"{tag}IIddI", head[6:])
         count = ncomp * n**d
         data = np.frombuffer(fh.read(count * 8), dtype=f"{tag}f8", count=count)
     grid = BoxGrid(d, length, n)

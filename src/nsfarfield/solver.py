@@ -17,10 +17,16 @@ exponential-integrator recursion
 
     I(t_m) = exp(-dt |k|^2) I(t_{m-1}) + (panel over [t_{m-1}, t_m]).
 
-The slices are uniform, so each panel sum is a fixed real weight field per
-stencil slice (the node propagators folded with the Lagrange weights, or with
-tau(s) for the force), built once per series.  Fields are real, so the
-spectral work runs on the real-FFT half spectrum.
+One such recursion carries all three terms of a sweep and yields u^(k+1)
+slice by slice, with one inverse transform per slice.  The slices are
+uniform, so each panel sum is a fixed real weight field per stencil slice
+(the node propagators folded with the Lagrange weights, or with tau(s) for
+the force), built once per sweep.  Fields are real, so the spectral work runs
+on the real-FFT half spectrum.  In d = 2 the projected flux divergence is
+i k_perp s with one scalar s per mode, so B accumulates scalars.  A sweep
+writes each new slice over the old one as soon as its update norm is taken:
+the old slice's flux has been read by then, so the iteration stays Jacobi
+and the solve holds one list of snapshots.
 
 The box zero mode cannot represent decay at infinity, so it is split off
 analytically: snapshots are stored mean-free and the uniform drift
@@ -200,6 +206,13 @@ class _SpectralOps:
     has no odd part at the Nyquist wavenumber, so ``k`` (first derivatives)
     is zero there and the Nyquist entries live in ``k_nyquist``; ``k2`` keeps
     the full |k|^2.
+
+    The bilinear integrand is a source and its lift,
+    ``momentum_flux_divergence = lift(flux_source)``.  In d = 2 the source is
+    one scalar per mode and the lift is i k_perp, k_perp = (-k_1, k_0); in
+    d = 3 the source is the projected vector itself and the lift is the
+    identity.  The Duhamel recursion accumulates sources and lifts once per
+    slice.
     """
 
     def __init__(self, grid: BoxGrid):
@@ -214,6 +227,10 @@ class _SpectralOps:
         self.mask = grid.dealias_mask[half]
         self.inv_k2 = grid.inverse_k_squared[half]
         self.shape = self.k2.shape
+        if grid.d == 2:
+            k0, k1 = self.k
+            scale = self.mask * self.inv_k2
+            self._source_weights = (-2.0 * k0 * k1 * scale, (k0 * k0 - k1 * k1) * scale)
 
     def fft(self, comps):
         return np.fft.rfftn(comps, axes=self.axes)
@@ -233,14 +250,24 @@ class _SpectralOps:
         return leray_apply(leray_apply(spec, self.k, self.inv_k2), self.k_nyquist,
                            self.inv_k2)
 
-    def momentum_flux_divergence(self, u_phys: np.ndarray, drift: np.ndarray):
-        """Q = P[-i k . W] for W the dealiased product (u + drift) (x) (u + drift).
+    def flux_source(self, u_phys: np.ndarray, drift: np.ndarray):
+        """The bilinear integrand before its lift, for W the dealiased
+        product (u + drift) (x) (u + drift).
 
-        The projected divergence of the momentum flux: the spectral integrand
-        of the bilinear Duhamel term.  Mean mode vanishes identically.
+        In d = 2, with f = u + drift, the trace part of W has a gradient for
+        its divergence, which the projector removes.  Only a = (f_0^2 - f_1^2)/2
+        and b = f_0 f_1 are transformed, and P[i k . W] = i k_perp s with
+        s = [(k_0^2 - k_1^2) b - 2 k_0 k_1 a] / |k|^2.  The dealias mask
+        clears every Nyquist mode, so s has no Nyquist part and the full
+        projector is this one term.  In d = 3 the source is P[i k . W].
         """
         d = self.grid.d
         full = u_phys + drift.reshape((d,) + (1,) * d)
+        if d == 2:
+            f0, f1 = full
+            a_hat, b_hat = self.fft(np.stack([0.5 * (f0 * f0 - f1 * f1), f0 * f1]))
+            wa, wb = self._source_weights
+            return wa * a_hat + wb * b_hat
         div = np.zeros((d,) + self.shape, dtype=complex)
         for kk in range(d):
             for ll in range(kk, d):
@@ -251,6 +278,21 @@ class _SpectralOps:
                     div[ll] += 1j * self.k[kk] * w_hat
         # the mask clears every Nyquist mode: the rank-one Nyquist part is idle
         return leray_apply(div, self.k, self.inv_k2)
+
+    def lift(self, source):
+        """The projected flux divergence of a source: i k_perp s in d = 2."""
+        if self.grid.d == 3:
+            return source
+        k0, k1 = self.k
+        return np.stack([-1j * k1 * source, 1j * k0 * source])
+
+    def momentum_flux_divergence(self, u_phys: np.ndarray, drift: np.ndarray):
+        """Q = P[i k . W] for W the dealiased product (u + drift) (x) (u + drift).
+
+        The projected divergence of the momentum flux: the spectral integrand
+        of the bilinear Duhamel term.  Mean mode vanishes identically.
+        """
+        return self.lift(self.flux_source(u_phys, drift))
 
 
 class Trajectory:
@@ -448,49 +490,39 @@ def _force_spectra(ops: _SpectralOps, f: ForceModel):
     return out
 
 
-def _linear_series(ops: _SpectralOps, f: ForceModel, times: np.ndarray,
-                   opts: SolverOptions):
-    """L(f) at every slice time by the exponential recursion; mean-free.
+def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
+                 a: InitialData | None = None, f: ForceModel | None = None,
+                 history: tuple | None = None):
+    """heat(a) + L(f) - B(history) at every slice time, yielded slice by slice.
 
-    Each slice adds, per force term, one field (the node propagators folded
-    with tau(s)) times the term's spectrum.
+    One exponential-integrator recursion carries all three Duhamel terms; a
+    term whose argument is None is left out.  The vector accumulator starts
+    at the projected, mean-free data spectrum and each slice adds, per force
+    term, one field (the node propagators folded with tau(s)) times the
+    term's spectrum.  B's source (``_SpectralOps.flux_source``: one scalar
+    per mode in d = 2) goes into a second accumulator: slice m adds
+    sum_j E_j source(t_{idx_j}) over its cubic stencil idx, where E_j folds
+    the Lagrange weight of stencil slice j into the node propagators.  E_j
+    depends only on the stencil's position relative to the slice,
+    (m - idx[0], len(idx)), so each pattern is built once per call.  Each
+    slice costs one lift and one inverse transform.
+
+    ``history`` is (snapshots, drift).  Slice m's stencil reaches an index
+    >= m, so the source of snapshots[m] is taken before slice m is yielded:
+    a caller may overwrite snapshots[m] (m >= 1) with the yielded slice m.
     """
     d = ops.grid.d
     rule = _slice_rule(ops, times, opts)
-    terms = _force_spectra(ops, f)
     acc = np.zeros((d,) + ops.shape, dtype=complex)
-    out = [np.zeros((d,) + ops.grid.shape)]
-    for m in range(1, times.size):
-        acc *= rule.decay
-        for tau, spec in terms:
-            tv = tau.value(times[m - 1] + rule.offsets)
-            if np.any(tv):
-                acc += rule.fold(tv) * spec
-        out.append(ops.ifft(acc))
-    return out
-
-
-def _bilinear_series(ops: _SpectralOps, snapshots: list, drift: np.ndarray,
-                     times: np.ndarray, opts: SolverOptions):
-    """B(u, u) at every slice time from the momentum-flux history; mean-free.
-
-    Slice m adds sum_j E_j Q(t_{idx_j}) over its cubic stencil idx, where
-    E_j folds the Lagrange weight of stencil slice j into the node
-    propagators.  E_j depends only on the stencil's position relative to the
-    slice, (m - idx[0], len(idx)), so each pattern is built once per call.
-    """
-    d = ops.grid.d
-    n_t = times.size
-    rule = _slice_rule(ops, times, opts)
-    cache: dict = {}
+    if a is not None:
+        acc += ops.project(ops.fft(a.to_field(ops.grid).components))
+        acc[(slice(None),) + (0,) * d] = 0.0
+    terms = [] if f is None else _force_spectra(ops, f)
+    sources: dict = {}
     patterns: dict = {}
-
-    def flux_div(i: int):
-        if i not in cache:
-            cache[i] = ops.momentum_flux_divergence(snapshots[i], drift[i])
-            for key in [k for k in cache if k < i - 2]:
-                del cache[key]
-        return cache[i]
+    if history is not None:
+        snapshots, drift = history
+        bil = np.zeros(ops.shape if d == 2 else (d,) + ops.shape, dtype=complex)
 
     def stencil_fields(offset: int, size: int):
         if (offset, size) not in patterns:
@@ -500,27 +532,60 @@ def _bilinear_series(ops: _SpectralOps, snapshots: list, drift: np.ndarray,
             patterns[offset, size] = [rule.fold(lw[:, j]) for j in range(size)]
         return patterns[offset, size]
 
-    acc = np.zeros((d,) + ops.shape, dtype=complex)
-    out = [np.zeros((d,) + ops.grid.shape)]
-    for m in range(1, n_t):
-        idx = _stencil(m, n_t - 1)
+    yield ops.ifft(acc)
+    for m in range(1, times.size):
         acc *= rule.decay
-        for i, weight in zip(idx, stencil_fields(m - idx[0], len(idx))):
-            acc += weight * flux_div(i)
-        out.append(ops.ifft(acc))
-    return out
+        for tau, spec in terms:
+            tv = tau.value(times[m - 1] + rule.offsets)
+            if np.any(tv):
+                acc += rule.fold(tv) * spec
+        total = acc
+        if history is not None:
+            idx = _stencil(m, times.size - 1)
+            for i in [i for i in sources if i < idx[0]]:
+                del sources[i]
+            bil *= rule.decay
+            for i, weight in zip(idx, stencil_fields(m - idx[0], len(idx))):
+                if i not in sources:
+                    sources[i] = ops.flux_source(snapshots[i], drift[i])
+                bil += weight * sources[i]
+            total = acc - ops.lift(bil)
+        yield ops.ifft(total)
+
+
+def _linear_series(ops: _SpectralOps, f: ForceModel, times: np.ndarray,
+                   opts: SolverOptions):
+    """L(f) at every slice time; mean-free."""
+    return list(_mild_series(ops, times, opts, f=f))
+
+
+def _bilinear_series(ops: _SpectralOps, snapshots: list, drift: np.ndarray,
+                     times: np.ndarray, opts: SolverOptions):
+    """B(u, u) at every slice time from the momentum-flux history; mean-free."""
+    return [np.negative(b, out=b)
+            for b in _mild_series(ops, times, opts, history=(snapshots, drift))]
 
 
 def _heat_series(ops: _SpectralOps, a: InitialData, times: np.ndarray):
-    d = ops.grid.d
-    spec = ops.project(ops.fft(a.to_field(ops.grid).components))
-    spec[(slice(None),) + (0,) * d] = 0.0
-    decay = np.exp(-_uniform_step(times) * ops.k2)
-    out = [ops.ifft(spec)]
-    for _ in range(1, times.size):
-        spec = spec * decay
-        out.append(ops.ifft(spec))
-    return out
+    """heat(a) at every slice time; mean-free."""
+    return list(_mild_series(ops, times, SolverOptions(), a=a))
+
+
+def _sweep(ops: _SpectralOps, a: InitialData, f: ForceModel, snapshots: list,
+           drift: np.ndarray, times: np.ndarray, opts: SolverOptions,
+           in_place: bool) -> float:
+    """Sup over slice times of the L2 update norm of one Picard sweep.
+
+    In place, slice m >= 1 of the sweep replaces snapshots[m] right after its
+    norm is taken; ``_mild_series`` has read the old slice by then, so this is
+    still the Jacobi iteration.  Slice 0 is heat(a) at t = 0 in every sweep.
+    """
+    update = 0.0
+    for m, new in enumerate(_mild_series(ops, times, opts, a, f, (snapshots, drift))):
+        update = max(update, grid_l2(new - snapshots[m], ops.grid))
+        if in_place and m > 0:
+            snapshots[m] = new
+    return update
 
 
 def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
@@ -555,20 +620,10 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
     vol = (2.0 * grid.length) ** grid.d
     drift = np.stack([force_integral(f, float(t)) / vol for t in times])
 
-    # heat + L(f), summed into the heat series so neither list outlives it
-    fixed = _heat_series(ops, a, times)
-    for fixed_m, lin_m in zip(fixed, _linear_series(ops, f, times, opts)):
-        fixed_m += lin_m
-
-    snapshots = fixed   # read, never written, by the first sweep
+    snapshots = list(_mild_series(ops, times, opts, a, f))   # heat a + L(f)
     log = []
     for sweep in range(1, opts.max_sweeps + 1):
-        nxt = _bilinear_series(ops, snapshots, drift, times, opts)
-        update = 0.0
-        for m in range(times.size):
-            np.subtract(fixed[m], nxt[m], out=nxt[m])
-            update = max(update, grid_l2(nxt[m] - snapshots[m], grid))
-        snapshots = nxt
+        update = _sweep(ops, a, f, snapshots, drift, times, opts, in_place=True)
         log.append(update)
         if update < opts.tol:
             break
@@ -584,16 +639,10 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
 
 def integral_residual(traj: Trajectory, a: InitialData, f: ForceModel,
                       opts: SolverOptions = SolverOptions()) -> float:
-    """Max over sample times of the L2 defect of the integral equation."""
-    ops = _SpectralOps(traj.grid)
-    heat = _heat_series(ops, a, traj.times)
-    lin = _linear_series(ops, f, traj.times, opts)
-    bil = _bilinear_series(ops, traj.snapshots, traj.drift, traj.times, opts)
-    worst = 0.0
-    for m in range(traj.times.size):
-        defect = traj.snapshots[m] - (heat[m] + lin[m] - bil[m])
-        worst = max(worst, grid_l2(defect, traj.grid))
-    return worst
+    """Max over sample times of the L2 defect of the integral equation: the
+    update norm of one more Picard sweep from the trajectory."""
+    return _sweep(_SpectralOps(traj.grid), a, f, traj.snapshots, traj.drift,
+                  traj.times, opts, in_place=False)
 
 
 # ---------------------------------------------------------------------------

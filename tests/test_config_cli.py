@@ -55,14 +55,16 @@ def _drop_snapshot_line(tdir):
     manifest.write_text("".join(ln for ln in lines if not ln.startswith("snapshot 3 ")))
 
 
-def _truncate(path):
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+def _truncate(path, size=None):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2 if size is None else size])
 
 
 # ways a cached trajectory directory can be left incomplete
 _DAMAGE = {
     "manifest_deleted": lambda tdir: (tdir / "manifest.txt").unlink(),
     "snapshot_truncated": lambda tdir: _truncate(tdir / "u00003.nsvf"),
+    # inside the 34-byte header
+    "snapshot_header_cut": lambda tdir: _truncate(tdir / "u00003.nsvf", 20),
     "snapshot_deleted": lambda tdir: (tdir / "u00003.nsvf").unlink(),
     "snapshot_line_dropped": _drop_snapshot_line,
 }

@@ -1,6 +1,7 @@
 """Mild solver: Picard contraction, Duhamel terms, far-field evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ def box():
     return BoxGrid(2, L, N)
 
 
-def bump_force(amp=0.002, width=1.0, t_off=0.5):
-    term = SeparableTerm(GaussianBump(2, width=width), SmoothBump(0.0, t_off), (amp, 0.0))
-    return ForceModel(2, terms=[term])
+def bump_force(amp=0.002, width=1.0, t_off=0.5, d=2):
+    term = SeparableTerm(GaussianBump(d, width=width), SmoothBump(0.0, t_off),
+                         (amp,) + (0.0,) * (d - 1))
+    return ForceModel(d, terms=[term])
 
 
 @pytest.fixture(scope="module")
@@ -158,20 +160,39 @@ def _max_relative_gap(series, reference):
     return max(np.abs(s - r).max() for s, r in zip(series, reference)) / scale
 
 
+def reference_picard(ops, a, f, times, drift, opts):
+    """The Jacobi iteration on three lists (fixed part, iterate, next
+    iterate) from the per-node oracles: (snapshots, update norms)."""
+    fixed = [h + lin for h, lin in zip(reference_heat_series(ops, a, times),
+                                       reference_linear_series(ops, f, times, opts))]
+    snapshots, log = fixed, []
+    while True:
+        bil = reference_bilinear_series(ops, snapshots, drift, times, opts)
+        nxt = [u - b for u, b in zip(fixed, bil)]
+        log.append(max(sv.grid_l2(n - s, ops.grid) for n, s in zip(nxt, snapshots)))
+        snapshots = nxt
+        if log[-1] < opts.tol or len(log) == opts.max_sweeps:
+            return snapshots, log
+
+
 class TestFusedTimeQuadrature:
     # slices 1, 2, 3 give the short stencils (2 and 3 slices wide, every
-    # offset); 8 gives the three 4-slice patterns of a long history
+    # offset); 8 gives the three 4-slice patterns of a long history.  d = 2
+    # accumulates the scalar flux source; TestFusedTimeQuadratureD3 runs the
+    # same cases on the d = 3 vector source.
     GRID = BoxGrid(2, 8.0, 32)
 
     @pytest.fixture(scope="class")
     def history(self):
+        grid = self.GRID
         rng = np.random.default_rng(11)
-        snaps = [0.01 * rng.normal(size=(2, 32, 32)) for _ in range(9)]
-        return snaps, 1e-3 * rng.normal(size=(9, 2))
+        snaps = [0.01 * rng.normal(size=(grid.d,) + grid.shape) for _ in range(9)]
+        return snaps, 1e-3 * rng.normal(size=(9, grid.d))
 
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("slices", [1, 2, 3, 8])
     def test_matches_per_node_loop(self, history, slices, refine):
+        d = self.GRID.d
         ops = sv._SpectralOps(self.GRID)
         opts = sv.SolverOptions(slices=slices, refine=refine)
         times = np.linspace(0.0, 0.5, slices + 1)
@@ -180,14 +201,15 @@ class TestFusedTimeQuadrature:
         ref = reference_bilinear_series(ops, snaps, drift, times, opts)
         assert _max_relative_gap(bil, ref) <= 1e-13
         # the force switches off inside the horizon, so some nodes see tau = 0
-        f = bump_force(t_off=0.3)
+        f = bump_force(t_off=0.3, d=d)
         lin = sv._linear_series(ops, f, times, opts)
         assert _max_relative_gap(lin, reference_linear_series(ops, f, times, opts)) <= 1e-13
-        a = build_initial_data(2, kind="curl_bump", amplitude=0.01, width=1.0)
+        a = build_initial_data(d, kind="curl_bump", amplitude=0.01, width=1.0)
         heat = sv._heat_series(ops, a, times)
         assert _max_relative_gap(heat, reference_heat_series(ops, a, times)) <= 1e-13
 
     def test_non_uniform_times_rejected(self, history):
+        d = self.GRID.d
         ops = sv._SpectralOps(self.GRID)
         opts = sv.SolverOptions(slices=4)
         times = np.array([0.0, 0.1, 0.2, 0.35, 0.5])
@@ -195,9 +217,48 @@ class TestFusedTimeQuadrature:
         with pytest.raises(ValueError, match="uniform"):
             sv._bilinear_series(ops, snaps, drift, times, opts)
         with pytest.raises(ValueError, match="uniform"):
-            sv._linear_series(ops, bump_force(), times, opts)
+            sv._linear_series(ops, bump_force(d=d), times, opts)
         with pytest.raises(ValueError, match="uniform"):
-            sv._heat_series(ops, build_initial_data(2, kind="zero"), times)
+            sv._heat_series(ops, build_initial_data(d, kind="zero"), times)
+
+
+class TestFusedTimeQuadratureD3(TestFusedTimeQuadrature):
+    GRID = BoxGrid(3, 8.0, 16)
+
+
+class TestInPlaceSweeps:
+    @pytest.mark.parametrize("d, n, slices", [(2, 32, 1), (2, 32, 2), (2, 32, 3),
+                                              (2, 32, 8), (3, 16, 4)])
+    def test_in_place_sweeps_match_three_list_jacobi(self, d, n, slices):
+        # each sweep overwrites its input slice by slice; the oracle keeps
+        # the old iterate whole until the new one is complete.  Any sweep
+        # order reaches the same fixed point, so the second update norm, the
+        # contraction of this iteration, is what tells Jacobi from another
+        # order: it is 1e-5 of the first here, far above round-off.
+        grid = BoxGrid(d, 8.0, n)
+        a = build_initial_data(d, kind="curl_bump", amplitude=0.001, width=1.0)
+        f = bump_force(amp=0.001, t_off=0.3, d=d)
+        opts = sv.SolverOptions(slices=slices, tol=1e-13)
+        traj = sv.picard_solve(a, f, grid, 0.5, opts)
+        ref, log = reference_picard(sv._SpectralOps(grid), a, f, traj.times,
+                                    traj.drift, opts)
+        assert len(traj.iteration_log) == len(log) >= 2
+        np.testing.assert_allclose(traj.iteration_log[:2], log[:2], rtol=1e-4)
+        assert _max_relative_gap(traj.snapshots, ref) <= 1e-13
+
+    def test_solve_keeps_one_snapshot_list(self, opts):
+        # in-place sweeps: the traced peak of a warm solve (N = 64, 32
+        # slices) stays under twice the bytes of the snapshots it returns
+        grid = BoxGrid(2, L, 64)
+        a, f = build_initial_data(2, kind="zero"), bump_force()
+        sv.picard_solve(a, f, grid, T, opts)   # warm the grid's cached fields
+        tracemalloc.start()
+        try:
+            traj = sv.picard_solve(a, f, grid, T, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * sum(s.nbytes for s in traj.snapshots)
 
 
 class TestHalfSpectrum:
