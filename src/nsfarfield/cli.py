@@ -234,7 +234,7 @@ def _check_window(cfg, flow):
     payload = {
         "check": "window", "control_scenario": control,
         "passed": bool((not rep.window_pass and rep.fitted_slope <= -(flow.d + 0.5))
-                       if expected_fail else rep.window_pass),
+                       if expected_fail else rep.window_pass and rep.short_time_pass),
         "lower": rep.lower, "upper": rep.upper, "ratio": rep.ratio,
         "fitted_slope": rep.fitted_slope,
         "sphere_floor": rep.sphere_floor,

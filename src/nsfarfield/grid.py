@@ -1,10 +1,11 @@
-"""Periodic-box sampled vector fields with paired physical/spectral forms.
+"""Periodic-box sampled vector fields, their snapshot files, the Leray
+multiplier and the weighted annulus norm.
 
 The box is [-L, L)^d sampled at N points per axis (x_i = -L + i*h, h = 2L/N),
-so wavenumbers are pi*n/L for integer n in the usual FFT layout.  Spectral
-data uses the raw numpy FFT convention (no normalization on the forward
-transform); all operators below are pure Fourier multipliers, so the
-convention never leaks out.
+so wavenumbers are pi*n/L for integer n in the usual FFT layout.  A field's
+spectrum uses the raw numpy FFT convention (no normalization on the forward
+transform) and is computed on first use.  ``leray_apply`` is a pure Fourier
+multiplier, so the convention never leaks out of it.
 
 The box is a truncation device for problems posed on all of R^d: scenarios
 must keep the essential support of data and force well inside the box and
@@ -23,10 +24,7 @@ import numpy as np
 __all__ = [
     "BoxGrid",
     "VectorFieldGrid",
-    "leray_project",
     "leray_apply",
-    "heat_evolve",
-    "weighted_lp_norm",
     "restrict_annulus_norm",
     "read_snapshot",
 ]
@@ -127,11 +125,10 @@ class BoxGrid:
 class VectorFieldGrid:
     """A d-component field sampled on a BoxGrid, with a cached transform.
 
-    Treat instances as immutable: operations return new fields.
+    Treat instances as immutable: the transform is computed once and kept.
     """
 
-    def __init__(self, grid: BoxGrid, components: np.ndarray, time: float = 0.0,
-                 spectral: np.ndarray | None = None):
+    def __init__(self, grid: BoxGrid, components: np.ndarray, time: float = 0.0):
         components = np.asarray(components, dtype=float)
         if components.shape != (grid.d,) + grid.shape:
             raise ValueError(
@@ -140,17 +137,7 @@ class VectorFieldGrid:
         self.grid = grid
         self.components = components
         self.time = float(time)
-        self._spectral = spectral
-
-    @classmethod
-    def zero(cls, grid: BoxGrid, time: float = 0.0) -> "VectorFieldGrid":
-        return cls(grid, np.zeros((grid.d,) + grid.shape), time=time)
-
-    @classmethod
-    def from_spectral(cls, grid: BoxGrid, spectral: np.ndarray, time: float = 0.0):
-        axes = tuple(range(1, grid.d + 1))
-        components = np.real(np.fft.ifftn(spectral, axes=axes))
-        return cls(grid, components, time=time, spectral=np.array(spectral))
+        self._spectral = None
 
     @classmethod
     def from_callable(cls, grid: BoxGrid, func, time: float = 0.0):
@@ -166,11 +153,6 @@ class VectorFieldGrid:
             self._spectral = np.fft.fftn(self.components, axes=axes)
         return self._spectral
 
-    def mean(self) -> np.ndarray:
-        """Mean of each component over the box (the zero Fourier mode)."""
-        axes = tuple(range(1, self.grid.d + 1))
-        return self.components.mean(axis=axes)
-
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(self.components**2, axis=0))
 
@@ -184,9 +166,6 @@ class VectorFieldGrid:
         if denom == 0.0:
             return 0.0
         return float(np.abs(dot).max() / denom)
-
-    def is_divergence_free(self, tol: float = 1e-10) -> bool:
-        return self.divergence_defect() < tol
 
     def save(self, path) -> None:
         """Write the snapshot in the flat binary format (see README):
@@ -238,53 +217,13 @@ def leray_apply(spec: np.ndarray, k: list, inv_k2: np.ndarray) -> np.ndarray:
     return np.stack([spec[ax] - k_ax * dot for ax, k_ax in enumerate(k)])
 
 
-def leray_project(v: VectorFieldGrid) -> VectorFieldGrid:
-    """Project onto divergence-free fields: multiplier I - k k^T / |k|^2 modewise.
-
-    The k = 0 mode passes through unchanged.  Idempotent and self-adjoint for
-    the discrete inner product.
-    """
-    spec = leray_apply(v.spectral, v.grid.wavenumbers, v.grid.inverse_k_squared)
-    return VectorFieldGrid.from_spectral(v.grid, spec, time=v.time)
-
-
-def heat_evolve(v: VectorFieldGrid, t: float) -> VectorFieldGrid:
-    """Evolve by the heat semigroup: multiplier exp(-t |k|^2); t = 0 is identity."""
-    if t < 0:
-        raise ValueError(f"heat evolution time must be >= 0, got {t!r}")
-    if t == 0.0:
-        return VectorFieldGrid(v.grid, v.components.copy(), time=v.time,
-                               spectral=None if v._spectral is None else v._spectral.copy())
-    spec = v.spectral * np.exp(-t * v.grid.k_squared)
-    return VectorFieldGrid.from_spectral(v.grid, spec, time=v.time)
-
-
-def _weight(grid: BoxGrid, alpha: float) -> np.ndarray:
-    if alpha == 0.0:
-        return np.ones(grid.shape)
-    return (1.0 + grid.radius) ** alpha
-
-
-def weighted_lp_norm(v: VectorFieldGrid, alpha: float, p: float) -> float:
-    """|| (1+|x|)^alpha u ||_p over the box by midpoint quadrature.
-
-    p = inf returns the sample maximum of (1+|x|)^alpha |u(x)|.
-    """
-    if alpha < 0:
-        raise ValueError("weight exponent must be >= 0")
-    if not (p >= 1):
-        raise ValueError("p must satisfy 1 <= p <= inf")
-    mag = v.magnitude()
-    w = _weight(v.grid, alpha)
-    if math.isinf(p):
-        return float(np.max(w * mag))
-    h = v.grid.spacing
-    return float(np.sum((w * mag) ** p) * h**v.grid.d) ** (1.0 / p)
-
-
 def restrict_annulus_norm(v: VectorFieldGrid, r_in: float, r_out: float,
                           alpha: float, p: float) -> float:
-    """Same quadrature as weighted_lp_norm restricted to r_in <= |x| < r_out."""
+    """|| (1+|x|)^alpha u ||_p over the annulus r_in <= |x| < r_out by midpoint
+    quadrature on the grid points.
+
+    p = inf returns the sample maximum of (1+|x|)^alpha |u(x)| there.
+    """
     if not (0 <= r_in < r_out <= v.grid.length):
         raise ValueError(
             f"annulus bounds must satisfy 0 <= r_in < r_out <= L, got [{r_in}, {r_out})"
@@ -295,9 +234,8 @@ def restrict_annulus_norm(v: VectorFieldGrid, r_in: float, r_out: float,
         raise ValueError("p must satisfy 1 <= p <= inf")
     r = v.grid.radius
     mask = (r >= r_in) & (r < r_out)
-    mag = v.magnitude()
-    w = _weight(v.grid, alpha)
-    vals = (w * mag)[mask]
+    w = (1.0 + r) ** alpha if alpha else 1.0
+    vals = (w * v.magnitude())[mask]
     if vals.size == 0:
         return 0.0
     if math.isinf(p):

@@ -64,6 +64,8 @@ import functools
 import hashlib
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +82,6 @@ __all__ = [
     "ContractionError",
     "ConvergenceError",
     "picard_solve",
-    "linear_response",
-    "bilinear_term",
     "farfield_velocity",
     "integral_residual",
     "load_trajectory",
@@ -207,8 +207,8 @@ class _SpectralOps:
     is zero there and the Nyquist entries live in ``k_nyquist``; ``k2`` keeps
     the full |k|^2.
 
-    The bilinear integrand is a source and its lift,
-    ``momentum_flux_divergence = lift(flux_source)``.  In d = 2 the source is
+    The bilinear integrand, the projected divergence of the momentum flux,
+    is a source and its lift, ``lift(flux_source)``.  In d = 2 the source is
     one scalar per mode and the lift is i k_perp, k_perp = (-k_1, k_0); in
     d = 3 the source is the projected vector itself and the lift is the
     identity.  The Duhamel recursion accumulates sources and lifts once per
@@ -285,14 +285,6 @@ class _SpectralOps:
             return source
         k0, k1 = self.k
         return np.stack([-1j * k1 * source, 1j * k0 * source])
-
-    def momentum_flux_divergence(self, u_phys: np.ndarray, drift: np.ndarray):
-        """Q = P[i k . W] for W the dealiased product (u + drift) (x) (u + drift).
-
-        The projected divergence of the momentum flux: the spectral integrand
-        of the bilinear Duhamel term.  Mean mode vanishes identically.
-        """
-        return self.lift(self.flux_source(u_phys, drift))
 
 
 class Trajectory:
@@ -386,18 +378,43 @@ class Trajectory:
     # -- persistence ---------------------------------------------------------
 
     def save(self, directory) -> None:
-        os.makedirs(directory, exist_ok=True)
-        lines = [f"scenario_hash {self.scenario_hash}",
-                 f"slices {len(self.snapshots) - 1}",
-                 "iteration_log " + " ".join(repr(float(v)) for v in self.iteration_log)]
-        for i, t in enumerate(self.times):
-            name = f"u{i:05d}.nsvf"
-            VectorFieldGrid(self.grid, self.snapshots[i], time=float(t)).save(
-                os.path.join(directory, name))
-            drift = " ".join(repr(float(v)) for v in self.drift[i])
-            lines.append(f"snapshot {i} {float(t)!r} {name} {drift}")
-        with open(os.path.join(directory, "manifest.txt"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write the snapshots and manifest into ``directory``, replacing it whole.
+
+        Everything is written into a hidden sibling directory that is then
+        renamed into place, so an interrupted save leaves the previous
+        directory complete, or no directory at all, and never a partial one.
+        A directory already in place is first renamed aside, then deleted,
+        and so are the hidden siblings that a killed save left behind.
+        """
+        directory = os.path.abspath(directory)
+        parent, name = os.path.split(directory)
+        os.makedirs(parent, exist_ok=True)
+        for entry in os.listdir(parent):
+            if entry.startswith(f".{name}."):
+                shutil.rmtree(os.path.join(parent, entry), ignore_errors=True)
+        staging = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+        old = None
+        try:
+            lines = [f"scenario_hash {self.scenario_hash}",
+                     f"slices {len(self.snapshots) - 1}",
+                     "iteration_log " + " ".join(repr(float(v)) for v in self.iteration_log)]
+            for i, t in enumerate(self.times):
+                snap = f"u{i:05d}.nsvf"
+                VectorFieldGrid(self.grid, self.snapshots[i], time=float(t)).save(
+                    os.path.join(staging, snap))
+                drift = " ".join(repr(float(v)) for v in self.drift[i])
+                lines.append(f"snapshot {i} {float(t)!r} {snap} {drift}")
+            with open(os.path.join(staging, "manifest.txt"), "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            if os.path.isdir(directory):
+                old = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+                os.replace(directory, old)
+            os.replace(staging, directory)
+        finally:
+            # after a completed save the staging directory is gone already
+            shutil.rmtree(staging, ignore_errors=True)
+            if old is not None:
+                shutil.rmtree(old, ignore_errors=True)
 
 
 def load_trajectory(directory) -> Trajectory:
@@ -417,6 +434,8 @@ def load_trajectory(directory) -> Trajectory:
         elif parts[0] == "iteration_log":
             log = [float(v) for v in parts[1:]]
         elif parts[0] == "snapshot":
+            if len(parts) < 4:
+                raise ValueError(f"{directory}: the manifest line {ln!r} is cut")
             entries.append(parts)
     if not entries:
         raise ValueError(f"{directory}: the manifest lists no snapshot")
@@ -429,6 +448,9 @@ def load_trajectory(directory) -> Trajectory:
     for parts in entries:
         times.append(float(parts[2]))
         fld = read_snapshot(os.path.join(directory, parts[3]))
+        if len(parts) != 4 + fld.grid.d:
+            raise ValueError(f"{directory}: snapshot {parts[1]} lists {len(parts) - 4} "
+                             f"drift components for d = {fld.grid.d}")
         grid = fld.grid
         snaps.append(fld.components)
         drifts.append([float(v) for v in parts[4:]])
@@ -557,18 +579,6 @@ def _linear_series(ops: _SpectralOps, f: ForceModel, times: np.ndarray,
                    opts: SolverOptions):
     """L(f) at every slice time; mean-free."""
     return list(_mild_series(ops, times, opts, f=f))
-
-
-def _bilinear_series(ops: _SpectralOps, snapshots: list, drift: np.ndarray,
-                     times: np.ndarray, opts: SolverOptions):
-    """B(u, u) at every slice time from the momentum-flux history; mean-free."""
-    return [np.negative(b, out=b)
-            for b in _mild_series(ops, times, opts, history=(snapshots, drift))]
-
-
-def _heat_series(ops: _SpectralOps, a: InitialData, times: np.ndarray):
-    """heat(a) at every slice time; mean-free."""
-    return list(_mild_series(ops, times, SolverOptions(), a=a))
 
 
 def _sweep(ops: _SpectralOps, a: InitialData, f: ForceModel, snapshots: list,
@@ -920,48 +930,6 @@ def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: flo
     budget.update({f"bilinear_{k}": v for k, v in b_budget.items()})
     total = a.value(pts, t) + lin_vals - bil
     out = total.reshape(lead + (d,)) if not single else total[0]
-    return out, budget
-
-
-# ---------------------------------------------------------------------------
-# public op wrappers (grid | point mode)
-# ---------------------------------------------------------------------------
-
-
-def linear_response(f: ForceModel, t: float, *, grid: BoxGrid | None = None,
-                    x=None, slices: int = 64,
-                    opts: SolverOptions = SolverOptions()):
-    """L(f) at time t: on a grid (mean-free VectorFieldGrid) or at points x."""
-    if (grid is None) == (x is None):
-        raise ValueError("pass exactly one of grid= or x=")
-    if t < 0:
-        raise ValueError("time must be >= 0")
-    if grid is not None:
-        ops = _SpectralOps(grid)
-        times = np.linspace(0.0, t, slices + 1) if t > 0 else np.array([0.0])
-        series = _linear_series(ops, f, times, opts)
-        return VectorFieldGrid(grid, series[-1], time=t)
-    pts, single, lead = _require_points(x, f.d)
-    vals, err = _linear_point(f, pts, t, opts, slices_hint=slices)
-    out = vals.reshape(lead + (f.d,)) if not single else vals[0]
-    return out, err
-
-
-def bilinear_term(traj: Trajectory, t: float, *, x=None,
-                  opts: SolverOptions = SolverOptions()):
-    """B(u,u)(t) from the trajectory history: the grid field, or (values,
-    error_budget) at points x."""
-    if t > traj.horizon + 1e-12:
-        raise ValueError("time beyond the trajectory horizon")
-    if x is None:
-        ops = _SpectralOps(traj.grid)
-        m_t = traj.slice_index(t)
-        series = _bilinear_series(ops, traj.snapshots, traj.drift,
-                                  traj.times[: m_t + 1], opts)
-        return VectorFieldGrid(traj.grid, series[-1], time=t)
-    pts, single, lead = _require_points(x, traj.grid.d)
-    vals, budget = _bilinear_point(traj, pts, t, opts)
-    out = vals.reshape(lead + (traj.grid.d,)) if not single else vals[0]
     return out, budget
 
 

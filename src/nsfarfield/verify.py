@@ -72,6 +72,7 @@ _FIT_DIRECTIONS = 8
 _NORM_DIRECTIONS = 12
 _SLOPE_SLACK = 0.25            # decay fits pass up to exponent -(d+1) + slack
 _WINDOW_RATIO_LIMIT = 5.0      # window pinch: max/min of |u| |x|^d
+_SHORT_TIME_RATIO_LIMIT = 2.0  # short-time pinch: max upper/t over min lower/t
 _LEMLOG_VARIATION_LIMIT = 2.0  # spread of the kernel-mass ratio over a sweep
 _MASS_R_LO, _MASS_R_MAX = 0.1, 40.0  # kernel mass: radial GL8 panels, geometric
 _MASS_RATIO, _MASS_FINE_RATIO = 1.25, 1.1  # at this ratio; finer for refinement_shift
@@ -342,6 +343,7 @@ class WindowReport:
     sphere_floor: float
     remainder_fraction: float
     short_time: dict = field(default_factory=dict)
+    short_time_pass: bool = True   # the short-time pinch; True with no short times
 
 
 def pointwise_window_check(flow, t: float, radii, n_dirs: int = SPHERE_DIRECTIONS,
@@ -351,7 +353,9 @@ def pointwise_window_check(flow, t: float, radii, n_dirs: int = SPHERE_DIRECTION
     With a vanishing force integral the pinch cannot hold; ``control=True``
     runs the sampling anyway and reports the faster decay slope instead of
     raising.  ``short_times`` additionally verifies the small-time form
-    |u| ~ t |x|^{-d} by dividing the constants by t across a halving sweep.
+    |u| ~ t |x|^{-d}: over all short times, the largest upper constant over t
+    and the smallest lower constant over t must stay within
+    _SHORT_TIME_RATIO_LIMIT of each other (``short_time_pass``).
     """
     radii = np.asarray(radii, dtype=float)
     _check_validity_region(radii, t)
@@ -387,6 +391,11 @@ def pointwise_window_check(flow, t: float, radii, n_dirs: int = SPHERE_DIRECTION
             "upper_over_t": float((mags.max(axis=1) * radii**d).max() / ts),
             "force_integral_norm": float(np.linalg.norm(flow.force_integral(ts))),
         }
+    short_pass = True
+    if short:
+        lo = min(v["lower_over_t"] for v in short.values())
+        hi = max(v["upper_over_t"] for v in short.values())
+        short_pass = lo > 0 and hi / lo < _SHORT_TIME_RATIO_LIMIT
 
     return WindowReport(
         t=t, radii=radii, radius_min=radius_min, radius_max=radius_max,
@@ -397,6 +406,7 @@ def pointwise_window_check(flow, t: float, radii, n_dirs: int = SPHERE_DIRECTION
         sphere_floor=float(floor),
         remainder_fraction=rem_frac,
         short_time=short,
+        short_time_pass=bool(short_pass),
     )
 
 

@@ -55,6 +55,14 @@ def _drop_snapshot_line(tdir):
     manifest.write_text("".join(ln for ln in lines if not ln.startswith("snapshot 3 ")))
 
 
+def _cut_snapshot_line(tdir):
+    # keep "snapshot 3 <time>", drop the file name and the drift
+    manifest = tdir / "manifest.txt"
+    lines = [" ".join(ln.split()[:3]) + "\n" if ln.startswith("snapshot 3 ") else ln
+             for ln in manifest.read_text().splitlines(keepends=True)]
+    manifest.write_text("".join(lines))
+
+
 def _truncate(path, size=None):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2 if size is None else size])
 
@@ -67,6 +75,7 @@ _DAMAGE = {
     "snapshot_header_cut": lambda tdir: _truncate(tdir / "u00003.nsvf", 20),
     "snapshot_deleted": lambda tdir: (tdir / "u00003.nsvf").unlink(),
     "snapshot_line_dropped": _drop_snapshot_line,
+    "snapshot_line_cut": _cut_snapshot_line,
 }
 
 

@@ -1,4 +1,4 @@
-"""Periodic-box field operations: projection, heat flow, norms, snapshot IO."""
+"""Periodic-box fields: the Leray multiplier, the annulus norm, snapshot IO."""
 
 import math
 
@@ -9,11 +9,9 @@ from scipy.integrate import quad
 from nsfarfield.grid import (
     BoxGrid,
     VectorFieldGrid,
-    heat_evolve,
-    leray_project,
+    leray_apply,
     read_snapshot,
     restrict_annulus_norm,
-    weighted_lp_norm,
 )
 
 
@@ -37,8 +35,8 @@ def random_field(grid, seed=0, smooth=True):
             tuple(np.r_[0 : m + 1, m + 1 : 2 * m + 1] for _ in range(grid.d))
         ]
         spec[c] = full
-    f = VectorFieldGrid.from_spectral(grid, spec)
-    return VectorFieldGrid(grid, f.components)  # drop non-symmetric cache, keep real part
+    axes = tuple(range(1, grid.d + 1))
+    return VectorFieldGrid(grid, np.real(np.fft.ifftn(spec, axes=axes)))
 
 
 class TestBoxGrid:
@@ -59,19 +57,24 @@ class TestBoxGrid:
 
 
 class TestTransforms:
+    # the lazy transform: the raw fftn over the component's axes, computed once
     def test_round_trip(self, box2):
         v = random_field(box2, seed=1, smooth=False)
-        w = VectorFieldGrid.from_spectral(box2, v.spectral)
-        err = np.abs(w.components - v.components).max()
+        back = np.real(np.fft.ifftn(v.spectral, axes=(1, 2)))
+        err = np.abs(back - v.components).max()
         assert err < 1e-12 * np.abs(v.components).max()
 
     def test_spectral_cache_consistent(self, box2):
         v = random_field(box2, seed=2)
-        w = VectorFieldGrid.from_spectral(box2, v.spectral)
-        assert np.abs(w.spectral - v.spectral).max() <= 1e-12 * np.abs(v.spectral).max()
+        spec = v.spectral
+        assert v.spectral is spec
+        ref = np.fft.fftn(v.components, axes=(1, 2))
+        assert np.abs(spec - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestLerayProject:
+    # the projector on the full spectrum of box2 fields, compared in physical
+    # space: the real part of the inverse transform
     def test_annihilates_gradients(self, box2):
         # v = grad(phi) for a Gaussian bump phi has zero projection (up to the
         # mean mode, which a gradient does not carry)
@@ -81,81 +84,55 @@ class TestLerayProject:
             [np.real(np.fft.ifftn(1j * k * spec_phi)) for k in box2.wavenumbers]
         )
         v = VectorFieldGrid(box2, grad)
-        out = leray_project(v)
-        assert np.abs(out.components).max() < 1e-10 * np.abs(v.components).max()
+        out = np.real(np.fft.ifftn(
+            leray_apply(v.spectral, box2.wavenumbers, box2.inverse_k_squared), axes=(1, 2)))
+        assert np.abs(out).max() < 1e-10 * np.abs(v.components).max()
 
     def test_fixes_divergence_free_fields(self, box2):
-        v = leray_project(random_field(box2, seed=3))
-        w = leray_project(v)
-        assert np.abs(w.components - v.components).max() < 1e-12 * np.abs(v.components).max()
-        assert v.is_divergence_free()
+        u = random_field(box2, seed=3)
+        v = VectorFieldGrid(box2, np.real(np.fft.ifftn(
+            leray_apply(u.spectral, box2.wavenumbers, box2.inverse_k_squared), axes=(1, 2))))
+        w = np.real(np.fft.ifftn(
+            leray_apply(v.spectral, box2.wavenumbers, box2.inverse_k_squared), axes=(1, 2)))
+        assert np.abs(w - v.components).max() < 1e-12 * np.abs(v.components).max()
+        assert v.divergence_defect() < 1e-10
 
     def test_idempotent(self, box2):
         v = random_field(box2, seed=4)
-        once = leray_project(v)
-        twice = leray_project(once)
-        assert np.abs(twice.components - once.components).max() < 1e-12 * np.abs(
-            once.components
-        ).max()
+        once = leray_apply(v.spectral, box2.wavenumbers, box2.inverse_k_squared)
+        twice = leray_apply(once, box2.wavenumbers, box2.inverse_k_squared)
+        once, twice = (np.real(np.fft.ifftn(s, axes=(1, 2))) for s in (once, twice))
+        assert np.abs(twice - once).max() < 1e-12 * np.abs(once).max()
 
     def test_self_adjoint(self, box2):
         u = random_field(box2, seed=5)
         v = random_field(box2, seed=6)
-        pu = leray_project(u)
-        pv = leray_project(v)
-        lhs = np.sum(pu.components * v.components)
-        rhs = np.sum(u.components * pv.components)
+        pu, pv = (np.real(np.fft.ifftn(
+            leray_apply(f.spectral, box2.wavenumbers, box2.inverse_k_squared), axes=(1, 2)))
+            for f in (u, v))
+        lhs = np.sum(pu * v.components)
+        rhs = np.sum(u.components * pv)
         scale = np.sum(np.abs(u.components * v.components))
         assert abs(lhs - rhs) < 1e-10 * scale
 
 
-class TestHeatEvolve:
-    def test_identity_at_zero(self, box2):
-        v = random_field(box2, seed=7)
-        w = heat_evolve(v, 0.0)
-        np.testing.assert_array_equal(w.components, v.components)
-
-    def test_rejects_negative_time(self, box2):
-        with pytest.raises(ValueError):
-            heat_evolve(random_field(box2, seed=8), -0.5)
-
-    def test_gaussian_spreads_exactly(self, box2):
-        # heat kernel family: g_sigma -> g_{sigma+t} pointwise
-        sigma, t = 1.0, 0.75
-
-        def g(r2, s):
-            return (4 * math.pi * s) ** (-1.0) * np.exp(-r2 / (4 * s))
-
-        comp = np.stack([g(box2.radius**2, sigma), np.zeros(box2.shape)])
-        v = VectorFieldGrid(box2, comp)
-        w = heat_evolve(v, t)
-        expected = g(box2.radius**2, sigma + t)
-        assert np.abs(w.components[0] - expected).max() < 1e-8
-
-    def test_mean_conserved(self, box2):
-        v = random_field(box2, seed=9)
-        w = heat_evolve(v, 0.37)
-        np.testing.assert_allclose(w.mean(), v.mean(), rtol=1e-12, atol=1e-15)
-
-    def test_semigroup_law(self, box2):
-        v = random_field(box2, seed=10)
-        a = heat_evolve(heat_evolve(v, 0.2), 0.3)
-        b = heat_evolve(v, 0.5)
-        assert np.abs(a.components - b.components).max() < 1e-12 * np.abs(b.components).max()
-
-
 class TestWeightedNorm:
+    # the weighted norm on the annulus [0, L), the whole box but its corners:
+    # a field that vanishes for |x| >= L has its full-box norm there, and the
+    # other cases hold on any region
     def test_zero_field(self, box2):
-        z = VectorFieldGrid.zero(box2)
+        z = VectorFieldGrid(box2, np.zeros((2,) + box2.shape))
         for alpha, p in [(0, 1), (1, 2), (2, math.inf)]:
-            assert weighted_lp_norm(z, alpha, p) == 0.0
+            assert restrict_annulus_norm(z, 0.0, box2.length, alpha, p) == 0.0
 
     def test_parseval(self, box2):
+        # the transform is unnormalized: the lattice sum of |v|^2 h^d is the
+        # spectral energy over N^d
         v = random_field(box2, seed=11)
-        n2 = weighted_lp_norm(v, 0.0, 2.0)
         h = box2.spacing
+        n2 = np.sum(v.components**2) * h**box2.d
         spec_energy = np.sum(np.abs(v.spectral) ** 2) / box2.n**box2.d * h**box2.d
-        assert n2**2 == pytest.approx(spec_energy, rel=1e-10)
+        assert n2 == pytest.approx(spec_energy, rel=1e-10)
 
     def test_gaussian_against_radial_quadrature(self):
         # isotropic field with |v| = sqrt(2) e^{-r^2}; alpha=1, p=2 in d=2.
@@ -164,27 +141,30 @@ class TestWeightedNorm:
         grid = BoxGrid(2, 8.0, 1024)
         comp = np.stack([np.exp(-(grid.radius**2))] * 2)
         v = VectorFieldGrid(grid, comp)
-        val = weighted_lp_norm(v, 1.0, 2.0)
+        val = restrict_annulus_norm(v, 0.0, grid.length, 1.0, 2.0)
         integrand = lambda r: (1 + r) ** 2 * 2.0 * np.exp(-2 * r**2) * 2 * math.pi * r
         oracle = math.sqrt(quad(integrand, 0, 12, epsabs=1e-14)[0])
         assert val == pytest.approx(oracle, rel=1e-6)
 
     def test_monotone_in_alpha(self, box2):
         v = random_field(box2, seed=12)
-        vals = [weighted_lp_norm(v, a, 2.0) for a in (0.0, 0.5, 1.0, 1.5)]
+        vals = [restrict_annulus_norm(v, 0.0, box2.length, a, 2.0)
+                for a in (0.0, 0.5, 1.0, 1.5)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_sup_norm(self, box2):
         v = random_field(box2, seed=13)
-        expected = ((1 + box2.radius) * v.magnitude()).max()
-        assert weighted_lp_norm(v, 1.0, math.inf) == pytest.approx(expected, rel=0)
+        inside = box2.radius < box2.length
+        expected = ((1 + box2.radius) * v.magnitude())[inside].max()
+        assert restrict_annulus_norm(v, 0.0, box2.length, 1.0, math.inf) == pytest.approx(
+            expected, rel=0)
 
 
 class TestAnnulusNorm:
     def test_matches_full_norm_for_interior_support(self, box2):
         comp = np.stack([np.exp(-(box2.radius**2))] * 2)
         v = VectorFieldGrid(box2, comp)
-        full = weighted_lp_norm(v, 1.0, 2.0)
+        full = math.sqrt(np.sum(((1 + box2.radius) * v.magnitude()) ** 2) * box2.spacing**2)
         ann = restrict_annulus_norm(v, 0.0, box2.length, 1.0, 2.0)
         # the annulus r < L misses only the corners, where the field is ~e^{-256}
         assert ann == pytest.approx(full, abs=1e-12)
@@ -205,7 +185,7 @@ class TestAnnulusNorm:
         assert val == pytest.approx(2 * math.pi * math.log(2), rel=0.02)
 
     def test_bounds_validated(self, box2):
-        v = VectorFieldGrid.zero(box2)
+        v = VectorFieldGrid(box2, np.zeros((2,) + box2.shape))
         with pytest.raises(ValueError):
             restrict_annulus_norm(v, 8.0, 4.0, 0.0, 2.0)
         with pytest.raises(ValueError):

@@ -48,9 +48,9 @@ def canonical(box, opts):
 class TestLinearResponse:
     def test_zero_force(self, box, opts):
         f = ForceModel.zero(2)
-        fld = sv.linear_response(f, 0.5, grid=box, slices=8, opts=opts)
-        assert np.abs(fld.components).max() == 0.0
-        vals, err = sv.linear_response(f, 0.5, x=np.array([1.0, 2.0]), opts=opts)
+        comps = sv._linear_series(sv._SpectralOps(box), f, np.linspace(0.0, 0.5, 9), opts)[-1]
+        assert np.abs(comps).max() == 0.0
+        vals, err = sv._linear_point(f, np.array([[1.0, 2.0]]), 0.5, opts)
         assert np.abs(vals).max() == 0.0 and err == 0.0
 
     def test_grid_vs_point_mode(self, box, opts):
@@ -59,7 +59,8 @@ class TestLinearResponse:
         # summed over the first ring of periodic images
         f = bump_force()
         t = 0.5
-        fld = sv.linear_response(f, t, grid=box, slices=M, opts=opts)
+        comps = sv._linear_series(sv._SpectralOps(box), f, np.linspace(0.0, t, M + 1),
+                                  opts)[-1]
         pts = np.array([[1.0, 0.0], [2.0, 1.0], [0.5, -1.5], [3.0, 0.25],
                         [-2.0, 2.0], [4.0, -3.0], [0.25, 3.0], [-1.0, -1.0],
                         [2.5, -0.5], [-3.5, 0.75], [1.75, 1.75], [0.0, -2.25],
@@ -68,10 +69,10 @@ class TestLinearResponse:
         shifts = [np.array([i * 2 * L, j * 2 * L]) for i in (-1, 0, 1) for j in (-1, 0, 1)]
         point = np.zeros_like(pts)
         for s in shifts:
-            v, _ = sv.linear_response(f, t, x=pts + s, slices=M, opts=opts)
+            v, _ = sv._linear_point(f, pts + s, t, opts, slices_hint=M)
             point += v
         idx = np.rint((pts + L) / box.spacing).astype(int)
-        grid_vals = np.stack([fld.components[:, i, j] for i, j in idx])
+        grid_vals = np.stack([comps[:, i, j] for i, j in idx])
         dg = grid_vals - grid_vals[0]
         dp = point - point[0]
         scale = np.abs(point).max()
@@ -89,7 +90,7 @@ class TestLinearResponse:
             theta = np.linspace(0, 2 * math.pi, 6, endpoint=False)
             dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
             x = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-            vals, _ = sv.linear_response(f, t, x=x, slices=M, opts=opts)
+            vals, _ = sv._linear_point(f, x, t, opts, slices_hint=M)
             mag = np.linalg.norm(vals, axis=-1)
             r = np.linalg.norm(x, axis=-1)
             bound = np.minimum((1 + r) ** (-2.0), (1 + t) ** (-1.0))
@@ -135,7 +136,7 @@ def reference_bilinear_series(ops, snapshots, drift, times, opts):
     for m in range(1, times.size):
         acc *= np.exp(-(times[m] - times[m - 1]) * ops.k2)
         idx = sv._stencil(m, times.size - 1)
-        stack = [ops.momentum_flux_divergence(snapshots[i], drift[i]) for i in idx]
+        stack = [ops.lift(ops.flux_source(snapshots[i], drift[i])) for i in idx]
         for s, weight in _slice_nodes(times[m - 1], times[m], opts):
             lw = sv._lagrange_weights(times[idx], s)
             q = sum(lw[j] * stack[j] for j in range(len(idx)))
@@ -197,7 +198,7 @@ class TestFusedTimeQuadrature:
         opts = sv.SolverOptions(slices=slices, refine=refine)
         times = np.linspace(0.0, 0.5, slices + 1)
         snaps, drift = history
-        bil = sv._bilinear_series(ops, snaps, drift, times, opts)
+        bil = [-b for b in sv._mild_series(ops, times, opts, history=(snaps, drift))]
         ref = reference_bilinear_series(ops, snaps, drift, times, opts)
         assert _max_relative_gap(bil, ref) <= 1e-13
         # the force switches off inside the horizon, so some nodes see tau = 0
@@ -205,7 +206,7 @@ class TestFusedTimeQuadrature:
         lin = sv._linear_series(ops, f, times, opts)
         assert _max_relative_gap(lin, reference_linear_series(ops, f, times, opts)) <= 1e-13
         a = build_initial_data(d, kind="curl_bump", amplitude=0.01, width=1.0)
-        heat = sv._heat_series(ops, a, times)
+        heat = list(sv._mild_series(ops, times, sv.SolverOptions(), a=a))
         assert _max_relative_gap(heat, reference_heat_series(ops, a, times)) <= 1e-13
 
     def test_non_uniform_times_rejected(self, history):
@@ -215,11 +216,12 @@ class TestFusedTimeQuadrature:
         times = np.array([0.0, 0.1, 0.2, 0.35, 0.5])
         snaps, drift = history
         with pytest.raises(ValueError, match="uniform"):
-            sv._bilinear_series(ops, snaps, drift, times, opts)
+            list(sv._mild_series(ops, times, opts, history=(snaps, drift)))
         with pytest.raises(ValueError, match="uniform"):
             sv._linear_series(ops, bump_force(d=d), times, opts)
         with pytest.raises(ValueError, match="uniform"):
-            sv._heat_series(ops, build_initial_data(d, kind="zero"), times)
+            list(sv._mild_series(ops, times, sv.SolverOptions(),
+                                 a=build_initial_data(d, kind="zero")))
 
 
 class TestFusedTimeQuadratureD3(TestFusedTimeQuadrature):
@@ -296,7 +298,7 @@ class TestHalfSpectrum:
                 w_hat = np.fft.fftn(full_u[kk] * full_u[ll]) * grid.dealias_mask
                 div[kk] += 1j * grid.wavenumbers[ll] * w_hat
         ref = self.full_ifft(leray_apply(div, grid.wavenumbers, grid.inverse_k_squared), d)
-        out = ops.ifft(ops.momentum_flux_divergence(u, drift))
+        out = ops.ifft(ops.lift(ops.flux_source(u, drift)))
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -329,7 +331,7 @@ class TestPicard:
     def test_snapshots_divergence_free(self, canonical):
         _, _, traj = canonical
         for i in (0, M // 2, M):
-            assert traj.field_at(traj.times[i]).is_divergence_free(1e-10)
+            assert traj.field_at(traj.times[i]).divergence_defect() < 1e-10
 
     def test_amplitude_halving_order(self, box, opts):
         # u - L(f) must scale like the amplitude squared
@@ -355,20 +357,26 @@ class TestPicard:
 
 
 class TestBilinear:
+    # the grid field B(t_m) is the negated last slice of the mild series over
+    # times[:m + 1] with the history alone
     def test_zero_history(self, box, opts):
         a = build_initial_data(2, kind="zero")
         traj = sv.picard_solve(a, ForceModel.zero(2), box, 0.5,
                                sv.SolverOptions(slices=8, tol=1e-12))
-        fld = sv.bilinear_term(traj, 0.5, opts=opts)
-        assert np.abs(fld.components).max() == 0.0
+        m = traj.slice_index(0.5)
+        *_, last = sv._mild_series(sv._SpectralOps(box), traj.times[:m + 1], opts,
+                                   history=(traj.snapshots, traj.drift))
+        assert np.abs(last).max() == 0.0
 
     def test_quadratic_scaling_exact(self, canonical, box, opts):
         # scaling the history by lambda scales B by lambda^2 to round-off
         _, _, traj = canonical
         scaled = sv.Trajectory(box, traj.times, [2.0 * s for s in traj.snapshots],
                                2.0 * traj.drift, traj.iteration_log)
-        b1 = sv.bilinear_term(traj, T, opts=opts).components
-        b2 = sv.bilinear_term(scaled, T, opts=opts).components
+        m = traj.slice_index(T)
+        b1, b2 = (-list(sv._mild_series(sv._SpectralOps(box), tr.times[:m + 1], opts,
+                                        history=(tr.snapshots, tr.drift)))[-1]
+                  for tr in (traj, scaled))
         assert np.abs(b2 - 4.0 * b1).max() <= 1e-12 * np.abs(b2).max()
 
     def test_farfield_envelope_stable(self, canonical, opts):
@@ -379,14 +387,18 @@ class TestBilinear:
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         consts = []
         for r in (L / 2, L, 2 * L, 4 * L):
-            vals, _ = sv.bilinear_term(traj, t, x=r * dirs, opts=opts)
+            vals, _ = sv._bilinear_point(traj, r * dirs, t, opts)
             consts.append(np.max(np.linalg.norm(vals, axis=-1)) * r**3 / math.sqrt(t))
         assert max(consts) / min(consts) < 2.0
 
     def test_missing_history_guard(self, canonical, opts):
+        # 2T is not a sample time: neither the grid field nor the points
+        # have a history slice to end on
         _, _, traj = canonical
         with pytest.raises(ValueError):
-            sv.bilinear_term(traj, 2 * T, opts=opts)
+            traj.slice_index(2 * T)
+        with pytest.raises(ValueError):
+            sv._bilinear_point(traj, np.array([[L, 0.0]]), 2 * T, opts)
 
     def test_collapsed_far_pairs_match_all_pairs_reference(self, canonical, opts,
                                                            monkeypatch):
@@ -516,8 +528,11 @@ class TestFarField:
                         (4.0, 4.0), (7.0, 0.0)])
         assert np.linalg.norm(pts, axis=-1).max() < L / 2
         u, budget = sv.farfield_velocity(traj, a, f, pts, T, opts)
-        b = a.value(pts, T) + sv.linear_response(f, T, x=pts, slices=M, opts=opts)[0] - u
-        field = sv.bilinear_term(traj, T, opts=opts).components
+        b = a.value(pts, T) + sv._linear_point(f, pts, T, opts, slices_hint=M)[0] - u
+        m = traj.slice_index(T)
+        *_, last = sv._mild_series(sv._SpectralOps(traj.grid), traj.times[:m + 1], opts,
+                                   history=(traj.snapshots, traj.drift))
+        field = -last
         idx = np.rint((pts + L) / traj.grid.spacing).astype(int)
         b_grid = np.stack([field[:, i, j] for i, j in idx])
         gap = np.linalg.norm(b - b_grid, axis=-1)
@@ -581,8 +596,7 @@ class TestFarField:
                     continue
                 shift = np.array([i * 2 * L, j * 2 * L])
                 x = pts + shift
-                point += a.value(x, t) + sv.linear_response(f, t, x=x, slices=M,
-                                                            opts=opts)[0]
+                point += a.value(x, t) + sv._linear_point(f, x, t, opts, slices_hint=M)[0]
         idx = np.rint((pts + L) / box.spacing).astype(int)
         grid_vals = np.stack([traj.field_at(t).components[:, i, j] for i, j in idx])
         dg = grid_vals - grid_vals[-1]
@@ -598,15 +612,15 @@ class TestFarField:
         traj = sv.picard_solve(a, f, box, T, opts)
         t = T
         ops = sv._SpectralOps(box)
-        stokes = sv._heat_series(ops, a, traj.times)[-1] + sv._linear_series(
-            ops, f, traj.times, opts)[-1]
+        *_, heat = sv._mild_series(ops, traj.times, sv.SolverOptions(), a=a)
+        stokes = heat + sv._linear_series(ops, f, traj.times, opts)[-1]
         pts = np.array([(3.5, 0.0), (0.0, 4.0), (2.75, -2.75), (4.0, 4.0)])
         shifts = [np.array([i * 2 * L, j * 2 * L])
                   for i in range(-2, 3) for j in range(-2, 3)]
         point = np.zeros_like(pts)
         for s in shifts:
             x = pts + s
-            point += a.value(x, t) + sv.linear_response(f, t, x=x, slices=M, opts=opts)[0]
+            point += a.value(x, t) + sv._linear_point(f, x, t, opts, slices_hint=M)[0]
         idx = np.rint((pts + L) / box.spacing).astype(int)
         grid_vals = np.stack([stokes[:, i, j] for i, j in idx])
         dg = grid_vals - grid_vals[-1]
@@ -625,6 +639,43 @@ class TestPersistence:
         for s1, s2 in zip(back.snapshots, traj.snapshots):
             np.testing.assert_array_equal(s1, s2)
 
+    def test_failed_resave_keeps_the_previous_trajectory(self, canonical, tmp_path,
+                                                         monkeypatch):
+        # the fifth snapshot write of a re-save fails: the saved trajectory
+        # stays whole and nothing else is left next to it; a re-save that
+        # completes replaces it and sweeps the staging directory of a save
+        # that was killed outright
+        from nsfarfield.grid import VectorFieldGrid
+
+        _, _, traj = canonical
+        target = tmp_path / "traj"
+        traj.save(target)
+        scaled = sv.Trajectory(traj.grid, traj.times, [2.0 * s for s in traj.snapshots],
+                               2.0 * traj.drift, traj.iteration_log)
+        write, calls = VectorFieldGrid.save, []
+
+        def failing(self, path):
+            calls.append(path)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            write(self, path)
+
+        monkeypatch.setattr(VectorFieldGrid, "save", failing)
+        with pytest.raises(OSError, match="disk full"):
+            scaled.save(target)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["traj"]
+        back = sv.load_trajectory(target)
+        for s1, s2 in zip(back.snapshots, traj.snapshots):
+            np.testing.assert_array_equal(s1, s2)
+        (tmp_path / ".traj.killed").mkdir()
+        scaled.save(target)
+        assert [p.name for p in tmp_path.iterdir()] == ["traj"]
+        back = sv.load_trajectory(target)
+        np.testing.assert_array_equal(back.drift, scaled.drift)
+        for s1, s2 in zip(back.snapshots, scaled.snapshots):
+            np.testing.assert_array_equal(s1, s2)
+
 
 class TestDimension3:
     def test_end_to_end_smoke(self):
@@ -636,7 +687,7 @@ class TestDimension3:
             GaussianBump(3, width=0.7), SmoothBump(0.0, 0.25), (0.004, 0.0, 0.0))])
         opts = sv.SolverOptions(slices=8, tol=1e-11)
         traj = sv.picard_solve(a, f, grid, 0.25, opts)
-        assert traj.field_at(0.25).is_divergence_free(1e-10)
+        assert traj.field_at(0.25).divergence_defect() < 1e-10
         assert sv.integral_residual(traj, a, f, opts) < 2e-11
         x = np.array([5.0, 1.0, -0.5])
         vel, _ = sv.farfield_velocity(traj, a, f, x, 0.25, opts)

@@ -167,6 +167,27 @@ class TestPointwiseWindow:
         assert not rep.window_pass
         assert rep.fitted_slope <= -2.5
 
+    @pytest.mark.parametrize("power, passed", [(1, True), (2, False)])
+    def test_short_time_pinch_enters_the_verdict(self, power, passed):
+        # u = t^power K(x) c holds the window at every time; only u ~ t keeps
+        # the constants over t pinched across the short times, and t^2 puts
+        # their spread at 4 over the quartering from 0.5 to 0.125
+        from types import SimpleNamespace
+
+        from nsfarfield import cli
+
+        c = np.array([1.0, 0.5])
+        flow = vf.SyntheticFlow(2, lambda x, t: t**power * kn.profile_field(x, c, 2),
+                                m_of_t=lambda t: t * c)
+        cfg = SimpleNamespace(window_time=1.0, window_radii=list(np.logspace(4, 8, 5, base=2)),
+                              window_directions=16, short_times=[0.5, 0.25, 0.125])
+        _, payload = cli._check_window(cfg, flow)
+        lo = min(v["lower_over_t"] for v in payload["short_time"].values())
+        hi = max(v["upper_over_t"] for v in payload["short_time"].values())
+        assert payload["ratio"] == pytest.approx(1.0, rel=1e-10)
+        assert hi / lo == pytest.approx(4.0 ** (power - 1), rel=1e-10)
+        assert payload["passed"] is passed
+
 
 class TestWeightedNormSweep:
     @pytest.mark.parametrize("alpha,p", [(0.0, math.inf), (1.0, math.inf),
