@@ -240,6 +240,7 @@ def _check_window(cfg, flow):
         "sphere_floor": rep.sphere_floor,
         "remainder_fraction": rep.remainder_fraction,
         "short_time": rep.short_time,
+        "short_time_pass": rep.short_time_pass,
     }
     return rows, payload
 
@@ -345,8 +346,7 @@ def run_verify(cfg: ScenarioConfig, out_dir: str, only=None, scenario=None) -> i
             print(f"check {check}: NUMERICAL FAILURE ({exc})")
             status = max(status, EXIT_NUMERICAL_FAILURE)
             continue
-        except (verify.RegimeError, verify.HypothesisError,
-                verify.ValidityRegionError, ValueError) as exc:
+        except ValueError as exc:  # RegimeError, HypothesisError, ValidityRegionError
             summary["checks"][check] = {"error": f"{type(exc).__name__}: {exc}"}
             print(f"check {check}: ERROR ({exc})")
             status = max(status, EXIT_CHECK_FAILURE)

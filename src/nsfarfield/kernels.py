@@ -40,6 +40,10 @@ J. Comput. Phys. 73 (1987), and a radial form with coefficients P, W is
 
 ``scipy.special`` is imported only by the d = 3 branches: no d = 2 path
 calls erf, erfc, gamma or gammainc.
+
+The checks' constants come from the same radial coefficients, with no
+sampled direction and no rank-3 tensor; ``oseen_grad_kernel`` and
+``grad_leading_tensor`` build the full tensors only as test references.
 """
 
 from __future__ import annotations
@@ -242,16 +246,14 @@ def _grad_pw(x, t: float, d: int):
     amplitude = (4.0 * math.pi * t) ** (-d / 2.0)
     width2 = 4.0 * t
     r2 = np.sum(x * x, axis=-1)
-    u = r2 / width2
+    u = np.asarray(r2 / width2)
     q = amplitude * np.exp(-u)
     p = q / (2.0 * t)
-    # W = -(d*H - q)/r^2 = -A * defect(u) / (u * w^2); series-safe via defect/u.
-    defect = _defect_over_u(u, d)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(u >= _SERIES_CUT, defect / np.where(u > 0, u, 1.0), 0.0)
+    # W = -(d*H - q)/r^2 = -A (defect(u)/u) / w^2, the ratio by its series below the cut
+    ratio = np.empty_like(u)
     small = u < _SERIES_CUT
-    if np.any(small):
-        ratio[small] = _defect_series_over_u(u[small], d)
+    ratio[small] = _defect_series_over_u(u[small], d)
+    ratio[~small] = _defect_over_u(u[~small], d) / u[~small]
     w = -amplitude * ratio / width2
     return p, w
 
@@ -406,12 +408,8 @@ def grad_leading_contract(z, d: int, s):
     r2 = np.sum(z * z, axis=-1)
     if np.any(r2 == 0.0):
         raise ValueError("gradient of the leading tensor is singular at z = 0")
-    sz = np.einsum("...kl,...l->...k", s, z)
-    zsz = np.einsum("...k,...k->...", z, sz)
-    tr = np.trace(s, axis1=-2, axis2=-1)
-    coeff = d / (SPHERE_AREA[d] * r2 ** (d / 2.0 + 1.0))
-    out = 2.0 * sz + (tr - (d + 2.0) * zsz / r2)[..., None] * z
-    return coeff[..., None] * out
+    w = -d / (SPHERE_AREA[d] * r2 ** (d / 2.0 + 1.0))
+    return _radial_contract(z, s, 0.0, w, 1.0 / r2, d)
 
 
 def _psi_pw(r2, t: float, d: int):
@@ -500,24 +498,24 @@ def next_order_profile(x, m1, d: int):
     """Dipole-order profile with j-component sum_{h,k} d_h(leading_tensor)[j,k] m1[h,k].
 
     ``m1`` is a d x d matrix (in applications, the first space moment of the
-    force integrated in time).  Homogeneous of degree -(d+1).
+    force integrated in time).  Homogeneous of degree -(d+1).  That gradient
+    is fully symmetric (a third derivative of the fundamental solution), so
+    this is ``grad_leading_contract`` of the symmetric part of ``m1``.
     """
-    g = grad_leading_tensor(x, d)  # (..., j, k, h)
     m1 = np.asarray(m1, dtype=float)
     if m1.shape != (d, d):
         raise ValueError(f"moment matrix must be {d}x{d}, got shape {m1.shape}")
-    return np.einsum("...jkh,hk->...j", g, m1)
+    return grad_leading_contract(x, d, 0.5 * (m1 + m1.T))
 
 
-def sphere_points(d: int, n: int | None = None) -> np.ndarray:
-    """Quasi-uniform sample of the unit sphere: equispaced angles (d=2) or a
-    Fibonacci lattice (d=3).  Defaults: 4096 angles / 8192 lattice points."""
+def sphere_points(d: int, n: int) -> np.ndarray:
+    """Quasi-uniform sample of ``n`` unit vectors: equispaced angles (d=2) or
+    a Fibonacci lattice (d=3)."""
     d = _check_dim(d)
+    n = int(n)
     if d == 2:
-        n = 4096 if n is None else int(n)
         theta = 2.0 * math.pi * np.arange(n) / n
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    n = 8192 if n is None else int(n)
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     i = np.arange(n) + 0.5
     z = 1.0 - 2.0 * i / n
@@ -527,16 +525,14 @@ def sphere_points(d: int, n: int | None = None) -> np.ndarray:
 
 
 def sphere_min(c, d: int) -> float:
-    """Minimum over the default ``sphere_points`` sample of |leading_tensor(w) @ c|.
+    """Minimum over unit vectors w of |leading_tensor(w) @ c|: |c| / sigma_{d-1}.
 
-    Strictly positive iff c != 0 (up to sampling resolution); the profile
-    m(w) = leading_tensor(w) c has no zero on the sphere unless c vanishes.
+    (sigma_{d-1} |leading_tensor(w) c|)^2 = |c|^2 + d (d-2) (w.c)^2, so the minimum
+    is attained at every w in d = 2 and on the great circle perpendicular to c
+    in d = 3.  Zero iff c = 0.
     """
-    c = np.asarray(c, dtype=float)
-    if not np.any(c):
-        return 0.0
-    values = profile_field(sphere_points(d), c, d)
-    return float(np.min(np.linalg.norm(values, axis=-1)))
+    d = _check_dim(d)
+    return float(np.linalg.norm(np.asarray(c, dtype=float))) / SPHERE_AREA[d]
 
 
 def oseen_frobenius_radial(r, t: float, d: int):
@@ -553,12 +549,10 @@ def oseen_frobenius_radial(r, t: float, d: int):
 
 
 def _grad_frobenius_radial(r, t: float, d: int):
-    """Frobenius norm of F(x,t) at |x| = r (isotropic; evaluated on the 1-axis)."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    x = np.zeros((r.size, d))
-    x[:, 0] = r
-    f = oseen_grad_kernel(x, t, d)
-    return np.sqrt(np.sum(f * f, axis=(-3, -2, -1)))
+    """Frobenius norm of F(x,t) at |x| = r: r sqrt((d-1)((d+1) W^2 + (P+W)^2))
+    with the radial coefficients P, W of ``_grad_pw`` (F is isotropic)."""
+    p, w = _grad_pw(r[..., None], t, d)
+    return r * np.sqrt((d - 1.0) * ((d + 1.0) * w * w + (p + w) ** 2))
 
 
 def oseen_l1_gradient_norm(t: float, d: int) -> float:
@@ -600,27 +594,24 @@ def _legendre(order: int):
     return xi, w
 
 
-def _envelope(kernel, order: float, d: int, n_x: int, n_t: int) -> float:
-    """Measured C with |kernel(x,t)|_F <= C min(|x|^-order, t^-order/2) on a
-    log-spaced (x, t) sample."""
+def _envelope(radial_norm, order: float, d: int, n_x: int, n_t: int) -> float:
+    """Measured C with radial_norm(r, t, d) <= C min(r^-order, t^-order/2) on a
+    log-spaced (r, t) grid; ``radial_norm`` is the Frobenius norm of an
+    isotropic kernel at |x| = r."""
+    d = _check_dim(d)
     radii = np.logspace(-2, 2, n_x)
-    times = np.logspace(-2, 2, n_t)
-    dirs = np.random.default_rng(20260808).normal(size=(n_x, d))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     best = 0.0
-    for t in times:
-        k = kernel(radii[:, None] * dirs, float(t), d)
-        vals = np.sqrt(np.sum(k * k, axis=tuple(range(1, k.ndim))))
+    for t in np.logspace(-2, 2, n_t):
         bound = np.minimum(radii ** (-order), float(t) ** (-order / 2.0))
-        best = max(best, float(np.max(vals / bound)))
+        best = max(best, float(np.max(radial_norm(radii, float(t), d) / bound)))
     return best
 
 
 def envelope_constant(d: int, n_x: int = 10, n_t: int = 10) -> float:
     """Measured constant C with |K(x,t)|_F <= C min(|x|^-d, t^-d/2) on a log grid."""
-    return _envelope(oseen_kernel, float(d), d, n_x, n_t)
+    return _envelope(oseen_frobenius_radial, float(d), d, n_x, n_t)
 
 
 def grad_envelope_constant(d: int, n_x: int = 10, n_t: int = 10) -> float:
     """Measured constant C with |F(x,t)|_F <= C min(|x|^-(d+1), t^-(d+1)/2)."""
-    return _envelope(oseen_grad_kernel, d + 1.0, d, n_x, n_t)
+    return _envelope(_grad_frobenius_radial, d + 1.0, d, n_x, n_t)

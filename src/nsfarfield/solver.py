@@ -117,6 +117,10 @@ _PROBE = 16
 # _linear_point: floats per block of quadrature nodes (about 1 MB)
 _NODE_BLOCK = 1 << 17
 
+# The `format` line of a trajectory manifest; `load_trajectory` reuses no other.
+# Raise it whenever a change alters what a reused trajectory would hold.
+TRAJECTORY_FORMAT = 1
+
 
 class SolverError(RuntimeError):
     pass
@@ -395,7 +399,8 @@ class Trajectory:
         staging = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
         old = None
         try:
-            lines = [f"scenario_hash {self.scenario_hash}",
+            lines = [f"format {TRAJECTORY_FORMAT}",
+                     f"scenario_hash {self.scenario_hash}",
                      f"slices {len(self.snapshots) - 1}",
                      "iteration_log " + " ".join(repr(float(v)) for v in self.iteration_log)]
             for i, t in enumerate(self.times):
@@ -418,9 +423,12 @@ class Trajectory:
 
 
 def load_trajectory(directory) -> Trajectory:
-    """Read a ``Trajectory.save`` directory; ValueError if its manifest is incomplete."""
+    """Read a ``Trajectory.save`` directory; ValueError unless the manifest is whole and current."""
     with open(os.path.join(directory, "manifest.txt")) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    formats = [ln.split()[1:] for ln in lines if ln.split()[0] == "format"]
+    if formats != [[str(TRAJECTORY_FORMAT)]]:
+        raise ValueError(f"{directory}: the manifest is not of format {TRAJECTORY_FORMAT}")
     scenario_hash = ""
     slices = None
     entries = []
@@ -582,18 +590,17 @@ def _linear_series(ops: _SpectralOps, f: ForceModel, times: np.ndarray,
 
 
 def _sweep(ops: _SpectralOps, a: InitialData, f: ForceModel, snapshots: list,
-           drift: np.ndarray, times: np.ndarray, opts: SolverOptions,
-           in_place: bool) -> float:
+           drift: np.ndarray, times: np.ndarray, opts: SolverOptions) -> float:
     """Sup over slice times of the L2 update norm of one Picard sweep.
 
-    In place, slice m >= 1 of the sweep replaces snapshots[m] right after its
-    norm is taken; ``_mild_series`` has read the old slice by then, so this is
-    still the Jacobi iteration.  Slice 0 is heat(a) at t = 0 in every sweep.
+    Slice m >= 1 of the sweep replaces snapshots[m] right after its norm is
+    taken; ``_mild_series`` has read the old slice by then, so this is still
+    the Jacobi iteration.  Slice 0 is heat(a) at t = 0 in every sweep.
     """
     update = 0.0
     for m, new in enumerate(_mild_series(ops, times, opts, a, f, (snapshots, drift))):
         update = max(update, grid_l2(new - snapshots[m], ops.grid))
-        if in_place and m > 0:
+        if m > 0:
             snapshots[m] = new
     return update
 
@@ -633,7 +640,7 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
     snapshots = list(_mild_series(ops, times, opts, a, f))   # heat a + L(f)
     log = []
     for sweep in range(1, opts.max_sweeps + 1):
-        update = _sweep(ops, a, f, snapshots, drift, times, opts, in_place=True)
+        update = _sweep(ops, a, f, snapshots, drift, times, opts)
         log.append(update)
         if update < opts.tol:
             break
@@ -651,8 +658,8 @@ def integral_residual(traj: Trajectory, a: InitialData, f: ForceModel,
                       opts: SolverOptions = SolverOptions()) -> float:
     """Max over sample times of the L2 defect of the integral equation: the
     update norm of one more Picard sweep from the trajectory."""
-    return _sweep(_SpectralOps(traj.grid), a, f, traj.snapshots, traj.drift,
-                  traj.times, opts, in_place=False)
+    return _sweep(_SpectralOps(traj.grid), a, f, list(traj.snapshots), traj.drift,
+                  traj.times, opts)
 
 
 # ---------------------------------------------------------------------------

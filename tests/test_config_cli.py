@@ -63,6 +63,14 @@ def _cut_snapshot_line(tdir):
     manifest.write_text("".join(lines))
 
 
+def _older_format(tdir):
+    # the format line of an older format, replacing or adding one
+    manifest = tdir / "manifest.txt"
+    lines = [ln for ln in manifest.read_text().splitlines(keepends=True)
+             if not ln.startswith("format ")]
+    manifest.write_text("format 0\n" + "".join(lines))
+
+
 def _truncate(path, size=None):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2 if size is None else size])
 
@@ -76,6 +84,7 @@ _DAMAGE = {
     "snapshot_deleted": lambda tdir: (tdir / "u00003.nsvf").unlink(),
     "snapshot_line_dropped": _drop_snapshot_line,
     "snapshot_line_cut": _cut_snapshot_line,
+    "older_format": _older_format,
 }
 
 

@@ -1,6 +1,7 @@
 """Kernel closed forms: values, identities, decay envelopes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +265,43 @@ class TestOseenGradKernel:
         assert 0 < c < 10.0
 
 
+class TestClosedFormConstants:
+    """Kernel constants from the radial coefficients, with no direction
+    sample and no rank-3 tensor."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gradient_frobenius_norm_matches_tensor(self, d):
+        rng = np.random.default_rng(59)
+        r = np.logspace(-6, 2, 200)
+        dirs = rng.normal(size=(r.size, d))
+        x = r[:, None] * dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+        for t in (0.04, 1.0, 6.0):
+            f = kn.oseen_grad_kernel(x, t, d)
+            ref = np.sqrt(np.sum(f * f, axis=(-3, -2, -1)))
+            np.testing.assert_allclose(kn._grad_frobenius_radial(r, t, d), ref, rtol=1e-14, atol=0)
+
+    def test_no_src_caller_of_the_reference_tensors(self):
+        for path in Path(kn.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            for name in ("oseen_grad_kernel(", "grad_leading_tensor("):
+                assert text.count(name) == text.count("def " + name), (path.name, name)
+
+    def test_constants_sample_no_direction(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a kernel constant sampled directions or built a tensor")
+
+        for name in ("sphere_points", "oseen_kernel", "oseen_grad_kernel", "grad_leading_tensor"):
+            monkeypatch.setattr(kn, name, forbidden)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        for d in (2, 3):
+            assert kn.sphere_min(np.arange(1.0, d + 1.0), d) > 0.0
+            assert kn.envelope_constant(d, 4, 4) > 0.0
+            assert kn.grad_envelope_constant(d, 4, 4) > 0.0
+            assert kn.oseen_l1_gradient_norm(1.0, d) > 0.0
+            m1 = np.diag(np.arange(1.0, d + 1.0))
+            assert np.any(kn.next_order_profile(np.ones((3, d)), m1, d) != 0.0)
+
+
 class TestGradLeadingContract:
     @staticmethod
     def _symmetric(rng, n, d):
@@ -455,6 +493,16 @@ class TestNextOrderProfile:
             2.0 ** (-(d + 1)) * kn.next_order_profile(x, m1, d),
             rtol=1e-12,
         )
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_tensor_contraction(self, d):
+        # the full gradient tensor, any moment matrix (symmetric or not)
+        rng = np.random.default_rng(61)
+        m1 = rng.normal(size=(d, d))
+        x = rng.normal(size=(40, d)) * 4
+        ref = np.einsum("...jkh,hk->...j", kn.grad_leading_tensor(x, d), m1)
+        got = kn.next_order_profile(x, m1, d)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_matches_finite_difference_contraction(self):
         # j-component = sum_{h,k} d_h leading[j,k](x) M1[h,k], against central FD

@@ -187,6 +187,7 @@ class TestPointwiseWindow:
         assert payload["ratio"] == pytest.approx(1.0, rel=1e-10)
         assert hi / lo == pytest.approx(4.0 ** (power - 1), rel=1e-10)
         assert payload["passed"] is passed
+        assert payload["short_time_pass"] is passed
 
 
 class TestWeightedNormSweep:
