@@ -41,6 +41,7 @@ from .forcing import (
 )
 from .grid import BoxGrid
 from .solver import (
+    ADMISSION_LIMIT,
     SolverError,
     SolverOptions,
     Trajectory,
@@ -156,11 +157,8 @@ def _traj_dir(out_dir: str, digest: str) -> str:
 
 def simulate(cfg: ScenarioConfig, out_dir: str, scenario=None) -> Trajectory:
     """Solve and persist; ``scenario`` is ``build_scenario(cfg)`` if already built."""
-    from .solver import ADMISSION_LIMIT
-
     grid, data, force, opts, digest = scenario or build_scenario(cfg)
-    rep = validate_assumptions(force, ADMISSION_LIMIT,
-                               points_per_axis=128, time_samples=129)
+    rep = validate_assumptions(force, ADMISSION_LIMIT)
     traj = picard_solve(data, force, grid, cfg.horizon, opts, scenario_hash=digest,
                         assumptions=rep)
     os.makedirs(out_dir, exist_ok=True)

@@ -167,20 +167,6 @@ class ForceModel:
     def zero(cls, d: int) -> "ForceModel":
         return cls(d, terms=[])
 
-    def value(self, x, t):
-        """f(x, t) for points x of shape (..., d); returns (..., d)."""
-        x = np.asarray(x, dtype=float)
-        return self.combine([term.profile.value(x) for term in self.terms], t, x.shape)
-
-    def combine(self, profiles, t, shape):
-        """f at time t from each term's spatial profile rho(x), given on points
-        of shape ``shape``, so a caller can evaluate the profiles once."""
-        out = np.zeros(shape)
-        for term, rho in zip(self.terms, profiles):
-            scalar = rho * float(term.time_profile.value(t))
-            out += scalar[..., None] * np.asarray(term.amplitude)
-        return out
-
     def support_radius(self) -> float:
         return max((t.profile.support_radius() for t in self.terms), default=0.0)
 
@@ -257,11 +243,12 @@ def _measurement_lattice(f: ForceModel, points_per_axis: int):
 
 
 def validate_assumptions(f: ForceModel, epsilon: float,
-                          points_per_axis: int = 192, time_samples: int = 257) -> AssumptionReport:
+                          points_per_axis: int = 128, time_samples: int = 129) -> AssumptionReport:
     """Measure the force-assumption constants by quadrature over the support.
 
     Passing means the measured f1/f2 constants are at most ``epsilon`` and the
-    f3 constant is finite.
+    f3 constant is finite.  The defaults are the lattice the solver's
+    admission guard measures on.
     """
     if not f.terms:
         return AssumptionReport(0.0, 0.0, 0.0, target=epsilon)
@@ -274,12 +261,17 @@ def validate_assumptions(f: ForceModel, epsilon: float,
     times = (np.arange(time_samples) + 0.5) * dt
 
     space_weight = (1.0 + radii) ** (f.d + 2)
+    # the spatial profiles do not depend on time: evaluate each once
     profiles = [term.profile.value(pts) for term in f.terms]
     eps_f1 = 0.0
     l1 = 0.0
     f3 = 0.0
     for t in times:
-        mag = np.linalg.norm(f.combine(profiles, float(t), pts.shape), axis=-1)
+        force = np.zeros(pts.shape)
+        for term, rho in zip(f.terms, profiles):
+            tau = float(term.time_profile.value(t))
+            force += (rho * tau)[..., None] * np.asarray(term.amplitude)
+        mag = np.linalg.norm(force, axis=-1)
         # 1 / min((1+|x|)^{-d-2}, (1+t)^{-(d+2)/2}) = max of the two blow-ups
         ratio = mag * np.maximum(space_weight, (1.0 + t) ** ((f.d + 2) / 2.0))
         eps_f1 = max(eps_f1, float(ratio.max(initial=0.0)))
@@ -348,11 +340,6 @@ class InitialData:
 
     def to_field(self, grid: BoxGrid) -> VectorFieldGrid:
         return VectorFieldGrid.from_callable(grid, lambda x: self.value(x, 0.0))
-
-    def support_radius(self) -> float:
-        if self.kind == "zero" or self.amplitude == 0.0:
-            return 0.0
-        return (_GAUSS_CUT + 1.0) * self.width
 
 
 def build_initial_data(d: int, kind: str = "zero", amplitude: float = 0.0,

@@ -2,10 +2,9 @@
 multiplier and the weighted annulus norm.
 
 The box is [-L, L)^d sampled at N points per axis (x_i = -L + i*h, h = 2L/N),
-so wavenumbers are pi*n/L for integer n in the usual FFT layout.  A field's
-spectrum uses the raw numpy FFT convention (no normalization on the forward
-transform) and is computed on first use.  ``leray_apply`` is a pure Fourier
-multiplier, so the convention never leaks out of it.
+so wavenumbers are pi*n/L for integer n in the usual FFT layout.
+``leray_apply`` is a pure Fourier multiplier, so no transform normalization
+leaks out of it.
 
 The box is a truncation device for problems posed on all of R^d: scenarios
 must keep the essential support of data and force well inside the box and
@@ -123,10 +122,7 @@ class BoxGrid:
 
 
 class VectorFieldGrid:
-    """A d-component field sampled on a BoxGrid, with a cached transform.
-
-    Treat instances as immutable: the transform is computed once and kept.
-    """
+    """A d-component field sampled on a BoxGrid at one time."""
 
     def __init__(self, grid: BoxGrid, components: np.ndarray, time: float = 0.0):
         components = np.asarray(components, dtype=float)
@@ -137,7 +133,6 @@ class VectorFieldGrid:
         self.grid = grid
         self.components = components
         self.time = float(time)
-        self._spectral = None
 
     @classmethod
     def from_callable(cls, grid: BoxGrid, func, time: float = 0.0):
@@ -146,26 +141,8 @@ class VectorFieldGrid:
         components = np.moveaxis(values, -1, 0)
         return cls(grid, components, time=time)
 
-    @property
-    def spectral(self) -> np.ndarray:
-        if self._spectral is None:
-            axes = tuple(range(1, self.grid.d + 1))
-            self._spectral = np.fft.fftn(self.components, axes=axes)
-        return self._spectral
-
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(self.components**2, axis=0))
-
-    def divergence_defect(self) -> float:
-        """max_k |k . u_hat(k)| / max_k |u_hat(k)|, zero mode excluded."""
-        spec = self.spectral
-        dot = np.zeros(self.grid.shape, dtype=complex)
-        for ax, k in enumerate(self.grid.wavenumbers):
-            dot += k * spec[ax]
-        denom = np.abs(spec).max()
-        if denom == 0.0:
-            return 0.0
-        return float(np.abs(dot).max() / denom)
 
     def save(self, path) -> None:
         """Write the snapshot in the flat binary format (see README):

@@ -39,7 +39,7 @@ J. Comput. Phys. 73 (1987), and a radial form with coefficients P, W is
 -(P/2) sigma conj(w) + ((P + 4W)/2) conj(sigma) w^3 / r^2.
 
 ``scipy.special`` is imported only by the d = 3 branches: no d = 2 path
-calls erf, erfc, gamma or gammainc.
+calls erfc, gamma or gammainc.
 
 The checks' constants come from the same radial coefficients, with no
 sampled direction and no rank-3 tensor; ``oseen_grad_kernel`` and
@@ -81,9 +81,10 @@ __all__ = [
 SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 # Switch to series evaluation of the radial profiles when u = (r/a)^2 < 1e-3.
-# The direct erf/expm1 forms lose ~|log10 u| digits to cancellation as u -> 0;
-# at the cut both branches agree to ~1e-12 relative.  d*H - q in d = 3 uses
-# the cancellation-free incomplete-gamma form, good to ~3e-15 there.
+# Above the cut H (expm1 in d = 2, incomplete gamma in d = 3) and d*H - q in
+# d = 3 (incomplete gamma) are free of cancellation, good to ~2e-15 relative;
+# d*H - q = 2H - exp(-u) in d = 2 loses ~|log10 u| digits as u -> 0, ~1e-13
+# relative just above the cut.
 _SERIES_CUT = 1.0e-3
 _SERIES_TERMS = 10
 # Log-spaced radial panels of the L1 gradient-norm quadrature.
@@ -149,13 +150,10 @@ def _mass_fraction_over_u(u: np.ndarray, d: int) -> np.ndarray:
         if d == 2:
             out[big] = -np.expm1(-ub) / (2.0 * ub)
         else:
-            from scipy.special import erf
+            from scipy.special import gamma, gammainc
 
-            su = np.sqrt(ub)
-            out[big] = (
-                (math.sqrt(math.pi) / 4.0) * erf(su) / (ub * su)
-                - 0.5 * np.exp(-ub) / ub
-            )
+            # H/A = lower_gamma(3/2, u) / (2 u^(3/2)), with no cancellation
+            out[big] = gamma(1.5) * gammainc(1.5, ub) / (2.0 * ub**1.5)
     return out
 
 
@@ -192,6 +190,14 @@ def _defect_over_u(u: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _radial_profiles(x, amplitude, width, d: int):
+    """r^2, q = A exp(-u), H and d*H - q at points ``x``, with u = r^2 / w^2."""
+    r2 = np.sum(x * x, axis=-1)
+    u = r2 / (width * width)
+    return (r2, amplitude * np.exp(-u), amplitude * _mass_fraction_over_u(u, d),
+            amplitude * _defect_over_u(u, d))
+
+
 def projected_gaussian(x, amplitude: float, width: float, c, d: int):
     """Divergence-free projection of the vector field c * A exp(-|x|^2/w^2).
 
@@ -205,11 +211,7 @@ def projected_gaussian(x, amplitude: float, width: float, c, d: int):
     d = _check_dim(d)
     x = _as_points(x, d)
     c = np.asarray(c, dtype=float)
-    r2 = np.sum(x * x, axis=-1)
-    u = r2 / (width * width)
-    q = amplitude * np.exp(-u)
-    h = amplitude * _mass_fraction_over_u(u, d)
-    defect = amplitude * _defect_over_u(u, d)  # d*H - q
+    r2, q, h, defect = _radial_profiles(x, amplitude, width, d)
     # value = (q - H) c + defect * (xh.c) xh ; xh.c xh = (x.c) x / r^2
     xc = np.einsum("...j,...j->...", x, c)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -228,12 +230,7 @@ def oseen_kernel(x, t: float, d: int):
     t = _check_time(t)
     x = _as_points(x, d)
     amplitude = (4.0 * math.pi * t) ** (-d / 2.0)
-    width = 2.0 * math.sqrt(t)
-    r2 = np.sum(x * x, axis=-1)
-    u = r2 / (width * width)
-    q = amplitude * np.exp(-u)
-    h = amplitude * _mass_fraction_over_u(u, d)
-    defect = amplitude * _defect_over_u(u, d)
+    r2, q, h, defect = _radial_profiles(x, amplitude, 2.0 * math.sqrt(t), d)
     eye = np.eye(d)
     with np.errstate(invalid="ignore", divide="ignore"):
         inv_r2 = np.where(r2 > 0.0, 1.0 / r2, 0.0)

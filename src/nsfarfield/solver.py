@@ -118,7 +118,8 @@ _PROBE = 16
 _NODE_BLOCK = 1 << 17
 
 # The `format` line of a trajectory manifest; `load_trajectory` reuses no other.
-# Raise it whenever a change alters what a reused trajectory would hold.
+# Raise it whenever a change alters what a reused trajectory would hold;
+# tests/test_solver.py pins a small solve under each value.
 TRAJECTORY_FORMAT = 1
 
 
@@ -615,8 +616,8 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
     empirical contraction guard, ContractionError when update norms fail to
     decrease, ConvergenceError when max_sweeps is exhausted.  A caller that
     has already measured the force constants (``validate_assumptions`` at
-    ADMISSION_LIMIT, 128 points per axis, 129 time samples) passes the report
-    as ``assumptions``.
+    ADMISSION_LIMIT on its default lattice) passes the report as
+    ``assumptions``.
     """
     if math.sqrt(horizon) > grid.length / 8.0 + 1e-12:
         raise ValueError(
@@ -624,8 +625,7 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
             "periodic truncation would contaminate the far field")
     rep = assumptions
     if rep is None:
-        rep = validate_assumptions(f, ADMISSION_LIMIT, points_per_axis=128,
-                                   time_samples=129)
+        rep = validate_assumptions(f, ADMISSION_LIMIT)
     combined = rep.combined() + a.l1_norm + a.sup_weighted
     if combined > ADMISSION_LIMIT:
         raise AdmissionError(

@@ -197,20 +197,14 @@ class SyntheticFlow:
     """A closed-form flow for oracle runs: a vectorized callable u(x, t) with
     no heat term."""
 
-    def __init__(self, d: int, velocity_fn, grid=None, m_of_t=None, m1_of_t=None):
+    def __init__(self, d: int, velocity_fn, m_of_t=None, m1_of_t=None):
         self.d = d
         self._fn = velocity_fn
-        self.grid = grid
         self._m = m_of_t
         self._m1 = m1_of_t
 
     def velocity(self, x, t: float):
         return self._fn(np.asarray(x, dtype=float), t)
-
-    def snapshot(self, t: float) -> VectorFieldGrid:
-        if self.grid is None:
-            raise ValueError("synthetic flow has no grid attached")
-        return VectorFieldGrid.from_callable(self.grid, lambda x: self._fn(x, t), time=t)
 
     def force_integral(self, t: float) -> np.ndarray:
         return np.zeros(self.d) if self._m is None else np.asarray(self._m(t), dtype=float)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import divergence_defect
 from nsfarfield.forcing import (
     ForceModel,
     GaussianBump,
@@ -118,7 +119,7 @@ class TestInitialData:
         a = build_initial_data(2, kind="curl_bump", amplitude=0.5, width=1.0)
         grid = BoxGrid(2, 16.0, 128)
         fld = a.to_field(grid)
-        assert fld.divergence_defect() < 1e-12
+        assert divergence_defect(fld) < 1e-12
 
     def test_curl_bump_zero_mean(self):
         a = build_initial_data(2, kind="curl_bump", amplitude=0.5)
@@ -158,11 +159,18 @@ class TestInitialData:
 
 class TestForceModelBasics:
     def test_value_superposes_terms(self):
+        # the measured force is the vector sum of the terms: a doubled term
+        # doubles every constant, and opposite amplitudes cancel where the
+        # two bumps overlap
         t1 = SeparableTerm(GaussianBump(2, center=(1.0, 0.0)), Indicator(0.0, 1.0), (1.0, 0.0))
         t2 = SeparableTerm(GaussianBump(2, center=(-1.0, 0.0)), Indicator(0.0, 1.0), (-1.0, 0.0))
         f = ForceModel(2, terms=[t1, t2])
-        x = np.array([0.0, 0.0])
-        np.testing.assert_allclose(f.value(x, 0.5), np.zeros(2), atol=1e-15)
+        lattice = dict(points_per_axis=32, time_samples=17)
+        one = validate_assumptions(ForceModel(2, terms=[t1]), 10.0, **lattice)
+        two = validate_assumptions(ForceModel(2, terms=[t1, t1]), 10.0, **lattice)
+        assert two.l1_norm == pytest.approx(2 * one.l1_norm, rel=1e-12)
+        assert two.epsilon_f1 == pytest.approx(2 * one.epsilon_f1, rel=1e-12)
+        assert validate_assumptions(f, 10.0, **lattice).l1_norm < 2 * one.l1_norm
         # mean zero but first moment nonzero
         np.testing.assert_allclose(force_integral(f, 2.0), np.zeros(2), atol=1e-15)
         assert np.abs(first_moment(f, 2.0)).max() > 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import divergence_defect
 from nsfarfield.grid import (
     BoxGrid,
     VectorFieldGrid,
@@ -56,25 +57,15 @@ class TestBoxGrid:
         assert box2.axis[-1] == pytest.approx(16.0 - 0.25)
 
 
-class TestTransforms:
-    # the lazy transform: the raw fftn over the component's axes, computed once
-    def test_round_trip(self, box2):
-        v = random_field(box2, seed=1, smooth=False)
-        back = np.real(np.fft.ifftn(v.spectral, axes=(1, 2)))
-        err = np.abs(back - v.components).max()
-        assert err < 1e-12 * np.abs(v.components).max()
-
-    def test_spectral_cache_consistent(self, box2):
-        v = random_field(box2, seed=2)
-        spec = v.spectral
-        assert v.spectral is spec
-        ref = np.fft.fftn(v.components, axes=(1, 2))
-        assert np.abs(spec - ref).max() <= 1e-12 * np.abs(ref).max()
+def project(v):
+    """The projector on the full spectrum of a 2-d field, back in physical
+    space: the real part of the inverse transform."""
+    spec = np.fft.fftn(v.components, axes=(1, 2))
+    k, inv_k2 = v.grid.wavenumbers, v.grid.inverse_k_squared
+    return np.real(np.fft.ifftn(leray_apply(spec, k, inv_k2), axes=(1, 2)))
 
 
 class TestLerayProject:
-    # the projector on the full spectrum of box2 fields, compared in physical
-    # space: the real part of the inverse transform
     def test_annihilates_gradients(self, box2):
         # v = grad(phi) for a Gaussian bump phi has zero projection (up to the
         # mean mode, which a gradient does not carry)
@@ -84,22 +75,20 @@ class TestLerayProject:
             [np.real(np.fft.ifftn(1j * k * spec_phi)) for k in box2.wavenumbers]
         )
         v = VectorFieldGrid(box2, grad)
-        out = np.real(np.fft.ifftn(
-            leray_apply(v.spectral, box2.wavenumbers, box2.inverse_k_squared), axes=(1, 2)))
+        out = project(v)
         assert np.abs(out).max() < 1e-10 * np.abs(v.components).max()
 
     def test_fixes_divergence_free_fields(self, box2):
         u = random_field(box2, seed=3)
-        v = VectorFieldGrid(box2, np.real(np.fft.ifftn(
-            leray_apply(u.spectral, box2.wavenumbers, box2.inverse_k_squared), axes=(1, 2))))
-        w = np.real(np.fft.ifftn(
-            leray_apply(v.spectral, box2.wavenumbers, box2.inverse_k_squared), axes=(1, 2)))
+        v = VectorFieldGrid(box2, project(u))
+        w = project(v)
         assert np.abs(w - v.components).max() < 1e-12 * np.abs(v.components).max()
-        assert v.divergence_defect() < 1e-10
+        assert divergence_defect(v) < 1e-10
 
     def test_idempotent(self, box2):
         v = random_field(box2, seed=4)
-        once = leray_apply(v.spectral, box2.wavenumbers, box2.inverse_k_squared)
+        once = leray_apply(np.fft.fftn(v.components, axes=(1, 2)), box2.wavenumbers,
+                           box2.inverse_k_squared)
         twice = leray_apply(once, box2.wavenumbers, box2.inverse_k_squared)
         once, twice = (np.real(np.fft.ifftn(s, axes=(1, 2))) for s in (once, twice))
         assert np.abs(twice - once).max() < 1e-12 * np.abs(once).max()
@@ -107,9 +96,7 @@ class TestLerayProject:
     def test_self_adjoint(self, box2):
         u = random_field(box2, seed=5)
         v = random_field(box2, seed=6)
-        pu, pv = (np.real(np.fft.ifftn(
-            leray_apply(f.spectral, box2.wavenumbers, box2.inverse_k_squared), axes=(1, 2)))
-            for f in (u, v))
+        pu, pv = project(u), project(v)
         lhs = np.sum(pu * v.components)
         rhs = np.sum(u.components * pv)
         scale = np.sum(np.abs(u.components * v.components))
@@ -131,7 +118,8 @@ class TestWeightedNorm:
         v = random_field(box2, seed=11)
         h = box2.spacing
         n2 = np.sum(v.components**2) * h**box2.d
-        spec_energy = np.sum(np.abs(v.spectral) ** 2) / box2.n**box2.d * h**box2.d
+        spec = np.fft.fftn(v.components, axes=(1, 2))
+        spec_energy = np.sum(np.abs(spec) ** 2) / box2.n**box2.d * h**box2.d
         assert n2 == pytest.approx(spec_energy, rel=1e-10)
 
     def test_gaussian_against_radial_quadrature(self):

@@ -112,7 +112,7 @@ class TestOseenKernel:
     @pytest.mark.parametrize("d", [2, 3])
     def test_series_branch_matches_direct_branch(self, d):
         # at the same u just above the switch, the series evaluation must agree
-        # with the erf/expm1 branch to near round-off
+        # with the closed-form branch to near round-off
         u = np.array([1.05 * kn._SERIES_CUT])
         direct_mass = kn._mass_fraction_over_u(u, d)[0]
         direct_defect = kn._defect_over_u(u, d)[0]
@@ -128,6 +128,20 @@ class TestOseenKernel:
         )
         assert direct_mass == pytest.approx(series_mass, rel=1e-11)
         assert direct_defect == pytest.approx(series_defect, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mass_fraction_against_extended_precision(self, d):
+        # H/A = lower_gamma(d/2, u) / (2 u^(d/2)) to 40 digits; just above the
+        # series cut a closed form that cancels would lose digits here
+        import mpmath
+
+        us = [1.01e-3, 1.34e-3, 1.44e-3, 2e-3, 1e-2, 1.0, 10.0]
+        got = kn._mass_fraction_over_u(np.array(us), d)
+        with mpmath.workdps(40):
+            half = mpmath.mpf(d) / 2
+            for u, value in zip(us, got):
+                exact = mpmath.gammainc(half, 0, u) / (2 * mpmath.mpf(u) ** half)
+                assert value == pytest.approx(float(exact), rel=1e-14, abs=0), u
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_decay_envelope_constant(self, d):

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import divergence_defect
 from nsfarfield import solver as sv
 from nsfarfield.forcing import (
     ForceModel,
     GaussianBump,
+    Indicator,
     SeparableTerm,
     SmoothBump,
     build_initial_data,
@@ -331,7 +333,7 @@ class TestPicard:
     def test_snapshots_divergence_free(self, canonical):
         _, _, traj = canonical
         for i in (0, M // 2, M):
-            assert traj.field_at(traj.times[i]).divergence_defect() < 1e-10
+            assert divergence_defect(traj.field_at(traj.times[i])) < 1e-10
 
     def test_amplitude_halving_order(self, box, opts):
         # u - L(f) must scale like the amplitude squared
@@ -588,7 +590,9 @@ class TestFarField:
         t = T
         pts = np.array([(3.5, 0.0), (0.0, 4.0), (-3.75, 0.5), (2.75, -2.75),
                         (3.25, 2.0), (-2.5, -3.0), (4.0, 4.0)])
-        assert np.linalg.norm(pts, axis=-1).min() > max(a.support_radius(), f.support_radius())
+        # outside the datum's support (its Gaussian below 1e-12, plus a width)
+        a_support = (math.sqrt(math.log(1e12)) + 1.0) * w
+        assert np.linalg.norm(pts, axis=-1).min() > max(a_support, f.support_radius())
         point, _ = sv.farfield_velocity(traj, a, f, pts, t, opts)
         for i in range(-2, 3):
             for j in range(-2, 3):
@@ -626,6 +630,39 @@ class TestFarField:
         dg = grid_vals - grid_vals[-1]
         dp = point - point[-1]
         assert np.abs(dg - dp).max() < 1e-4 * np.abs(grid_vals).max()
+
+
+# Per-slice grid_l2 norms and three lattice values of the last slice of the
+# trajectory ``TestTrajectoryFormat`` solves, one entry per TRAJECTORY_FORMAT.
+_TRAJECTORY_PINS = {
+    1: ([0.0008862268357244301, 0.0007136514295137731, 0.0006107559675154546,
+         0.0005528172955165173, 0.0005249868154621059, 0.0004714993799255574,
+         0.0004288098962218993, 0.0003938999654172913, 0.00036478814511869343],
+        [7.318827630590549e-05, -4.879417330854978e-05, -5.2437593419936995e-06]),
+}
+
+
+class TestTrajectoryFormat:
+    def test_content_pinned_under_the_format(self):
+        # a reused trajectory is trusted by its manifest's format line, so a
+        # change to what the solve computes must raise TRAJECTORY_FORMAT.  The
+        # scenario has heat, force and bilinear parts, and the force switches
+        # off inside the finest graded panel of slice 4, so the slice
+        # quadrature shows in the values too
+        grid = BoxGrid(2, 8.0, 32)
+        a = build_initial_data(2, kind="curl_bump", amplitude=0.0005, width=1.0)
+        f = ForceModel(2, terms=[SeparableTerm(GaussianBump(2, width=1.0),
+                                               Indicator(0.0, 0.2487), (0.0015, 0.0005))])
+        traj = sv.picard_solve(a, f, grid, 0.5, sv.SolverOptions(slices=8, tol=1e-12))
+        norms = [sv.grid_l2(s, grid) for s in traj.snapshots]
+        last = traj.snapshots[-1]
+        values = [last[0, 16, 16], last[1, 18, 13], last[0, 20, 24]]
+        message = ("trajectory content changed: raise TRAJECTORY_FORMAT and pin the new "
+                   "values under it")
+        assert sv.TRAJECTORY_FORMAT in _TRAJECTORY_PINS, message
+        pinned_norms, pinned_values = _TRAJECTORY_PINS[sv.TRAJECTORY_FORMAT]
+        np.testing.assert_allclose(norms, pinned_norms, rtol=1e-12, atol=0, err_msg=message)
+        np.testing.assert_allclose(values, pinned_values, rtol=1e-12, atol=0, err_msg=message)
 
 
 class TestPersistence:
@@ -687,7 +724,7 @@ class TestDimension3:
             GaussianBump(3, width=0.7), SmoothBump(0.0, 0.25), (0.004, 0.0, 0.0))])
         opts = sv.SolverOptions(slices=8, tol=1e-11)
         traj = sv.picard_solve(a, f, grid, 0.25, opts)
-        assert traj.field_at(0.25).divergence_defect() < 1e-10
+        assert divergence_defect(traj.field_at(0.25)) < 1e-10
         assert sv.integral_residual(traj, a, f, opts) < 2e-11
         x = np.array([5.0, 1.0, -0.5])
         vel, _ = sv.farfield_velocity(traj, a, f, x, 0.25, opts)

@@ -403,13 +403,18 @@ class TestOneBatchPerTime:
     def test_trajectory_norms_one_call_per_time_across_pairs(self):
         from types import SimpleNamespace
 
-        from nsfarfield.grid import BoxGrid
+        from nsfarfield.grid import BoxGrid, VectorFieldGrid
 
         def u(x, t):
             r2 = np.sum(x * x, axis=-1, keepdims=True)
             return x / (t * (1.0 + r2) ** 1.5)
 
-        flow = CountingFlow(vf.SyntheticFlow(2, u, grid=BoxGrid(2, 8.0, 16)))
+        # the parts of a FlowAdapter the norms read besides velocity: the box,
+        # a snapshot at each time and the trajectory's time snapping
+        grid = BoxGrid(2, 8.0, 16)
+        flow = CountingFlow(vf.SyntheticFlow(2, u))
+        flow.grid = grid
+        flow.snapshot = lambda t: VectorFieldGrid.from_callable(grid, lambda x: u(x, t), time=t)
         flow.traj = SimpleNamespace(nearest_time=float)
         norms = vf.TrajectoryNorms(flow)
         times = [1.0, 1.25, 1.5, 1.75, 2.0]
