@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nsfarfield import cli
@@ -373,15 +374,19 @@ class TestCli:
         assert code == cli.EXIT_PASS
         summary = json.loads(next(out.glob("verify_*.json")).read_text())
         assert list(summary["checks"]) == ["lemlog"]
-        # the lemlog CSV abscissa is rho = |x|/sqrt(t), one per (|x|, t) row
+        # the lemlog CSV abscissa is rho = |x|/sqrt(t), one per (|x|, t) row:
+        # 16 distinct values, geometric over [e, 40]
         rows = next(out.glob("lemlog_*.csv")).read_text().splitlines()[1:]
-        assert [float(row.split(",")[0]) for row in rows] == [
-            r / math.sqrt(0.25 * 0.5**k) for r in (8.0, 16.0, 32.0, 64.0) for k in range(4)]
-        # every rho here is >= 16, where the prediction is the ratio's exact
-        # large-rho form: the residual is value - prediction, at round-off
-        for row in rows:
+        rhos = [float(row.split(",")[0]) for row in rows]
+        assert len(set(rhos)) == len(rows) == 16
+        np.testing.assert_allclose(rhos, np.geomspace(math.e, 40.0, 16), rtol=1e-14)
+        # the residual is value - prediction; from rho = 16 on the prediction
+        # is the ratio's exact large-rho form, so the residual is round-off
+        for rho, row in zip(rhos, rows):
             _, value, pred, resid = (float(v) for v in row.split(","))
-            assert resid == value - pred and abs(resid) < 1e-15 * value
+            assert resid == value - pred
+            if rho >= 16.0:
+                assert abs(resid) < 1e-15 * value
 
     def test_verify_builds_scenario_once(self, tmp_path, monkeypatch):
         # a cold verify solves the scenario it already built, a warm one loads;

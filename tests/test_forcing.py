@@ -1,12 +1,15 @@
 """Force models: assumption constants, integrals, moments, initial data."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import divergence_defect
+from helpers import divergence_defect, validate_assumptions_reference
+from nsfarfield import cli
+from nsfarfield.config import parse_config
 from nsfarfield.forcing import (
     ForceModel,
     GaussianBump,
@@ -22,6 +25,9 @@ from nsfarfield.forcing import (
 from nsfarfield.grid import BoxGrid
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def unit_bump_force(d=2, amplitude=(1.0, 0.0), t_off=1.0, center=None, width=1.0):
     term = SeparableTerm(
         GaussianBump(d, width=width, center=center),
@@ -29,6 +35,38 @@ def unit_bump_force(d=2, amplitude=(1.0, 0.0), t_off=1.0, center=None, width=1.0
         amplitude,
     )
     return ForceModel(d, terms=[term])
+
+
+def _config_force(name, **replace):
+    text = (CONFIGS / name).read_text()
+    for old, new in replace.items():
+        text = text.replace(old, new)
+    return cli.build_scenario(parse_config(text))[2]
+
+
+# (force, lattice arguments): every shipped force kind, two smooth profiles
+# with different windows, two overlapping indicators (the profile vector
+# takes the directions (1, 0), (1, 1)/sqrt(2) and (0, 1)), a narrow bump
+# switched on late (zero samples first, then the (1+t)^2 blow-up of f1 wins)
+# and a d = 3 term
+PARITY_CASES = {
+    "canonical": (lambda: _config_force("canonical.cfg"), {}),
+    "dipole": (lambda: _config_force("dipole.cfg"), {}),
+    "quadrupole": (lambda: _config_force("dipole.cfg",
+                                         **{"kind = dipole_pair": "kind = quadrupole"}), {}),
+    "two_smooth_bumps": (lambda: ForceModel(2, terms=[
+        SeparableTerm(GaussianBump(2, width=1.0, center=(0.5, -0.25)),
+                      SmoothBump(0.0, 0.3), (0.002, 0.001)),
+        SeparableTerm(GaussianBump(2, width=1.5), SmoothBump(0.1, 0.5), (-0.001, 0.0))]), {}),
+    "overlapping_indicators": (lambda: ForceModel(2, terms=[
+        SeparableTerm(GaussianBump(2, center=(1.0, 0.0)), Indicator(0.0, 0.6), (1e-3, 0.0)),
+        SeparableTerm(GaussianBump(2, width=0.8, center=(-0.5, 0.5)), Indicator(0.3, 1.0),
+                      (-5e-4, 2e-4))]), {}),
+    "late_narrow_bump": (lambda: ForceModel(2, terms=[
+        SeparableTerm(GaussianBump(2, width=0.3), Indicator(2.0, 20.0), (1e-3, 0.0))]), {}),
+    "d3": (lambda: unit_bump_force(d=3, amplitude=(1e-3, 0.0, 5e-4), center=(0.5, 0.0, 0.0)),
+           dict(points_per_axis=48, time_samples=17)),
+}
 
 
 class TestValidateAssumptions:
@@ -74,6 +112,18 @@ class TestValidateAssumptions:
         force = ForceModel(2, terms=terms)
         rep = validate_assumptions(force, 1.0, points_per_axis=32, time_samples=17)
         assert len(calls) == 2 and rep.l1_norm > 0
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_separated_constants_match_per_time_reference(self, case):
+        # one lattice pass per profile direction gives the constants of one
+        # pass per time sample, up to the order of rounding
+        build, lattice = PARITY_CASES[case]
+        force = build()
+        got = validate_assumptions(force, 1.0, **lattice)
+        ref = validate_assumptions_reference(force, 1.0, **lattice)
+        for name in ("epsilon_f1", "l1_norm", "c_f3"):
+            assert getattr(ref, name) > 0
+            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-14, abs=0), name
 
 
 class TestForceIntegral:
