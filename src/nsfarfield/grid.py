@@ -173,11 +173,14 @@ def read_snapshot(path) -> VectorFieldGrid:
             raise ValueError(f"bad endianness tag {endian!r}")
         tag = endian.decode()
         d, n, length, time, ncomp = struct.unpack(f"{tag}IIddI", head[6:])
-        count = ncomp * n**d
-        data = np.frombuffer(fh.read(count * 8), dtype=f"{tag}f8", count=count)
-    grid = BoxGrid(d, length, n)
-    components = data.reshape((ncomp,) + grid.shape).astype(float)
-    return VectorFieldGrid(grid, components, time=time)
+        grid = BoxGrid(d, length, n)
+        data = np.empty((ncomp,) + grid.shape, dtype=f"{tag}f8")
+        got = fh.readinto(data)
+    if got != data.nbytes:
+        raise ValueError(f"snapshot data cut at {got} of {data.nbytes} bytes")
+    if not data.dtype.isnative:
+        data = data.astype(float)
+    return VectorFieldGrid(grid, data, time=time)
 
 
 def leray_apply(spec: np.ndarray, k: list, inv_k2: np.ndarray) -> np.ndarray:

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import os
 import shutil
@@ -199,8 +200,10 @@ def _unit_gradient_l1(d: int) -> float:
     return kernels.oseen_l1_gradient_norm(1.0, d)
 
 
-def grid_l2(components: np.ndarray, grid: BoxGrid) -> float:
-    return float(np.sqrt(np.sum(components * components) * grid.spacing**grid.d))
+def grid_l2(components: np.ndarray, grid: BoxGrid, out: np.ndarray | None = None) -> float:
+    """L2 norm of a field on the grid; ``out``, if given, takes the squares."""
+    squares = np.multiply(components, components, out=out)
+    return float(np.sqrt(np.sum(squares) * grid.spacing**grid.d))
 
 
 class _SpectralOps:
@@ -216,8 +219,11 @@ class _SpectralOps:
     is a source and its lift, ``lift(flux_source)``.  In d = 2 the source is
     one scalar per mode and the lift is i k_perp, k_perp = (-k_1, k_0); in
     d = 3 the source is the projected vector itself and the lift is the
-    identity.  The Duhamel recursion accumulates sources and lifts once per
-    slice.
+    identity.  Both live on the dealiased block only: the two-thirds rule
+    zeroes every mode with some |n_axis| >= N/3, so B is stored at the
+    kept modes, rows n = 0..K-1 and N-K+1..N-1 of every leading axis (two
+    slabs) and columns n = 0..K-1 of the last, K the count of kept n >= 0.
+    The Duhamel recursion accumulates sources and lifts once per slice.
     """
 
     def __init__(self, grid: BoxGrid):
@@ -229,19 +235,57 @@ class _SpectralOps:
         self.k_nyquist = [np.where(nq, k, 0.0)[half]
                           for k, nq in zip(grid.wavenumbers, nyquist)]
         self.k2 = grid.k_squared[half]
-        self.mask = grid.dealias_mask[half]
         self.inv_k2 = grid.inverse_k_squared[half]
         self.shape = self.k2.shape
+        # the mask is one 1-d rule per axis: read it along axis 0
+        self._rows = np.flatnonzero(grid.dealias_mask[(slice(None),) + (0,) * (grid.d - 1)])
+        n = grid.n
+        kept = int(np.count_nonzero(self._rows <= n // 2))
+        self._kept = kept
+        self.block_shape = (self._rows.size,) * (grid.d - 1) + (kept,)
+        runs = ((slice(0, kept), slice(0, kept)), (slice(n - kept + 1, n), slice(kept, None)))
+        self._slabs = [tuple(zip(*run, (slice(0, kept), slice(None))))
+                       for run in itertools.product(runs, repeat=grid.d - 1)]
+        self._k_block = [self.block(k) for k in self.k]
+        self._inv_k2_block = self.block(self.inv_k2)
         if grid.d == 2:
-            k0, k1 = self.k
-            scale = self.mask * self.inv_k2
-            self._source_weights = (-2.0 * k0 * k1 * scale, (k0 * k0 - k1 * k1) * scale)
+            k0, k1 = self._k_block
+            inv = self._inv_k2_block
+            self._source_weights = (-2.0 * k0 * k1 * inv, (k0 * k0 - k1 * k1) * inv)
+            self._lift = np.stack(np.broadcast_arrays(-1j * k1, 1j * k0))
 
     def fft(self, comps):
         return np.fft.rfftn(comps, axes=self.axes)
 
     def ifft(self, spec):
         return np.fft.irfftn(spec, s=self.grid.shape, axes=self.axes)
+
+    def block(self, spec):
+        """The dealiased block of a half-spectrum array or multiplier; leading
+        axes beyond the grid's are batch axes, and axes of length 1 broadcast."""
+        spec = spec[..., :self._kept]
+        for ax in range(-2, -self.grid.d - 1, -1):
+            if spec.shape[ax] > 1:
+                spec = np.take(spec, self._rows, axis=ax)
+        return spec
+
+    def subtract_block(self, spec, block) -> None:
+        """spec -= block at the block's modes, in place."""
+        for full, part in self._slabs:
+            spec[(Ellipsis,) + full] -= block[(Ellipsis,) + part]
+
+    def _block_rfftn(self, comps):
+        """The dealiased block of ``rfftn`` over the grid axes of ``comps``.
+
+        ``np.fft.rfftn`` takes the rfft along the last axis, then an fft
+        along each earlier axis, last to first.  The same passes run here in
+        the same order, each later one on the kept columns and rows only, so
+        every kept value is bitwise the one ``rfftn`` gives.
+        """
+        spec = np.fft.rfft(comps, axis=-1)[..., :self._kept]
+        for ax in range(-2, -self.grid.d - 1, -1):
+            spec = np.take(np.fft.fft(spec, axis=ax), self._rows, axis=ax)
+        return spec
 
     def project(self, spec):
         """Leray projection of a real field's half spectrum.
@@ -256,40 +300,44 @@ class _SpectralOps:
                            self.inv_k2)
 
     def flux_source(self, u_phys: np.ndarray, drift: np.ndarray):
-        """The bilinear integrand before its lift, for W the dealiased
-        product (u + drift) (x) (u + drift).
+        """The bilinear integrand before its lift on the dealiased block, for
+        W the dealiased product (u + drift) (x) (u + drift).
 
         In d = 2, with f = u + drift, the trace part of W has a gradient for
         its divergence, which the projector removes.  Only a = (f_0^2 - f_1^2)/2
         and b = f_0 f_1 are transformed, and P[i k . W] = i k_perp s with
-        s = [(k_0^2 - k_1^2) b - 2 k_0 k_1 a] / |k|^2.  The dealias mask
-        clears every Nyquist mode, so s has no Nyquist part and the full
-        projector is this one term.  In d = 3 the source is P[i k . W].
+        s = [(k_0^2 - k_1^2) b - 2 k_0 k_1 a] / |k|^2.  The block holds no
+        Nyquist mode, so s has no Nyquist part and the full projector is this
+        one term.  In d = 3 the source is P[i k . W].
         """
         d = self.grid.d
         full = u_phys + drift.reshape((d,) + (1,) * d)
         if d == 2:
             f0, f1 = full
-            a_hat, b_hat = self.fft(np.stack([0.5 * (f0 * f0 - f1 * f1), f0 * f1]))
+            b = f0 * f1
+            f0 *= f0
+            f0 -= f1 * f1
+            f0 *= 0.5
+            f1[...] = b                       # full holds (a, b) now
+            a_hat, b_hat = self._block_rfftn(full)
             wa, wb = self._source_weights
             return wa * a_hat + wb * b_hat
-        div = np.zeros((d,) + self.shape, dtype=complex)
+        k = self._k_block
+        div = np.zeros((d,) + self.block_shape, dtype=complex)
         for kk in range(d):
             for ll in range(kk, d):
-                w_hat = np.fft.rfftn(full[kk] * full[ll])
-                w_hat *= self.mask
-                div[kk] += 1j * self.k[ll] * w_hat
+                w_hat = self._block_rfftn(full[kk] * full[ll])
+                div[kk] += 1j * k[ll] * w_hat
                 if ll != kk:
-                    div[ll] += 1j * self.k[kk] * w_hat
-        # the mask clears every Nyquist mode: the rank-one Nyquist part is idle
-        return leray_apply(div, self.k, self.inv_k2)
+                    div[ll] += 1j * k[kk] * w_hat
+        # the block holds no Nyquist mode: the rank-one Nyquist part is idle
+        return leray_apply(div, k, self._inv_k2_block)
 
     def lift(self, source):
-        """The projected flux divergence of a source: i k_perp s in d = 2."""
+        """The projected flux divergence of a block source: i k_perp s in d = 2."""
         if self.grid.d == 3:
             return source
-        k0, k1 = self.k
-        return np.stack([-1j * k1 * source, 1j * k0 * source])
+        return self._lift * source
 
 
 class Trajectory:
@@ -340,8 +388,12 @@ class Trajectory:
             w = (1.0 + self.grid.radius) ** self.grid.d
             best = 0.0
             for comps in self.snapshots:
-                mag = np.sqrt(np.sum(comps * comps, axis=0))
-                best = max(best, float((w * mag).max()))
+                mag = comps[0] * comps[0]
+                for c in comps[1:]:
+                    mag += c * c
+                np.sqrt(mag, out=mag)
+                mag *= w
+                best = max(best, float(mag.max()))
             return best
 
         return self._cached("decay_constant", build)
@@ -506,7 +558,8 @@ def _slice_rule(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions) -> _S
     dt = _uniform_step(times)
     offsets, weights = (a.ravel() for a in kernels.gauss_panels(
         *_time_panels([0.0, dt], opts.refine), 4))
-    factors = np.exp(-(dt - offsets).reshape((-1,) + (1,) * ops.grid.d) * ops.k2)
+    factors = np.multiply(-(dt - offsets).reshape((-1,) + (1,) * ops.grid.d), ops.k2)
+    np.exp(factors, out=factors)          # one (nodes, half spectrum) array, not two
     return _SliceRule(dt, offsets, weights, factors, np.exp(-dt * ops.k2))
 
 
@@ -531,12 +584,14 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
     at the projected, mean-free data spectrum and each slice adds, per force
     term, one field (the node propagators folded with tau(s)) times the
     term's spectrum.  B's source (``_SpectralOps.flux_source``: one scalar
-    per mode in d = 2) goes into a second accumulator: slice m adds
-    sum_j E_j source(t_{idx_j}) over its cubic stencil idx, where E_j folds
-    the Lagrange weight of stencil slice j into the node propagators.  E_j
-    depends only on the stencil's position relative to the slice,
-    (m - idx[0], len(idx)), so each pattern is built once per call.  Each
-    slice costs one lift and one inverse transform.
+    per mode in d = 2) goes into a second accumulator on the dealiased
+    block: slice m adds sum_j E_j source(t_{idx_j}) over its cubic stencil
+    idx, where E_j folds the Lagrange weight of stencil slice j into the
+    node propagators.  E_j depends only on the stencil's position relative
+    to the slice, (m - idx[0], len(idx)), so each pattern is built once per
+    call, and only its block is kept.  Each slice costs one lift, taken off
+    a copy of the vector accumulator at the block, and one inverse
+    transform.
 
     ``history`` is (snapshots, drift).  Slice m's stencil reaches an index
     >= m, so the source of snapshots[m] is taken before slice m is yielded:
@@ -553,14 +608,15 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
     patterns: dict = {}
     if history is not None:
         snapshots, drift = history
-        bil = np.zeros(ops.shape if d == 2 else (d,) + ops.shape, dtype=complex)
+        decay = ops.block(rule.decay)
+        bil = np.zeros(ops.block_shape if d == 2 else (d,) + ops.block_shape, dtype=complex)
 
     def stencil_fields(offset: int, size: int):
         if (offset, size) not in patterns:
             lw = np.stack([_lagrange_weights(np.arange(size) * rule.dt,
                                              (offset - 1) * rule.dt + s)
                            for s in rule.offsets])
-            patterns[offset, size] = [rule.fold(lw[:, j]) for j in range(size)]
+            patterns[offset, size] = [ops.block(rule.fold(lw[:, j])) for j in range(size)]
         return patterns[offset, size]
 
     yield ops.ifft(acc)
@@ -575,12 +631,13 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
             idx = _stencil(m, times.size - 1)
             for i in [i for i in sources if i < idx[0]]:
                 del sources[i]
-            bil *= rule.decay
+            bil *= decay
             for i, weight in zip(idx, stencil_fields(m - idx[0], len(idx))):
                 if i not in sources:
                     sources[i] = ops.flux_source(snapshots[i], drift[i])
                 bil += weight * sources[i]
-            total = acc - ops.lift(bil)
+            total = acc.copy()
+            ops.subtract_block(total, ops.lift(bil))
         yield ops.ifft(total)
 
 
@@ -599,8 +656,10 @@ def _sweep(ops: _SpectralOps, a: InitialData, f: ForceModel, snapshots: list,
     the Jacobi iteration.  Slice 0 is heat(a) at t = 0 in every sweep.
     """
     update = 0.0
+    diff = None
     for m, new in enumerate(_mild_series(ops, times, opts, a, f, (snapshots, drift))):
-        update = max(update, grid_l2(new - snapshots[m], ops.grid))
+        diff = np.subtract(new, snapshots[m], out=diff)
+        update = max(update, grid_l2(diff, ops.grid, out=diff))
         if m > 0:
             snapshots[m] = new
     return update

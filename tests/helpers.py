@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from nsfarfield import solver as sv
 from nsfarfield.forcing import AssumptionReport, ForceModel, _measurement_lattice
+from nsfarfield.grid import leray_apply
 
 
 def divergence_defect(v) -> float:
@@ -49,3 +51,106 @@ def validate_assumptions_reference(f: ForceModel, epsilon: float,
         l1 += float(mag.sum()) * cell * dt
         f3 = max(f3, (1.0 + t) ** 0.5 * float((radii * mag).sum()) * cell)
     return AssumptionReport(eps_f1, l1, f3, target=epsilon)
+
+
+# ---------------------------------------------------------------------------
+# The Picard recursion on the whole half spectrum, the oracle for the solver's
+# dealiased-block recursion: B's source, its lift, the stencil fields and the
+# accumulator span every mode, zeros outside the block included.
+# ---------------------------------------------------------------------------
+
+
+def embed_block(ops, block):
+    """A block array (``_SpectralOps.block`` layout) on the whole half
+    spectrum, zero outside the block."""
+    spec = np.zeros(block.shape[:block.ndim - ops.grid.d] + ops.shape, dtype=complex)
+    for full, part in ops._slabs:
+        spec[(Ellipsis,) + full] = block[(Ellipsis,) + part]
+    return spec
+
+
+def flux_source_full(ops, u_phys, drift):
+    """``_SpectralOps.flux_source`` on the whole half spectrum: the dealias
+    mask times one ``rfftn`` of every product."""
+    grid = ops.grid
+    d = grid.d
+    mask = grid.dealias_mask[..., :grid.n // 2 + 1]
+    full = u_phys + drift.reshape((d,) + (1,) * d)
+    if d == 2:
+        k0, k1 = ops.k
+        scale = mask * ops.inv_k2
+        f0, f1 = full
+        a_hat, b_hat = ops.fft(np.stack([0.5 * (f0 * f0 - f1 * f1), f0 * f1]))
+        return -2.0 * k0 * k1 * scale * a_hat + (k0 * k0 - k1 * k1) * scale * b_hat
+    div = np.zeros((d,) + ops.shape, dtype=complex)
+    for kk in range(d):
+        for ll in range(kk, d):
+            w_hat = np.fft.rfftn(full[kk] * full[ll])
+            w_hat *= mask
+            div[kk] += 1j * ops.k[ll] * w_hat
+            if ll != kk:
+                div[ll] += 1j * ops.k[kk] * w_hat
+    return leray_apply(div, ops.k, ops.inv_k2)
+
+
+def lift_full(ops, source):
+    """``_SpectralOps.lift`` on the whole half spectrum."""
+    if ops.grid.d == 3:
+        return source
+    k0, k1 = ops.k
+    return np.stack([-1j * k1 * source, 1j * k0 * source])
+
+
+def mild_series_full(ops, times, opts, a=None, f=None, history=None):
+    """``solver._mild_series`` with B on the whole half spectrum."""
+    d = ops.grid.d
+    rule = sv._slice_rule(ops, times, opts)
+    acc = np.zeros((d,) + ops.shape, dtype=complex)
+    if a is not None:
+        acc += ops.project(ops.fft(a.to_field(ops.grid).components))
+        acc[(slice(None),) + (0,) * d] = 0.0
+    terms = [] if f is None else sv._force_spectra(ops, f)
+    sources = {}
+    patterns = {}
+    if history is not None:
+        snapshots, drift = history
+        bil = np.zeros(ops.shape if d == 2 else (d,) + ops.shape, dtype=complex)
+
+    def stencil_fields(offset, size):
+        if (offset, size) not in patterns:
+            lw = np.stack([sv._lagrange_weights(np.arange(size) * rule.dt,
+                                                (offset - 1) * rule.dt + s)
+                           for s in rule.offsets])
+            patterns[offset, size] = [rule.fold(lw[:, j]) for j in range(size)]
+        return patterns[offset, size]
+
+    yield ops.ifft(acc)
+    for m in range(1, times.size):
+        acc *= rule.decay
+        for tau, spec in terms:
+            tv = tau.value(times[m - 1] + rule.offsets)
+            if np.any(tv):
+                acc += rule.fold(tv) * spec
+        total = acc
+        if history is not None:
+            idx = sv._stencil(m, times.size - 1)
+            for i in [i for i in sources if i < idx[0]]:
+                del sources[i]
+            bil *= rule.decay
+            for i, weight in zip(idx, stencil_fields(m - idx[0], len(idx))):
+                if i not in sources:
+                    sources[i] = flux_source_full(ops, snapshots[i], drift[i])
+                bil += weight * sources[i]
+            total = acc - lift_full(ops, bil)
+        yield ops.ifft(total)
+
+
+def sweep_full(ops, a, f, snapshots, drift, times, opts):
+    """``solver._sweep`` on ``mild_series_full``, with a new array for every
+    difference and square."""
+    update = 0.0
+    for m, new in enumerate(mild_series_full(ops, times, opts, a, f, (snapshots, drift))):
+        update = max(update, sv.grid_l2(new - snapshots[m], ops.grid))
+        if m > 0:
+            snapshots[m] = new
+    return update

@@ -1,6 +1,7 @@
 """Periodic-box fields: the Leray multiplier, the annulus norm, snapshot IO."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -195,6 +196,25 @@ class TestSnapshotIO:
         path = tmp_path / "bad.nsvf"
         path.write_bytes(b"not a snapshot at all")
         with pytest.raises(ValueError):
+            read_snapshot(path)
+
+    def test_big_endian_snapshot(self, box2, tmp_path):
+        # the format's '>' tag: header and samples big-endian, written by hand
+        v = random_field(box2, seed=16, smooth=False)
+        path = tmp_path / "big.nsvf"
+        path.write_bytes(b"NSVF" + struct.pack("B", 1) + b">"
+                         + struct.pack(">IIddI", 2, box2.n, box2.length, 0.375, 2)
+                         + v.components.astype(">f8").tobytes())
+        w = read_snapshot(path)
+        assert w.grid == box2 and w.time == 0.375
+        assert w.components.dtype == np.float64 and w.components.dtype.isnative
+        np.testing.assert_array_equal(w.components, v.components)
+
+    def test_short_data_rejected(self, box2, tmp_path):
+        path = tmp_path / "short.nsvf"
+        random_field(box2, seed=17).save(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="cut"):
             read_snapshot(path)
 
     def test_byte_identical_rewrites(self, box2, tmp_path):

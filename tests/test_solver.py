@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import divergence_defect
+import helpers
+from helpers import divergence_defect, embed_block
 from nsfarfield import solver as sv
 from nsfarfield.forcing import (
     ForceModel,
@@ -138,7 +139,8 @@ def reference_bilinear_series(ops, snapshots, drift, times, opts):
     for m in range(1, times.size):
         acc *= np.exp(-(times[m] - times[m - 1]) * ops.k2)
         idx = sv._stencil(m, times.size - 1)
-        stack = [ops.lift(ops.flux_source(snapshots[i], drift[i])) for i in idx]
+        stack = [embed_block(ops, ops.lift(ops.flux_source(snapshots[i], drift[i])))
+                 for i in idx]
         for s, weight in _slice_nodes(times[m - 1], times[m], opts):
             lw = sv._lagrange_weights(times[idx], s)
             q = sum(lw[j] * stack[j] for j in range(len(idx)))
@@ -300,8 +302,57 @@ class TestHalfSpectrum:
                 w_hat = np.fft.fftn(full_u[kk] * full_u[ll]) * grid.dealias_mask
                 div[kk] += 1j * grid.wavenumbers[ll] * w_hat
         ref = self.full_ifft(leray_apply(div, grid.wavenumbers, grid.inverse_k_squared), d)
-        out = ops.ifft(ops.lift(ops.flux_source(u, drift)))
+        out = ops.ifft(embed_block(ops, ops.lift(ops.flux_source(u, drift))))
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class _AnyEvenGrid(BoxGrid):
+    """A BoxGrid that skips the power-of-two rule: at N = 48 the two-thirds
+    cut N/3 = 16 falls on a mode."""
+
+    def __init__(self, d, length, n):
+        self.d, self.length, self.n = d, float(length), n
+
+
+class TestDealiasedBlock:
+    # B lives on the block of modes the two-thirds rule keeps; the oracle is
+    # the same recursion on the whole half spectrum (tests/helpers.py)
+    @pytest.mark.parametrize("grid", [BoxGrid(2, 8.0, 32), BoxGrid(2, 8.0, 64),
+                                      _AnyEvenGrid(2, 8.0, 48), BoxGrid(3, 8.0, 16)],
+                             ids=["d2-N32", "d2-N64", "d2-N48", "d3-N16"])
+    def test_source_vanishes_outside_block(self, grid):
+        d = grid.d
+        ops = sv._SpectralOps(grid)
+        kept = grid.dealias_mask[..., :grid.n // 2 + 1]
+        assert np.array_equal(embed_block(ops, np.ones(ops.block_shape)) != 0, kept)
+        rng = np.random.default_rng(7)
+        u = rng.normal(size=(d,) + grid.shape)
+        drift = rng.normal(size=d)
+        full = helpers.flux_source_full(ops, u, drift)
+        block = ops.flux_source(u, drift)
+        # every kept mode but the zero mode carries source
+        mag = np.abs(block).reshape((-1,) + ops.block_shape).sum(axis=0)
+        assert np.count_nonzero(mag) == mag.size - 1
+        assert np.all(full[..., ~kept] == 0)
+        assert np.array_equal(embed_block(ops, block), full)
+
+    @pytest.mark.parametrize("d, n, slices", [(2, 32, 1), (2, 32, 2), (2, 32, 3),
+                                              (2, 32, 8), (3, 16, 4)])
+    def test_matches_full_spectrum_recursion(self, d, n, slices, monkeypatch):
+        # bitwise: the block transform runs rfftn's passes in rfftn's order
+        grid = BoxGrid(d, 8.0, n)
+        a = build_initial_data(d, kind="curl_bump", amplitude=0.001, width=1.0)
+        f = bump_force(amp=0.001, t_off=0.3, d=d)
+        opts = sv.SolverOptions(slices=slices, tol=1e-13)
+        traj = sv.picard_solve(a, f, grid, 0.5, opts)
+        res = sv.integral_residual(traj, a, f, opts)
+        monkeypatch.setattr(sv, "_mild_series", helpers.mild_series_full)
+        monkeypatch.setattr(sv, "_sweep", helpers.sweep_full)
+        ref = sv.picard_solve(a, f, grid, 0.5, opts)
+        assert len(traj.snapshots) == len(ref.snapshots) == slices + 1
+        assert all(np.array_equal(s, r) for s, r in zip(traj.snapshots, ref.snapshots))
+        assert traj.iteration_log == ref.iteration_log
+        assert res == sv.integral_residual(ref, a, f, opts)
 
 
 class TestPicard:
