@@ -15,6 +15,7 @@ periodic-image contamination stays below reporting tolerances.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from functools import cached_property
 
@@ -159,7 +160,9 @@ class VectorFieldGrid:
 
 def read_snapshot(path) -> VectorFieldGrid:
     """Read a snapshot written by VectorFieldGrid.save; ValueError if it is
-    not one or is cut short."""
+    not one or is cut short.  The header is checked against d and the file
+    size before the data array is allocated, so a header that claims more
+    data than the file holds allocates nothing."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
         if head[:4] != _MAGIC:
@@ -174,10 +177,13 @@ def read_snapshot(path) -> VectorFieldGrid:
         tag = endian.decode()
         d, n, length, time, ncomp = struct.unpack(f"{tag}IIddI", head[6:])
         grid = BoxGrid(d, length, n)
+        if ncomp != d:
+            raise ValueError(f"snapshot has {ncomp} components in d = {d}")
+        size, expected = os.fstat(fh.fileno()).st_size - _HEADER_BYTES, ncomp * n**d * 8
+        if size < expected:
+            raise ValueError(f"snapshot data cut at {size} of {expected} bytes")
         data = np.empty((ncomp,) + grid.shape, dtype=f"{tag}f8")
-        got = fh.readinto(data)
-    if got != data.nbytes:
-        raise ValueError(f"snapshot data cut at {got} of {data.nbytes} bytes")
+        fh.readinto(data)
     if not data.dtype.isnative:
         data = data.astype(float)
     return VectorFieldGrid(grid, data, time=time)

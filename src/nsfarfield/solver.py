@@ -56,6 +56,11 @@ the time and space quadrature estimates and the |y| > L/2 truncation bound.
 In d = 2 the kernels annihilate the trace of the flux, so the history keeps
 only its traceless part as one complex number per source point, and each pair
 is one complex product (see ``kernels``).
+
+Far-field values are computed when ``farfield_velocity`` is called; the
+error budget is built, and then kept, when it is first read.  No check reads
+it yet (per-point budgets in each check's report are still to come), so the
+checks pay for the values alone.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ import math
 import os
 import shutil
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +115,9 @@ _CORE = 2.0
 
 # _bilinear_point: slices per history panel, points per pair block (memory
 # only: each point's source sum is its own row sum, so a point's value does
-# not depend on its batch), and points per batch that carry the quadrature
-# error estimate
+# not depend on its batch), and the first points of a call, whose pair sums
+# the budget runs again, with the GL2 rule and on a stride-2 subsample, to
+# estimate the quadrature error when it is read
 _COARSEN = 8
 _CHUNK = 8
 _PROBE = 16
@@ -734,100 +741,117 @@ def _require_points(x, d: int) -> tuple:
 
 
 def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
-                  slices_hint: int = 64):
-    """L(f)(x, t) by closed-form time quadrature; returns (values, error_estimate).
+                  slices_hint: int = 64, order: int = 4) -> np.ndarray:
+    """L(f)(x, t) by closed-form time quadrature with the GL``order`` panel rule.
 
     Each Gaussian force term contributes tau(s) * P[c rho_{t-s}](x - center)
     with rho_{t-s} the heat-fattened bump; the projection of a radial Gaussian
     is evaluated in closed form, so only the s-integral is numerical.  The
     (node, term) entries with tau(s) != 0 go through ``projected_gaussian``
     in blocks of about ``_NODE_BLOCK`` floats, one call per block, and are
-    summed in node order.
+    summed in node order.  ``_linear_gap`` estimates the error.
     """
     d = f.d
     if t == 0.0 or not f.terms:
-        return np.zeros_like(x), 0.0
+        return np.zeros_like(x)
     n_panels = max(8, min(slices_hint, 64))
     panels = _time_panels(np.linspace(0.0, t, n_panels + 1), opts.refine)
     centers = np.array([term.profile.center for term in f.terms])
     amplitudes = np.array([term.amplitude for term in f.terms])
     block = max(1, _NODE_BLOCK // x.size)
-    sums = []
-    for order in (4, 2):
-        s, w = (a.ravel() for a in kernels.gauss_panels(*panels, order))
-        tv = np.stack([term.time_profile.value(s) for term in f.terms], axis=-1)
-        ii, jj = np.nonzero(tv)          # node-major, as the quadrature sum runs
-        coef = w[ii] * tv[ii, jj]
-        evolved = np.array([f.terms[j].profile.heat_evolved(t - s[i])
-                            for i, j in zip(ii, jj)]).reshape(-1, 2)
-        acc = np.zeros_like(x)
-        for b0 in range(0, ii.size, block):
-            e = slice(b0, b0 + block)
-            vals = kernels.projected_gaussian(x - centers[jj[e], None], evolved[e, :1],
-                                              evolved[e, 1:], amplitudes[jj[e], None], d)
-            vals *= coef[e, None, None]
-            vals[0] += acc
-            acc = vals.sum(axis=0)
-        sums.append(acc)
-    out, coarse = sums
-    err = float(np.max(np.linalg.norm(out - coarse, axis=-1), initial=0.0))
-    return out, err
+    s, w = (a.ravel() for a in kernels.gauss_panels(*panels, order))
+    tv = np.stack([term.time_profile.value(s) for term in f.terms], axis=-1)
+    ii, jj = np.nonzero(tv)          # node-major, as the quadrature sum runs
+    coef = w[ii] * tv[ii, jj]
+    evolved = np.array([f.terms[j].profile.heat_evolved(t - s[i])
+                        for i, j in zip(ii, jj)]).reshape(-1, 2)
+    acc = np.zeros_like(x)
+    for b0 in range(0, ii.size, block):
+        e = slice(b0, b0 + block)
+        vals = kernels.projected_gaussian(x - centers[jj[e], None], evolved[e, :1],
+                                          evolved[e, 1:], amplitudes[jj[e], None], d)
+        vals *= coef[e, None, None]
+        vals[0] += acc
+        acc = vals.sum(axis=0)
+    return acc
 
 
-def _history_rules(times: np.ndarray, m_t: int, opts: SolverOptions):
-    """GL4 and embedded GL2 nodes of the history integral over [0, times[m_t]].
+def _linear_gap(values: np.ndarray, f: ForceModel, x: np.ndarray, t: float,
+                opts: SolverOptions, slices_hint: int = 64) -> float:
+    """Error estimate of ``_linear_point``'s ``values``: the largest distance
+    over the points to the embedded GL2 rule."""
+    coarse = _linear_point(f, x, t, opts, slices_hint, order=2)
+    return float(np.max(np.linalg.norm(values - coarse, axis=-1), initial=0.0))
+
+
+def _history_rule(times: np.ndarray, m_t: int, opts: SolverOptions, order: int) -> list:
+    """GL``order`` nodes of the history integral over [0, times[m_t]].
 
     Panels group `_COARSEN` slices and are graded toward s = t; each node
     carries (s, weight, stencil slice indices, Lagrange weights).
     """
     panels = _time_panels(times[list(range(0, m_t, _COARSEN)) + [m_t]], opts.refine)
     n_slices = times.size - 1
-    rules = []
-    for order in (4, 2):
-        nodes = []
-        for s, weight in zip(*(a.ravel() for a in kernels.gauss_panels(*panels, order))):
-            idx = _stencil(int(np.searchsorted(times, s, side="right")), n_slices)
-            nodes.append((s, weight, idx, _lagrange_weights(times[idx], s)))
-        rules.append(nodes)
-    return rules
+    nodes = []
+    for s, weight in zip(*(a.ravel() for a in kernels.gauss_panels(*panels, order))):
+        idx = _stencil(int(np.searchsorted(times, s, side="right")), n_slices)
+        nodes.append((s, weight, idx, _lagrange_weights(times[idx], s)))
+    return nodes
+
+
+def _collapse(nodes: list, fluxes: list):
+    """sum over nodes of weight * flux(s) interpolated on the node's stencil,
+    as one weight per slice times that slice's flux."""
+    w = np.zeros(len(fluxes))
+    for _, weight, idx, lw in nodes:
+        w[idx] += weight * lw
+    return sum(w[i] * fluxes[i] for i in np.flatnonzero(w))
 
 
 @dataclass(frozen=True)
 class _CollapsedHistory:
-    """The history integral at one evaluation time, for the leading-part sum.
-
-    ``q4``/``q2`` are the fluxes collapsed by the GL4/GL2 rules,
-    sum over nodes of weight * interpolated flux(s), in the form of
-    ``Trajectory.flux_history``; ``flux_mass`` is sum over GL4 nodes of
-    weight * sum_j |lw_j| |Q_j|_F, which bounds the node sum of |Q(s)|_F at
-    each source point.  Q = (u+D)(x)(u+D) has rank one, so
-    |Q|_F = |u+D|^2 = 2 |sigma| in d = 2.
-    """
+    """The history integral at one evaluation time, for the leading-part sum:
+    the GL4 rule ``nodes4`` and the flux ``q4`` it collapses to, in the form
+    of ``Trajectory.flux_history``."""
 
     nodes4: list
-    nodes2: list
     q4: np.ndarray
-    q2: np.ndarray
-    flux_mass: np.ndarray
 
 
 def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions) -> _CollapsedHistory:
     def build():
-        _, fluxes = traj.flux_history()
-        nodes4, nodes2 = _history_rules(traj.times, m_t, opts)
-        # per-slice weights of the two rules
-        w4, w2, w_abs = (np.zeros(len(fluxes)) for _ in range(3))
-        for _, weight, idx, lw in nodes4:
-            w4[idx] += weight * lw
-            w_abs[idx] += weight * np.abs(lw)
-        for _, weight, idx, lw in nodes2:
-            w2[idx] += weight * lw
-        q4 = sum(w4[i] * fluxes[i] for i in np.flatnonzero(w4))
-        q2 = sum(w2[i] * fluxes[i] for i in np.flatnonzero(w2))
-        mass = sum(w_abs[i] * _flux_norm(fluxes[i]) for i in np.flatnonzero(w_abs))
-        return _CollapsedHistory(nodes4, nodes2, q4, q2, mass)
+        nodes4 = _history_rule(traj.times, m_t, opts, 4)
+        return _CollapsedHistory(nodes4, _collapse(nodes4, traj.flux_history()[1]))
 
     return traj._cached(("collapsed", m_t, opts.refine), build)
+
+
+@dataclass(frozen=True)
+class _HistoryBudget:
+    """What the error budget of ``_bilinear_point`` adds to the collapsed history.
+
+    ``nodes2``/``q2`` are the embedded GL2 rule and its collapsed flux;
+    ``flux_mass`` is sum over GL4 nodes of weight * sum_j |lw_j| |Q_j|_F,
+    which bounds the node sum of |Q(s)|_F at each source point.
+    Q = (u+D)(x)(u+D) has rank one, so |Q|_F = |u+D|^2 = 2 |sigma| in d = 2.
+    """
+
+    nodes2: list
+    q2: np.ndarray
+    flux_mass: np.ndarray
+
+
+def _history_budget(traj: Trajectory, m_t: int, opts: SolverOptions) -> _HistoryBudget:
+    def build():
+        _, fluxes = traj.flux_history()
+        w_abs = np.zeros(len(fluxes))
+        for _, weight, idx, lw in _collapsed_history(traj, m_t, opts).nodes4:
+            w_abs[idx] += weight * np.abs(lw)
+        mass = sum(w_abs[i] * _flux_norm(fluxes[i]) for i in np.flatnonzero(w_abs))
+        nodes2 = _history_rule(traj.times, m_t, opts, 2)
+        return _HistoryBudget(nodes2, _collapse(nodes2, fluxes), mass)
+
+    return traj._cached(("history_budget", m_t, opts.refine), build)
 
 
 def _flux_norm(flux) -> np.ndarray:
@@ -846,9 +870,15 @@ def _flux_at(fluxes, idx, lw, ys) -> np.ndarray:
     return flux
 
 
+def _core_pairs(r2, tau) -> np.ndarray:
+    """The (n_x, n_y) mask of the core pairs of ``_pair_values``, which drop
+    no entry, for nodes at tau = t - s: |z| < _CORE sqrt(tau) at the earliest
+    node, or inside every node's reach."""
+    return r2 < max(FAR_CUTOFF**2 * tau.min(), _CORE**2 * tau.max())
+
+
 def _pair_values(z, r2, t: float, q, nodes, fluxes):
-    """Every (x, y) pair's share of B(x, t) per unit cell, shape (n_x, c, n_y),
-    and the (n_x, n_y) mask of the core pairs, which drop no entry.
+    """Every (x, y) pair's share of B(x, t) per unit cell, shape (n_x, c, n_y).
 
     A share is the complex o_0 + i o_1 in d = 2 (c = 1, the flux is sigma)
     and the d real components in d = 3 (c = d).  ``z`` holds x - y, shape
@@ -867,7 +897,7 @@ def _pair_values(z, r2, t: float, q, nodes, fluxes):
     n_x, n_y, d = z.shape
     tau = t - np.array([s for s, *_ in nodes])
     reach = FAR_CUTOFF**2 * tau
-    core = r2 < max(reach.min(), _CORE**2 * tau.max())
+    core = _core_pairs(r2, tau)
     # core pairs get a placeholder z here; their values are replaced below
     lead_z = np.where(core[..., None], 1.0, z) if core.any() else z
     # (n_x, c, n_y): each point's sum over sources runs along a contiguous row
@@ -905,13 +935,34 @@ def _pair_values(z, r2, t: float, q, nodes, fluxes):
         for (_, weight, _, _), f in zip(nodes, full.reshape(tau.size, ix.size, n_c)):
             acc += weight * f
         vals[ix, :, iy] = acc
-    return vals, core
+    return vals
 
 
 def _components(v) -> np.ndarray:
     """Per-point sums (n, c) of ``_pair_values`` shares as real (n, d) vectors:
     o_0 + i o_1 becomes (o_0, o_1), and real components stay as they are."""
     return np.ascontiguousarray(v).view(float)
+
+
+class _Budget(Mapping):
+    """A read-only error budget whose entries ``build()`` computes together,
+    on the first read of any of them; the entries are kept."""
+
+    def __init__(self, build):
+        self._build = build
+
+    @functools.cached_property
+    def _entries(self) -> dict:
+        return self._build()
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
 
 
 def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions):
@@ -921,20 +972,47 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
     spatial sum; the Gaussian-local rest of the kernel is added only at the
     time nodes whose reach FAR_CUTOFF sqrt(t - s) covers the pair (see
     ``_pair_values``).  In d = 2 each point's row sum o_0 + i o_1 becomes
-    the vector (o_0, o_1).  Returns (values, error_budget dict).  Quadrature
-    error is estimated on a probe subset of the batch (embedded lower-order
-    rule in s, stride-2 subsample in y; both doubled as a safety margin); the
-    dropped Psi part and the |y| > L/2 truncation are bounded analytically.
+    the vector (o_0, o_1).  Returns (values, error budget); the values are
+    computed here, and the budget is a ``_Budget`` that ``_bilinear_budget``
+    builds when it is first read.
     """
     d = traj.grid.d
     m_t = traj.slice_index(t)
     out = np.zeros_like(x)
+    if m_t > 0:
+        pts_y, fluxes = traj.flux_history()
+        hist = _collapsed_history(traj, m_t, opts)
+        cell = traj.grid.spacing**d
+        for c0 in range(0, x.shape[0], _CHUNK):
+            xs = x[c0:c0 + _CHUNK]
+            z = xs[:, None, :] - pts_y[None, :, :]
+            r2 = np.sum(z * z, axis=-1)
+            pairs = _pair_values(z, r2, t, hist.q4, hist.nodes4, fluxes)
+            out[c0:c0 + xs.shape[0]] = _components(cell * pairs.sum(axis=-1))
+    return out, _Budget(functools.partial(_bilinear_budget, traj, x.copy(), t, opts,
+                                          out[:_PROBE].copy()))
+
+
+def _bilinear_budget(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions,
+                     probe_values: np.ndarray) -> dict:
+    """The error budget of ``_bilinear_point`` at ``x``, whose first
+    ``_PROBE`` values are ``probe_values``.
+
+    Quadrature error is estimated on that probe subset (embedded lower-order
+    rule in s, stride-2 subsample in y; both doubled as a safety margin),
+    which re-runs the pair sums of its points; the dropped Psi part, maximized
+    over the points, and the |y| > L/2 truncation are bounded analytically.
+    """
+    d = traj.grid.d
+    m_t = traj.slice_index(t)
     budget = dict.fromkeys(("time_quadrature", "space_quadrature", "truncation",
                             "psi_cutoff"), 0.0)
     if m_t == 0:
-        return out, budget
+        return budget
     pts_y, fluxes = traj.flux_history()
     hist = _collapsed_history(traj, m_t, opts)
+    extra = _history_budget(traj, m_t, opts)
+    tau = t - np.array([s for s, *_ in hist.nodes4])
     cell = traj.grid.spacing**d
 
     n_probe = min(_PROBE, x.shape[0])
@@ -950,15 +1028,14 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
         xs = x[c0:c0 + _CHUNK]
         z = xs[:, None, :] - pts_y[None, :, :]
         r2 = np.sum(z * z, axis=-1)
-        pairs, core = _pair_values(z, r2, t, hist.q4, hist.nodes4, fluxes)
-        out[c0:c0 + xs.shape[0]] = _components(cell * pairs.sum(axis=-1))
         # a dropped (pair, node) entry has tau <= |z|^2 / c^2: its Psi part is
         # at most psi_gradient_bound(1, 1/c^2) |z|^-(d+1) times the node flux
-        psi_mass = max(psi_mass, float(
-            (np.where(core, np.inf, r2) ** (-(d + 1) / 2.0) @ hist.flux_mass).max()))
+        psi_mass = max(psi_mass, float((np.where(_core_pairs(r2, tau), np.inf, r2)
+                                        ** (-(d + 1) / 2.0) @ extra.flux_mass).max()))
         n_p = max(0, min(n_probe - c0, xs.shape[0]))
         if n_p:
-            coarse, _ = _pair_values(z[:n_p], r2[:n_p], t, hist.q2, hist.nodes2, fluxes)
+            pairs = _pair_values(z, r2, t, hist.q4, hist.nodes4, fluxes)
+            coarse = _pair_values(z[:n_p], r2[:n_p], t, extra.q2, extra.nodes2, fluxes)
             coarse_s[c0:c0 + n_p] = _components(cell * coarse.sum(axis=-1))
             sub[c0:c0 + n_p] = _components(
                 (cell * 2**d) * pairs[:n_p][..., stride_mask].sum(axis=-1))
@@ -968,14 +1045,14 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
             * _unit_gradient_l1(d) * math.sqrt(t))
     budget.update({
         "time_quadrature": 2.0 * float(
-            np.max(np.linalg.norm(out[:n_probe] - coarse_s, axis=-1), initial=0.0)),
+            np.max(np.linalg.norm(probe_values - coarse_s, axis=-1), initial=0.0)),
         "space_quadrature": 2.0 * float(
-            np.max(np.linalg.norm(out[:n_probe] - sub, axis=-1), initial=0.0)),
+            np.max(np.linalg.norm(probe_values - sub, axis=-1), initial=0.0)),
         "truncation": float(tail),
         "psi_cutoff": (kernels.psi_gradient_bound(1.0, FAR_CUTOFF**-2, d)
                        * cell * psi_mass if psi_mass else 0.0),
     })
-    return out, budget
+    return budget
 
 
 def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: float,
@@ -985,18 +1062,29 @@ def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: flo
     Returns (values (..., d), error_budget).  The bilinear term of every
     point, inside |x| < L/2 as well, is the gradient-kernel quadrature of
     ``_bilinear_point``; its four budget entries carry the ``bilinear_``
-    prefix.
+    prefix.  The values are computed here.  The budget is a read-only
+    mapping that computes all its entries on the first read: the GL2 rules
+    of both quadratures, the probe re-run and the decay constant behind the
+    truncation bound.  A caller that reads only the values, as every check
+    does until the checks report per-point budgets, pays for none of it.
     """
     d = traj.grid.d
     pts, single, lead = _require_points(x, d)
     t = float(t)
-    lin_vals, lin_err = _linear_point(f, pts, t, opts, slices_hint=traj.times.size - 1)
+    hint = traj.times.size - 1
+    lin_vals = _linear_point(f, pts, t, opts, slices_hint=hint)
     bil, b_budget = _bilinear_point(traj, pts, t, opts)
-    budget = {"heat": 0.0, "linear_quadrature": lin_err}   # the heat term is exact
-    budget.update({f"bilinear_{k}": v for k, v in b_budget.items()})
     total = a.value(pts, t) + lin_vals - bil
     out = total.reshape(lead + (d,)) if not single else total[0]
-    return out, budget
+    pts = pts.copy()
+
+    def budget():
+        entries = {"heat": 0.0,   # the heat term is exact
+                   "linear_quadrature": _linear_gap(lin_vals, f, pts, t, opts, hint)}
+        entries.update({f"bilinear_{k}": v for k, v in b_budget.items()})
+        return entries
+
+    return out, _Budget(budget)
 
 
 def scenario_digest(*parts) -> str:

@@ -165,7 +165,11 @@ def fit_power_law(abscissa, values, quantity: str = "",
 
 
 class FlowAdapter:
-    """Far-field view of a solved trajectory plus its datum and force."""
+    """Far-field view of a solved trajectory plus its datum and force.
+
+    ``velocity`` returns the values of ``farfield_velocity`` and drops its
+    error budget unread, so the budget is never built on this path.
+    """
 
     def __init__(self, traj: Trajectory, a: InitialData, f: ForceModel,
                  opts: SolverOptions = SolverOptions()):

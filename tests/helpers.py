@@ -1,5 +1,7 @@
 """Test-side diagnostics of sampled fields, and reference implementations."""
 
+import struct
+
 import numpy as np
 
 from nsfarfield import solver as sv
@@ -18,6 +20,17 @@ def divergence_defect(v) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.abs(dot).max() / denom)
+
+
+def rewrite_snapshot_header(path, **fields) -> None:
+    """Overwrite header fields (d, n, length, time, ncomp) of a little-endian
+    snapshot file in place; the data section stays as it is."""
+    raw = bytearray(path.read_bytes())
+    names = ("d", "n", "length", "time", "ncomp")
+    header = dict(zip(names, struct.unpack_from("<IIddI", raw, 6)))
+    header.update(fields)
+    struct.pack_into("<IIddI", raw, 6, *(header[k] for k in names))
+    path.write_bytes(bytes(raw))
 
 
 def validate_assumptions_reference(f: ForceModel, epsilon: float,

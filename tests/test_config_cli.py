@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 from nsfarfield import cli
 from nsfarfield.config import ConfigError, parse_config
 
@@ -72,6 +73,11 @@ def _older_format(tdir):
     manifest.write_text("format 0\n" + "".join(lines))
 
 
+def _lying_header(**field):
+    # snapshot 3's header claims more data than its file holds
+    return lambda tdir: helpers.rewrite_snapshot_header(tdir / "u00003.nsvf", **field)
+
+
 def _truncate(path, size=None):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2 if size is None else size])
 
@@ -86,6 +92,8 @@ _DAMAGE = {
     "snapshot_line_dropped": _drop_snapshot_line,
     "snapshot_line_cut": _cut_snapshot_line,
     "older_format": _older_format,
+    "snapshot_header_inflated_n": _lying_header(n=1 << 20),
+    "snapshot_header_wrong_ncomp": _lying_header(ncomp=3),
 }
 
 

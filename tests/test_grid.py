@@ -2,12 +2,13 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import divergence_defect
+from helpers import divergence_defect, rewrite_snapshot_header
 from nsfarfield.grid import (
     BoxGrid,
     VectorFieldGrid,
@@ -216,6 +217,22 @@ class TestSnapshotIO:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ValueError, match="cut"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("field", [{"n": 1 << 20}, {"ncomp": 64}])
+    def test_lying_header_rejected_before_allocating(self, box2, tmp_path, field):
+        # a header that claims more data than the file holds raises ValueError,
+        # and no allocation reaches the size of the file, let alone the claim
+        path = tmp_path / "lying.nsvf"
+        random_field(box2, seed=18).save(path)
+        rewrite_snapshot_header(path, **field)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                read_snapshot(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     def test_byte_identical_rewrites(self, box2, tmp_path):
         v = random_field(box2, seed=15)

@@ -53,7 +53,9 @@ class TestLinearResponse:
         f = ForceModel.zero(2)
         comps = sv._linear_series(sv._SpectralOps(box), f, np.linspace(0.0, 0.5, 9), opts)[-1]
         assert np.abs(comps).max() == 0.0
-        vals, err = sv._linear_point(f, np.array([[1.0, 2.0]]), 0.5, opts)
+        x = np.array([[1.0, 2.0]])
+        vals = sv._linear_point(f, x, 0.5, opts)
+        err = sv._linear_gap(vals, f, x, 0.5, opts)
         assert np.abs(vals).max() == 0.0 and err == 0.0
 
     def test_grid_vs_point_mode(self, box, opts):
@@ -72,7 +74,7 @@ class TestLinearResponse:
         shifts = [np.array([i * 2 * L, j * 2 * L]) for i in (-1, 0, 1) for j in (-1, 0, 1)]
         point = np.zeros_like(pts)
         for s in shifts:
-            v, _ = sv._linear_point(f, pts + s, t, opts, slices_hint=M)
+            v = sv._linear_point(f, pts + s, t, opts, slices_hint=M)
             point += v
         idx = np.rint((pts + L) / box.spacing).astype(int)
         grid_vals = np.stack([comps[:, i, j] for i, j in idx])
@@ -93,7 +95,7 @@ class TestLinearResponse:
             theta = np.linspace(0, 2 * math.pi, 6, endpoint=False)
             dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
             x = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-            vals, _ = sv._linear_point(f, x, t, opts, slices_hint=M)
+            vals = sv._linear_point(f, x, t, opts, slices_hint=M)
             mag = np.linalg.norm(vals, axis=-1)
             r = np.linalg.norm(x, axis=-1)
             bound = np.minimum((1 + r) ** (-2.0), (1 + t) ** (-1.0))
@@ -466,7 +468,9 @@ class TestBilinear:
         cases = [(r * dirs, t) for r in (L / 2, L / 2 * math.sqrt(2), L, 2 * L, 4 * L)
                  for t in (T / 2, T)]
         cases += [(on_source, t) for t in (T / 2, T)]
-        split = [sv._bilinear_point(traj, x, t, opts) for x, t in cases]
+        # a budget is built when first read: read these under the finite cutoff
+        split = [(vals, dict(budget)) for vals, budget in
+                 (sv._bilinear_point(traj, x, t, opts) for x, t in cases)]
         monkeypatch.setattr(sv, "FAR_CUTOFF", math.inf)
         for (x, t), (vals, budget) in zip(cases, split):
             ref, ref_budget = sv._bilinear_point(traj, x, t, opts)
@@ -490,12 +494,14 @@ class TestBilinear:
             assert fluxes[i].dtype == complex and fluxes[i].shape == (pts_y.shape[0],)
             assert np.all(np.abs(fluxes[i] - sigma) <= 1e-15 * frob)
             real.append(frob)
-        hist = sv._collapsed_history(traj, traj.slice_index(T), sv.SolverOptions(slices=M))
+        m_t, hist_opts = traj.slice_index(T), sv.SolverOptions(slices=M)
+        hist = sv._collapsed_history(traj, m_t, hist_opts)
         w_abs = np.zeros(len(fluxes))
         for _, weight, idx, lw in hist.nodes4:
             w_abs[idx] += weight * np.abs(lw)
         mass = sum(w_abs[i] * real[i] for i in np.flatnonzero(w_abs))
-        np.testing.assert_allclose(hist.flux_mass, mass, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(sv._history_budget(traj, m_t, hist_opts).flux_mass, mass,
+                                   rtol=1e-15, atol=0.0)
 
     def test_kernel_evaluations_match_node_reach(self, canonical, monkeypatch):
         # D is evaluated once per (pair, node) entry with |x - y|^2 < c^2 (t - s)
@@ -515,8 +521,9 @@ class TestBilinear:
                 counted[_name] = counted.get(_name, 0) + len(zz)
                 return _fn(zz, *args)
             monkeypatch.setattr(kernels, name, counting)
-        _, core = sv._pair_values(z, r2, T, hist.q4, hist.nodes4, fluxes)
+        sv._pair_values(z, r2, T, hist.q4, hist.nodes4, fluxes)
         taus = T - np.array([node[0] for node in hist.nodes4])
+        core = sv._core_pairs(r2, taus)
         reach = sv.FAR_CUTOFF**2 * taus
         assert np.array_equal(core, r2 < max(reach.min(), 4.0 * taus.max()))
         expected = sum(int(np.count_nonzero((r2 < c2) & ~core)) for c2 in reach)
@@ -572,6 +579,50 @@ class TestFarField:
         assert np.array_equal(batch, rows)
         assert np.array_equal(batch, reverse[::-1])
 
+    def test_check_path_builds_no_budget(self, canonical, opts, tmp_path, monkeypatch):
+        # the checks read only values, so on a freshly loaded trajectory their
+        # far-field calls run none of the budget's builders
+        from nsfarfield import cli, kernels
+
+        a, f, traj = canonical
+        traj.save(tmp_path / "traj")
+        fresh = sv.load_trajectory(tmp_path / "traj")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check path built an error budget")
+
+        monkeypatch.setattr(sv.Trajectory, "decay_constant", refuse)
+        monkeypatch.setattr(kernels, "psi_gradient_bound", refuse)
+        monkeypatch.setattr(sv, "_history_budget", refuse)
+        monkeypatch.setattr(sv, "_linear_gap", refuse)
+        x = np.concatenate([r * sphere_points(2, 8) for r in (2.5, L / 2, 3 * L)])
+        flow = cli._ThreadedFlow(fresh, a, f, opts, threads=2)
+        for t in (T / 2, T):
+            assert np.all(np.isfinite(flow.velocity(x, t)))
+
+    def test_one_value_route_and_budget_independent_of_cache_order(self, canonical, opts,
+                                                                     tmp_path):
+        # the checks' values are farfield_velocity's, bit for bit, and a budget
+        # read after check calls have filled the trajectory's caches equals
+        # one read first on a fresh load
+        from nsfarfield.verify import FlowAdapter
+
+        a, f, traj = canonical
+        traj.save(tmp_path / "traj")
+        warm, cold = (sv.load_trajectory(tmp_path / "traj") for _ in range(2))
+        x = np.concatenate([r * sphere_points(2, 8) for r in (1.0, 2.5, L / 2, 3 * L)])
+        flow = FlowAdapter(warm, a, f, opts)
+        for t in (T / 2, T):
+            got = flow.velocity(x, t)
+            assert np.array_equal(got, sv.farfield_velocity(warm, a, f, x, t, opts)[0])
+        for t in (T / 2, T):
+            _, first = sv.farfield_velocity(cold, a, f, x, t, opts)
+            first = dict(first)
+            later = sv.farfield_velocity(warm, a, f, x, t, opts)[1]
+            assert list(later) == list(first)
+            for key in first:
+                assert later[key] == first[key], key
+
     def test_interior_bilinear_matches_grid_field(self, canonical, opts):
         # inside |x| < L/2 the far-field assembly takes the same kernel route:
         # at lattice points its B = heat + L - u is the grid field's B, within
@@ -581,7 +632,7 @@ class TestFarField:
                         (4.0, 4.0), (7.0, 0.0)])
         assert np.linalg.norm(pts, axis=-1).max() < L / 2
         u, budget = sv.farfield_velocity(traj, a, f, pts, T, opts)
-        b = a.value(pts, T) + sv._linear_point(f, pts, T, opts, slices_hint=M)[0] - u
+        b = a.value(pts, T) + sv._linear_point(f, pts, T, opts, slices_hint=M) - u
         m = traj.slice_index(T)
         *_, last = sv._mild_series(sv._SpectralOps(traj.grid), traj.times[:m + 1], opts,
                                    history=(traj.snapshots, traj.drift))
@@ -606,7 +657,8 @@ class TestFarField:
         f = ForceModel(2, terms=terms)
         x = np.concatenate([r * sphere_points(2, 6) for r in (3.0, 10.0, 40.0)])
         t = 0.4
-        got, err = sv._linear_point(f, x, t, opts, slices_hint=16)
+        got = sv._linear_point(f, x, t, opts, slices_hint=16)
+        err = sv._linear_gap(got, f, x, t, opts, slices_hint=16)
         edges = np.linspace(0.0, t, 17)
         panels = [p for i in range(15) for p in sv._graded_panels(edges[i], edges[i + 1], 0, 1)]
         panels += sv._graded_panels(edges[-2], edges[-1], sv._GRADING_LEVELS, 1)
@@ -651,7 +703,7 @@ class TestFarField:
                     continue
                 shift = np.array([i * 2 * L, j * 2 * L])
                 x = pts + shift
-                point += a.value(x, t) + sv._linear_point(f, x, t, opts, slices_hint=M)[0]
+                point += a.value(x, t) + sv._linear_point(f, x, t, opts, slices_hint=M)
         idx = np.rint((pts + L) / box.spacing).astype(int)
         grid_vals = np.stack([traj.field_at(t).components[:, i, j] for i, j in idx])
         dg = grid_vals - grid_vals[-1]
@@ -675,7 +727,7 @@ class TestFarField:
         point = np.zeros_like(pts)
         for s in shifts:
             x = pts + s
-            point += a.value(x, t) + sv._linear_point(f, x, t, opts, slices_hint=M)[0]
+            point += a.value(x, t) + sv._linear_point(f, x, t, opts, slices_hint=M)
         idx = np.rint((pts + L) / box.spacing).astype(int)
         grid_vals = np.stack([stokes[:, i, j] for i, j in idx])
         dg = grid_vals - grid_vals[-1]
