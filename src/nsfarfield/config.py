@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "CHECK_NAMES"]
+__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "norm_regime", "CHECK_NAMES"]
 
 CHECK_NAMES = ("kernel", "profile", "window", "sweep", "divergence", "lemlog", "next_order")
 
@@ -30,15 +30,38 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+def norm_regime(d: int, alpha: float, p: float) -> str | None:
+    """Where the weighted norm || (1+|x|)^alpha u(t) ||_p of a flow decaying
+    like |x|^-d stands, by the sign of alpha + d/p - d (d/p = 0 at p = inf).
+
+    "decay": the norm is finite and decays in t (``weighted_norm_sweep``).
+    "limit": p = inf with alpha = d, a bounded norm that the sweep admits
+    with a boundedness check.  "divergence": p finite with alpha + d/p >= d,
+    an infinite norm (``divergence_detect``).  None: p = inf with alpha > d,
+    infinite and left to no check.  A gap within 1e-12 of 0 counts as 0.
+    """
+    if math.isinf(p):
+        gap = alpha - d
+        return "limit" if abs(gap) < 1e-12 else ("decay" if gap < 0 else None)
+    return "decay" if alpha + d / p - d < -1e-12 else "divergence"
+
+
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split())
+    return tuple(_number(tok) for tok in text.split())
 
 
 def _pairs(text: str) -> tuple:
     out = []
     for tok in text.split():
         alpha_s, p_s = tok.split(":")
-        out.append((float(alpha_s), math.inf if p_s in ("inf", "oo") else float(p_s)))
+        out.append((_number(alpha_s), math.inf if p_s in ("inf", "oo") else _number(p_s)))
     return tuple(out)
 
 
@@ -47,7 +70,8 @@ def _words(text: str) -> tuple:
 
 
 # what a parse failure says the value should have been
-_EXPECTED = {int: "integer", float: "number", _floats: "number list", _pairs: "alpha:p list"}
+_EXPECTED = {int: "integer", _number: "finite number", _floats: "finite number list",
+             _pairs: "alpha:p list"}
 
 
 def _key(section: str, key: str, default: str, parse=str):
@@ -59,29 +83,29 @@ def _key(section: str, key: str, default: str, parse=str):
 class ScenarioConfig:
     dimension: int = _key("scenario", "dimension", "2", int)
     name: str = _key("scenario", "name", "scenario")
-    half_width: float = _key("grid", "half_width", "32.0", float)
+    half_width: float = _key("grid", "half_width", "32.0", _number)
     points: int = _key("grid", "points", "256", int)
-    horizon: float = _key("time", "horizon", "2.0", float)
+    horizon: float = _key("time", "horizon", "2.0", _number)
     slices: int = _key("time", "slices", "128", int)
     data_kind: str = _key("initial_data", "kind", "zero")
-    data_amplitude: float = _key("initial_data", "amplitude", "0.0", float)
-    data_width: float = _key("initial_data", "width", "1.0", float)
+    data_amplitude: float = _key("initial_data", "amplitude", "0.0", _number)
+    data_width: float = _key("initial_data", "width", "1.0", _number)
     force_kind: str = _key("force", "kind", "gaussian_bump")
     force_amplitude: tuple = _key("force", "amplitude", "0.0018 0.0", _floats)
-    force_width: float = _key("force", "width", "1.0", float)
+    force_width: float = _key("force", "width", "1.0", _number)
     force_center: tuple = _key("force", "center", "0.0 0.0", _floats)
     force_separation: tuple = _key("force", "separation", "1.0 0.0", _floats)
     time_profile: str = _key("force", "time_profile", "smooth_bump")
-    time_on: float = _key("force", "time_on", "0.0", float)
-    time_off: float = _key("force", "time_off", "0.5", float)
-    tolerance: float = _key("solver", "tolerance", "1e-10", float)
+    time_on: float = _key("force", "time_on", "0.0", _number)
+    time_off: float = _key("force", "time_off", "0.5", _number)
+    tolerance: float = _key("solver", "tolerance", "1e-10", _number)
     max_sweeps: int = _key("solver", "max_sweeps", "12", int)
     refine: int = _key("solver", "refine", "1", int)
     checks: tuple = _key("checks", "run", "profile window sweep divergence", _words)
-    profile_time: float = _key("checks", "profile_time", "1.0", float)
+    profile_time: float = _key("checks", "profile_time", "1.0", _number)
     profile_radii: tuple = _key("checks", "profile_radii", "16 22.6 32 45.25 64 90.5 128",
                                 _floats)
-    window_time: float = _key("checks", "window_time", "1.0", float)
+    window_time: float = _key("checks", "window_time", "1.0", _number)
     window_radii: tuple = _key("checks", "window_radii", "32 48 64 96 128", _floats)
     window_directions: int = _key("checks", "window_directions", "16", int)
     short_times: tuple = _key("checks", "short_times", "", _floats)
@@ -89,9 +113,9 @@ class ScenarioConfig:
     sweep_times: tuple = _key("checks", "sweep_times", "1.0 1.122 1.26 1.414 1.587 1.782 2.0",
                               _floats)
     divergence_pairs: tuple = _key("checks", "divergence_pairs", "0:1", _pairs)
-    divergence_time: float = _key("checks", "divergence_time", "2.0", float)
+    divergence_time: float = _key("checks", "divergence_time", "2.0", _number)
     divergence_radii: tuple = _key("checks", "divergence_radii", "32 64 128 256 512", _floats)
-    next_order_time: float = _key("checks", "next_order_time", "1.0", float)
+    next_order_time: float = _key("checks", "next_order_time", "1.0", _number)
     next_order_radii: tuple = _key("checks", "next_order_radii",
                                    "16 22.6 32 45.25 64 90.5 128", _floats)
     output_directory: str = _key("output", "directory", "out")
@@ -221,16 +245,19 @@ def _violations(cfg: ScenarioConfig) -> list:
                 f"checks.run: unknown check {check!r} (known: {', '.join(CHECK_NAMES)})")
     if d in (2, 3):
         for alpha, p in cfg.sweep_pairs:
-            gap = alpha + (0.0 if math.isinf(p) else d / p) - d
-            limit = math.isinf(p) and abs(gap) < 1e-12
-            if gap >= 0 and not limit:
+            regime = norm_regime(d, alpha, p)
+            if regime == "divergence":
                 problems.append(
                     f"checks.sweep_pairs: ({alpha:g},{p:g}) has alpha + d/p >= d; "
                     "it belongs under divergence_pairs")
+            elif regime is None:
+                problems.append(
+                    f"checks.sweep_pairs: ({alpha:g},inf) has alpha > d; its norm is "
+                    "infinite, and divergence_pairs needs a finite p")
         for alpha, p in cfg.divergence_pairs:
             if math.isinf(p):
                 problems.append("checks.divergence_pairs: p must be finite")
-            elif alpha + d / p - d < -1e-12:
+            elif norm_regime(d, alpha, p) != "divergence":
                 problems.append(
                     f"checks.divergence_pairs: ({alpha:g},{p:g}) has alpha + d/p < d; "
                     "it belongs under sweep_pairs")

@@ -113,14 +113,11 @@ FAR_CUTOFF = 10.6
 # (sqrt(tau) / |z|)^(d+1).
 _CORE = 2.0
 
-# _bilinear_point: slices per history panel, points per pair block (memory
-# only: each point's source sum is its own row sum, so a point's value does
-# not depend on its batch), and the first points of a call, whose pair sums
-# the budget runs again, with the GL2 rule and on a stride-2 subsample, to
-# estimate the quadrature error when it is read
+# _bilinear_point: slices per history panel, and points per pair block
+# (memory only: each point's source sum is its own row sum, so neither a
+# point's value nor its share of the error budget depends on its batch)
 _COARSEN = 8
 _CHUNK = 8
-_PROBE = 16
 
 # _linear_point: floats per block of quadrature nodes (about 1 MB)
 _NODE_BLOCK = 1 << 17
@@ -808,57 +805,31 @@ def _collapse(nodes: list, fluxes: list):
     return sum(w[i] * fluxes[i] for i in np.flatnonzero(w))
 
 
-@dataclass(frozen=True)
-class _CollapsedHistory:
+def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions, order: int):
     """The history integral at one evaluation time, for the leading-part sum:
-    the GL4 rule ``nodes4`` and the flux ``q4`` it collapses to, in the form
-    of ``Trajectory.flux_history``."""
-
-    nodes4: list
-    q4: np.ndarray
-
-
-def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions) -> _CollapsedHistory:
+    (GL``order`` nodes of ``_history_rule``, the flux they collapse to in the
+    form of ``Trajectory.flux_history``).  The values take order 4; the error
+    budget compares them with order 2."""
     def build():
-        nodes4 = _history_rule(traj.times, m_t, opts, 4)
-        return _CollapsedHistory(nodes4, _collapse(nodes4, traj.flux_history()[1]))
+        nodes = _history_rule(traj.times, m_t, opts, order)
+        return nodes, _collapse(nodes, traj.flux_history()[1])
 
-    return traj._cached(("collapsed", m_t, opts.refine), build)
-
-
-@dataclass(frozen=True)
-class _HistoryBudget:
-    """What the error budget of ``_bilinear_point`` adds to the collapsed history.
-
-    ``nodes2``/``q2`` are the embedded GL2 rule and its collapsed flux;
-    ``flux_mass`` is sum over GL4 nodes of weight * sum_j |lw_j| |Q_j|_F,
-    which bounds the node sum of |Q(s)|_F at each source point.
-    Q = (u+D)(x)(u+D) has rank one, so |Q|_F = |u+D|^2 = 2 |sigma| in d = 2.
-    """
-
-    nodes2: list
-    q2: np.ndarray
-    flux_mass: np.ndarray
+    return traj._cached(("collapsed", m_t, opts.refine, order), build)
 
 
-def _history_budget(traj: Trajectory, m_t: int, opts: SolverOptions) -> _HistoryBudget:
-    def build():
-        _, fluxes = traj.flux_history()
-        w_abs = np.zeros(len(fluxes))
-        for _, weight, idx, lw in _collapsed_history(traj, m_t, opts).nodes4:
-            w_abs[idx] += weight * np.abs(lw)
-        mass = sum(w_abs[i] * _flux_norm(fluxes[i]) for i in np.flatnonzero(w_abs))
-        nodes2 = _history_rule(traj.times, m_t, opts, 2)
-        return _HistoryBudget(nodes2, _collapse(nodes2, fluxes), mass)
-
-    return traj._cached(("history_budget", m_t, opts.refine), build)
-
-
-def _flux_norm(flux) -> np.ndarray:
-    """|Q|_F at each source point of one ``flux_history`` slice."""
-    if np.iscomplexobj(flux):
-        return 2.0 * np.abs(flux)
-    return np.sqrt(np.sum(flux**2, axis=(-2, -1)))
+def _flux_mass(fluxes: list, nodes: list) -> np.ndarray:
+    """sum over ``nodes`` of weight * sum_j |lw_j| |Q_j|_F at each source point,
+    which bounds the node sum of |Q(s)|_F there.  Q = (u+D)(x)(u+D) has rank
+    one, so |Q|_F = |u+D|^2 = 2 |sigma| in d = 2."""
+    w_abs = np.zeros(len(fluxes))
+    for _, weight, idx, lw in nodes:
+        w_abs[idx] += weight * np.abs(lw)
+    mass = 0.0
+    for i in np.flatnonzero(w_abs):
+        q = fluxes[i]
+        norm = 2.0 * np.abs(q) if np.iscomplexobj(q) else np.sqrt(np.sum(q**2, axis=(-2, -1)))
+        mass = mass + w_abs[i] * norm
+    return mass
 
 
 def _flux_at(fluxes, idx, lw, ys) -> np.ndarray:
@@ -974,34 +945,32 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
     ``_pair_values``).  In d = 2 each point's row sum o_0 + i o_1 becomes
     the vector (o_0, o_1).  Returns (values, error budget); the values are
     computed here, and the budget is a ``_Budget`` that ``_bilinear_budget``
-    builds when it is first read.
+    builds over every point when it is first read.
     """
     d = traj.grid.d
     m_t = traj.slice_index(t)
     out = np.zeros_like(x)
     if m_t > 0:
         pts_y, fluxes = traj.flux_history()
-        hist = _collapsed_history(traj, m_t, opts)
+        nodes, q = _collapsed_history(traj, m_t, opts, 4)
         cell = traj.grid.spacing**d
         for c0 in range(0, x.shape[0], _CHUNK):
             xs = x[c0:c0 + _CHUNK]
             z = xs[:, None, :] - pts_y[None, :, :]
             r2 = np.sum(z * z, axis=-1)
-            pairs = _pair_values(z, r2, t, hist.q4, hist.nodes4, fluxes)
+            pairs = _pair_values(z, r2, t, q, nodes, fluxes)
             out[c0:c0 + xs.shape[0]] = _components(cell * pairs.sum(axis=-1))
-    return out, _Budget(functools.partial(_bilinear_budget, traj, x.copy(), t, opts,
-                                          out[:_PROBE].copy()))
+    return out, _Budget(functools.partial(_bilinear_budget, traj, x.copy(), t, opts))
 
 
-def _bilinear_budget(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions,
-                     probe_values: np.ndarray) -> dict:
-    """The error budget of ``_bilinear_point`` at ``x``, whose first
-    ``_PROBE`` values are ``probe_values``.
+def _bilinear_budget(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions) -> dict:
+    """The error budget of ``_bilinear_point`` at the points ``x``.
 
-    Quadrature error is estimated on that probe subset (embedded lower-order
-    rule in s, stride-2 subsample in y; both doubled as a safety margin),
-    which re-runs the pair sums of its points; the dropped Psi part, maximized
-    over the points, and the |y| > L/2 truncation are bounded analytically.
+    Each entry is a maximum over the points, so it depends on the point set
+    alone.  Quadrature error is the distance of each point's value to the
+    embedded GL2 rule in s and to the stride-2 subsample in y, both doubled
+    as a safety margin; the dropped Psi part and the |y| > L/2 truncation are
+    bounded analytically.
     """
     d = traj.grid.d
     m_t = traj.slice_index(t)
@@ -1010,19 +979,17 @@ def _bilinear_budget(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOpti
     if m_t == 0:
         return budget
     pts_y, fluxes = traj.flux_history()
-    hist = _collapsed_history(traj, m_t, opts)
-    extra = _history_budget(traj, m_t, opts)
-    tau = t - np.array([s for s, *_ in hist.nodes4])
+    nodes4, q4 = _collapsed_history(traj, m_t, opts, 4)
+    nodes2, q2 = _collapsed_history(traj, m_t, opts, 2)
+    mass = _flux_mass(fluxes, nodes4)
+    tau = t - np.array([s for s, *_ in nodes4])
     cell = traj.grid.spacing**d
 
-    n_probe = min(_PROBE, x.shape[0])
-    coarse_s = np.zeros((n_probe, d))
-    sub = np.zeros((n_probe, d))
     stride_mask = np.zeros(pts_y.shape[0], dtype=bool)
     side = round(pts_y.shape[0] ** (1.0 / d))
     stride_idx = np.arange(pts_y.shape[0]).reshape((side,) * d)
     stride_mask[stride_idx[(slice(None, None, 2),) * d].ravel()] = True
-    psi_mass = 0.0
+    time_gap = space_gap = psi_mass = 0.0
 
     for c0 in range(0, x.shape[0], _CHUNK):
         xs = x[c0:c0 + _CHUNK]
@@ -1031,23 +998,20 @@ def _bilinear_budget(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOpti
         # a dropped (pair, node) entry has tau <= |z|^2 / c^2: its Psi part is
         # at most psi_gradient_bound(1, 1/c^2) |z|^-(d+1) times the node flux
         psi_mass = max(psi_mass, float((np.where(_core_pairs(r2, tau), np.inf, r2)
-                                        ** (-(d + 1) / 2.0) @ extra.flux_mass).max()))
-        n_p = max(0, min(n_probe - c0, xs.shape[0]))
-        if n_p:
-            pairs = _pair_values(z, r2, t, hist.q4, hist.nodes4, fluxes)
-            coarse = _pair_values(z[:n_p], r2[:n_p], t, extra.q2, extra.nodes2, fluxes)
-            coarse_s[c0:c0 + n_p] = _components(cell * coarse.sum(axis=-1))
-            sub[c0:c0 + n_p] = _components(
-                (cell * 2**d) * pairs[:n_p][..., stride_mask].sum(axis=-1))
+                                        ** (-(d + 1) / 2.0) @ mass).max()))
+        pairs = _pair_values(z, r2, t, q4, nodes4, fluxes)
+        values = _components(cell * pairs.sum(axis=-1))
+        coarse = _components(cell * _pair_values(z, r2, t, q2, nodes2, fluxes).sum(axis=-1))
+        sub = _components((cell * 2**d) * pairs[..., stride_mask].sum(axis=-1))
+        time_gap = max(time_gap, float(np.linalg.norm(values - coarse, axis=-1).max()))
+        space_gap = max(space_gap, float(np.linalg.norm(values - sub, axis=-1).max()))
 
     c_dec = traj.decay_constant()
     tail = (c_dec**2 * (1.0 + traj.grid.length / 2.0) ** (-2 * d) * 2.0
             * _unit_gradient_l1(d) * math.sqrt(t))
     budget.update({
-        "time_quadrature": 2.0 * float(
-            np.max(np.linalg.norm(probe_values - coarse_s, axis=-1), initial=0.0)),
-        "space_quadrature": 2.0 * float(
-            np.max(np.linalg.norm(probe_values - sub, axis=-1), initial=0.0)),
+        "time_quadrature": 2.0 * time_gap,
+        "space_quadrature": 2.0 * space_gap,
         "truncation": float(tail),
         "psi_cutoff": (kernels.psi_gradient_bound(1.0, FAR_CUTOFF**-2, d)
                        * cell * psi_mass if psi_mass else 0.0),
@@ -1063,10 +1027,11 @@ def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: flo
     point, inside |x| < L/2 as well, is the gradient-kernel quadrature of
     ``_bilinear_point``; its four budget entries carry the ``bilinear_``
     prefix.  The values are computed here.  The budget is a read-only
-    mapping that computes all its entries on the first read: the GL2 rules
-    of both quadratures, the probe re-run and the decay constant behind the
-    truncation bound.  A caller that reads only the values, as every check
-    does until the checks report per-point budgets, pays for none of it.
+    mapping that computes all its entries on the first read, over every
+    point of the call: the GL2 rules of both quadratures, a second GL4 pass
+    for the stride-2 subsample and the decay constant behind the truncation
+    bound.  A caller that reads only the values, as every check does until
+    the checks report per-point budgets, pays for none of it.
     """
     d = traj.grid.d
     pts, single, lead = _require_points(x, d)

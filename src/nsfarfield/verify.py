@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .config import norm_regime
 from .forcing import ForceModel, InitialData, first_moment, force_integral
 from .grid import VectorFieldGrid, restrict_annulus_norm
 from .solver import SolverOptions, Trajectory, farfield_velocity
@@ -413,10 +414,6 @@ def pointwise_window_check(flow, t: float, radii, n_dirs: int = SPHERE_DIRECTION
 # ---------------------------------------------------------------------------
 
 
-def _regime_gap(d: int, alpha: float, p: float) -> float:
-    return alpha + (0.0 if math.isinf(p) else d / p) - d
-
-
 class TrajectoryNorms:
     """Weighted norms of a solved flow: grid quadrature inside r_split = L/2,
     angular far-field quadrature out to r_far = 4L, power-law tail beyond."""
@@ -502,9 +499,8 @@ def weighted_norm_sweep(norms, d: int, alpha: float, p: float, times,
     The limit pair alpha + d/p = d with p = inf is admitted with predicted
     exponent 0 and a boundedness check instead of a slope verdict.
     """
-    gap = _regime_gap(d, alpha, p)
-    limit_case = math.isinf(p) and abs(gap) < 1e-12
-    if gap >= 0 and not limit_case:
+    regime = norm_regime(d, alpha, p)
+    if regime not in ("decay", "limit"):
         raise RegimeError(
             f"alpha + d/p = {alpha + (0 if math.isinf(p) else d / p):g} >= d = {d}; "
             "this pair is in the divergence regime (use divergence_detect)")
@@ -515,7 +511,7 @@ def weighted_norm_sweep(norms, d: int, alpha: float, p: float, times,
     predicted = -0.5 * (d - alpha - (0.0 if math.isinf(p) else d / p))
     rep = fit_power_law(times, vals, f"weighted_norm_a{alpha:g}_p{p:g}",
                         predicted_exponent=predicted, tolerance=tolerance)
-    if limit_case:
+    if regime == "limit":
         bounded = float(vals.max() / vals.min()) < 4.0
         rep.passed = bool(bounded)
         rep.extras["boundedness_ratio"] = float(vals.max() / vals.min())
@@ -547,8 +543,7 @@ def divergence_detect(flow, alpha: float, p: float, t: float, radii) -> Divergen
     """
     if math.isinf(p):
         raise RegimeError("divergence detection needs p < inf")
-    gap = _regime_gap(flow.d, alpha, p)
-    if gap < -1e-12:
+    if norm_regime(flow.d, alpha, p) != "divergence":
         raise RegimeError(
             f"alpha + d/p < d: this pair is in the decay regime (use weighted_norm_sweep)")
     radii = np.asarray(radii, dtype=float)

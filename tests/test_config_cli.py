@@ -126,6 +126,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep_pairs"):
             parse_config("[checks]\ndivergence_pairs = 0:4\n")
 
+    def test_sup_norm_beyond_the_limit_pair_fits_no_list(self):
+        # p = inf with alpha > d: an infinite norm that divergence_pairs,
+        # which needs a finite p, cannot take either
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[checks]\nsweep_pairs = 3:inf\n")
+        assert exc.value.problems == [
+            "checks.sweep_pairs: (3,inf) has alpha > d; its norm is infinite, "
+            "and divergence_pairs needs a finite p"]
+
+    @pytest.mark.parametrize("section,key,value,expected", [
+        ("grid", "half_width", "nan", "finite number"),
+        ("time", "horizon", "nan", "finite number"),
+        ("initial_data", "amplitude", "nan", "finite number"),
+        ("force", "width", "inf", "finite number"),
+        ("force", "amplitude", "0.002 -inf", "finite number list"),
+        ("checks", "profile_radii", "16 22.6 32 nan 64", "finite number list"),
+        ("checks", "sweep_pairs", "nan:inf", "alpha:p list"),
+        ("checks", "divergence_pairs", "0:nan", "alpha:p list"),
+    ])
+    def test_non_finite_numbers_rejected(self, section, key, value, expected):
+        # p = inf (or oo) of a pair is the only infinity a config may hold
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[{section}]\n{key} = {value}\n")
+        assert exc.value.problems == [f"{section}.{key}: cannot parse {value!r} as {expected}"]
+
     def test_collects_all_violations(self):
         bad = "[scenario]\ndimension = 7\n[grid]\npoints = 100\n[solver]\ntolerance = -1\n"
         with pytest.raises(ConfigError) as err:
@@ -253,6 +278,11 @@ class TestCli:
         cfg.write_text(text)
         code = cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG_ERROR
+
+    def test_non_finite_number_exit_code(self, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(QUICK.replace("horizon = 0.5", "horizon = nan"))
+        assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG_ERROR
 
     def test_missing_config(self):
         assert cli.main(["simulate", "--config", "/nonexistent.cfg"]) == cli.EXIT_CONFIG_ERROR

@@ -481,7 +481,7 @@ class TestBilinear:
 
     def test_complex_flux_history_matches_real_tensor(self, canonical):
         # sigma = (Q_11 - Q_22)/2 + i Q_12 of Q = (u + D)(x)(u + D), and
-        # flux_mass sums |Q|_F = 2 |sigma|
+        # _flux_mass sums |Q|_F = 2 |sigma|
         _, _, traj = canonical
         pts_y, fluxes = traj.flux_history()
         sl = slice(N // 4, 3 * N // 4)
@@ -495,12 +495,12 @@ class TestBilinear:
             assert np.all(np.abs(fluxes[i] - sigma) <= 1e-15 * frob)
             real.append(frob)
         m_t, hist_opts = traj.slice_index(T), sv.SolverOptions(slices=M)
-        hist = sv._collapsed_history(traj, m_t, hist_opts)
+        nodes4, _ = sv._collapsed_history(traj, m_t, hist_opts, 4)
         w_abs = np.zeros(len(fluxes))
-        for _, weight, idx, lw in hist.nodes4:
+        for _, weight, idx, lw in nodes4:
             w_abs[idx] += weight * np.abs(lw)
         mass = sum(w_abs[i] * real[i] for i in np.flatnonzero(w_abs))
-        np.testing.assert_allclose(sv._history_budget(traj, m_t, hist_opts).flux_mass, mass,
+        np.testing.assert_allclose(sv._flux_mass(fluxes, nodes4), mass,
                                    rtol=1e-15, atol=0.0)
 
     def test_kernel_evaluations_match_node_reach(self, canonical, monkeypatch):
@@ -511,7 +511,7 @@ class TestBilinear:
         _, _, traj = canonical
         pts_y, fluxes = traj.flux_history()
         m_t = traj.slice_index(T)
-        hist = sv._collapsed_history(traj, m_t, sv.SolverOptions(slices=M))
+        nodes4, q4 = sv._collapsed_history(traj, m_t, sv.SolverOptions(slices=M), 4)
         x = np.concatenate([(L / 2) * sphere_points(2, 8), [[-L / 2, 0.0], [9.3, 2.1]]])
         z = x[:, None, :] - pts_y[None, :, :]
         r2 = np.sum(z * z, axis=-1)
@@ -521,8 +521,8 @@ class TestBilinear:
                 counted[_name] = counted.get(_name, 0) + len(zz)
                 return _fn(zz, *args)
             monkeypatch.setattr(kernels, name, counting)
-        sv._pair_values(z, r2, T, hist.q4, hist.nodes4, fluxes)
-        taus = T - np.array([node[0] for node in hist.nodes4])
+        sv._pair_values(z, r2, T, q4, nodes4, fluxes)
+        taus = T - np.array([node[0] for node in nodes4])
         core = sv._core_pairs(r2, taus)
         reach = sv.FAR_CUTOFF**2 * taus
         assert np.array_equal(core, r2 < max(reach.min(), 4.0 * taus.max()))
@@ -569,15 +569,28 @@ class TestFarField:
         # each point's value is its own sum over sources, so the checks may
         # sample every sphere of one time in one batch: the batch, its
         # reversal and row-by-row evaluation agree bit for bit, inside L/2
-        # as well as beyond it
+        # as well as beyond it.  The budget is a maximum over the points, so
+        # the reversal's equals the batch's and the time entry is the largest
+        # single-point one; the space and Psi entries sum over sources in
+        # blocks whose order may follow the batch shape
         a, f, traj = canonical
         x = np.concatenate([r * sphere_points(2, 8)
                             for r in (1.0, 2.5, 6.0, L / 2, L, 3 * L)])
-        batch, _ = sv.farfield_velocity(traj, a, f, x, T, opts)
-        rows = np.array([sv.farfield_velocity(traj, a, f, xi, T, opts)[0] for xi in x])
-        reverse, _ = sv.farfield_velocity(traj, a, f, x[::-1], T, opts)
+        batch, budget = sv.farfield_velocity(traj, a, f, x, T, opts)
+        singles = [sv.farfield_velocity(traj, a, f, xi, T, opts) for xi in x]
+        rows = np.array([vals for vals, _ in singles])
+        reverse, reverse_budget = sv.farfield_velocity(traj, a, f, x[::-1], T, opts)
         assert np.array_equal(batch, rows)
         assert np.array_equal(batch, reverse[::-1])
+        assert list(reverse_budget) == list(budget)
+        for key in budget:
+            assert reverse_budget[key] == budget[key], key
+        largest = {key: max(b[key] for _, b in singles)
+                   for key in ("bilinear_time_quadrature", "bilinear_space_quadrature",
+                               "bilinear_psi_cutoff")}
+        assert budget["bilinear_time_quadrature"] == largest["bilinear_time_quadrature"]
+        for key in ("bilinear_space_quadrature", "bilinear_psi_cutoff"):
+            assert abs(budget[key] - largest[key]) <= 1e-12 * largest[key], key
 
     def test_check_path_builds_no_budget(self, canonical, opts, tmp_path, monkeypatch):
         # the checks read only values, so on a freshly loaded trajectory their
@@ -593,7 +606,10 @@ class TestFarField:
 
         monkeypatch.setattr(sv.Trajectory, "decay_constant", refuse)
         monkeypatch.setattr(kernels, "psi_gradient_bound", refuse)
-        monkeypatch.setattr(sv, "_history_budget", refuse)
+        monkeypatch.setattr(sv, "_flux_mass", refuse)
+        value_history = sv._collapsed_history
+        monkeypatch.setattr(sv, "_collapsed_history", lambda *args: (
+            value_history(*args) if args[-1] == 4 else refuse()))
         monkeypatch.setattr(sv, "_linear_gap", refuse)
         x = np.concatenate([r * sphere_points(2, 8) for r in (2.5, L / 2, 3 * L)])
         flow = cli._ThreadedFlow(fresh, a, f, opts, threads=2)
