@@ -274,6 +274,9 @@ def _violations(cfg: ScenarioConfig) -> list:
                 problems.append(
                     f"checks.{label}_radii: radii {bad} violate |x| >= e sqrt(t) "
                     f"= {bound:.4g}")
+    if cfg.window_directions < 1:
+        problems.append(f"checks.window_directions: need at least 1, got "
+                        f"{cfg.window_directions}")
     radii = cfg.divergence_radii
     if "divergence" in cfg.checks and (
             len(radii) < 3 or any(hi <= lo for lo, hi in zip(radii, radii[1:]))):

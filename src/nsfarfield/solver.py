@@ -50,9 +50,12 @@ gradient of |z|^-d Psi(z / sqrt(tau)):
   F at every node instead: G is singular at x = y, and where |G| far
   exceeds |F| the sum G + D cancels.
 
-The cutoff c = FAR_CUTOFF puts each dropped entry at a Gaussian tail of about
-1e-12; the ``psi_cutoff`` budget entry bounds their sum analytically, next to
-the time and space quadrature estimates and the |y| > L/2 truncation bound.
+One pass over every point of a call finds these local pairs and sums their
+node shares, one kernel call per node; the dense G sums then run in blocks
+of points.  The cutoff c = FAR_CUTOFF puts each dropped entry at a Gaussian
+tail of about 1e-12; the ``psi_cutoff`` budget entry bounds their sum
+analytically, next to the time and space quadrature estimates and the
+|y| > L/2 truncation bound.
 In d = 2 the kernels annihilate the trace of the flux, so the history keeps
 only its traceless part as one complex number per source point, and each pair
 is one complex product (see ``kernels``).
@@ -113,11 +116,16 @@ FAR_CUTOFF = 10.6
 # (sqrt(tau) / |z|)^(d+1).
 _CORE = 2.0
 
-# _bilinear_point: slices per history panel, and points per pair block
-# (memory only: each point's source sum is its own row sum, so neither a
-# point's value nor its share of the error budget depends on its batch)
+# _bilinear_point: slices per history panel, and points per pair block of
+# the dense G sum and of the local pass's source scan (memory only: each
+# point's source sum is its own row sum and each local share its own node
+# sum, so neither a point's value nor its share of the error budget depends
+# on its block or its batch)
 _COARSEN = 8
 _CHUNK = 8
+# relative margin of the local pass's point pre-filter over the rounding of
+# |x - y|^2, so that it drops no local pair
+_SCAN_MARGIN = 1e-9
 
 # _linear_point: floats per block of quadrature nodes (about 1 MB)
 _NODE_BLOCK = 1 << 17
@@ -749,7 +757,7 @@ def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
     summed in node order.  ``_linear_gap`` estimates the error.
     """
     d = f.d
-    if t == 0.0 or not f.terms:
+    if t == 0.0 or not f.terms or not x.size:
         return np.zeros_like(x)
     n_panels = max(8, min(slices_hint, 64))
     panels = _time_panels(np.linspace(0.0, t, n_panels + 1), opts.refine)
@@ -842,70 +850,113 @@ def _flux_at(fluxes, idx, lw, ys) -> np.ndarray:
 
 
 def _core_pairs(r2, tau) -> np.ndarray:
-    """The (n_x, n_y) mask of the core pairs of ``_pair_values``, which drop
-    no entry, for nodes at tau = t - s: |z| < _CORE sqrt(tau) at the earliest
-    node, or inside every node's reach."""
+    """The mask of the core pairs of ``_local_shares``, which drop no entry,
+    among pairs at squared distances ``r2``, for nodes at tau = t - s:
+    |z| < _CORE sqrt(tau) at the earliest node, or inside every node's reach."""
     return r2 < max(FAR_CUTOFF**2 * tau.min(), _CORE**2 * tau.max())
 
 
-def _pair_values(z, r2, t: float, q, nodes, fluxes):
-    """Every (x, y) pair's share of B(x, t) per unit cell, shape (n_x, c, n_y).
+def _local_shares(x, pts_y, t: float, nodes, fluxes):
+    """The Gaussian-local shares of every point of a far-field call.
+
+    With F(z, tau) = G(z) + D(z, tau) (see the module docstring), a pair
+    z = x - y is local when a node's reach covers it, |z|^2 < c^2 tau.  Its
+    share, the node sum of weight * D with the flux interpolated at the
+    node, adds to its G share; a core pair (``_core_pairs``) takes the node
+    sum of the full F instead, which replaces its G share.
+
+    A point whose squared distance to the sources' bounding box is at least
+    the largest local |z|^2, widened by ``_SCAN_MARGIN``, has no local pair
+    and scans no source; the others scan every source in blocks of
+    ``_CHUNK`` points.  Sorted by |z|^2, the non-core pairs that a node
+    covers are a prefix: one ``psi_grad_contract`` call per node, and one
+    ``oseen_grad_contract`` call for all (node, core pair) entries, each
+    core pair's node sum in node order.  Each node's interpolated flux
+    serves both gathers and is dropped before the next node's.
+
+    Returns (point, source, share, core) in point-major order: indices into
+    ``x`` and ``pts_y``, shares per unit cell of shape (n, c) as in
+    ``_pair_values``, and the core mask.
+    """
+    d = pts_y.shape[-1]
+    tau = t - np.array([s for s, *_ in nodes])
+    reach = FAR_CUTOFF**2 * tau
+    lim = reach.max()   # the core lies inside it, as _CORE < FAR_CUTOFF
+    gap = np.maximum(np.maximum(pts_y.min(axis=0) - x, x - pts_y.max(axis=0)), 0.0)
+    scan = np.flatnonzero(np.sum(gap * gap, axis=-1) < lim * (1.0 + _SCAN_MARGIN))
+    hits = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
+    for c0 in range(0, scan.size, _CHUNK):
+        rows = scan[c0:c0 + _CHUNK]
+        z = x[rows, None, :] - pts_y[None, :, :]
+        r2 = np.sum(z * z, axis=-1)
+        ix, iy = np.nonzero(r2 < lim)
+        hits.append((rows[ix], iy, r2[ix, iy]))
+    point, source, r2 = (np.concatenate(a) for a in zip(*hits))
+
+    core = _core_pairs(r2, tau)
+    near = np.flatnonzero(~core)
+    near = near[np.argsort(r2[near], kind="stable")]
+    ks = np.searchsorted(r2[near], reach)
+    z_near = x[point[near]] - pts_y[source[near]]
+    y_near, y_core = source[near], source[core]
+    n_c = 1 if np.iscomplexobj(fluxes[0]) else d
+    shares = np.zeros((point.size, n_c), dtype=fluxes[0].dtype)
+    acc = np.zeros((near.size, n_c), dtype=shares.dtype)
+    core_flux = np.empty((tau.size, y_core.size) + fluxes[0].shape[1:], dtype=shares.dtype)
+    for n, ((s, weight, idx, lw), k) in enumerate(zip(nodes, ks)):
+        if not (k or y_core.size):
+            continue
+        flux = _flux_at(fluxes, idx, lw, slice(None))
+        if k:
+            acc[:k] += weight * kernels.psi_grad_contract(
+                z_near[:k], t - s, d, flux[y_near[:k]]).reshape(k, n_c)
+        core_flux[n] = flux[y_core]
+    shares[near] = acc
+
+    if y_core.size:
+        z_core = x[point[core]] - pts_y[y_core]
+        # (node, core pair) entries, node-major
+        zi = np.broadcast_to(z_core, (tau.size,) + z_core.shape).reshape(-1, d)
+        full = kernels.oseen_grad_contract(zi, np.repeat(tau, y_core.size), d,
+                                           core_flux.reshape((-1,) + fluxes[0].shape[1:]))
+        acc = np.zeros((y_core.size, n_c), dtype=shares.dtype)
+        for (_, weight, _, _), f in zip(nodes, full.reshape(tau.size, y_core.size, n_c)):
+            acc += weight * f
+        shares[core] = acc
+    return point, source, shares, core
+
+
+def _block_shares(local, c0: int, c1: int):
+    """The local pairs of points c0 <= i < c1 of ``_local_shares``' result,
+    with their point indices relative to c0."""
+    point, source, shares, core = local
+    lo, hi = np.searchsorted(point, (c0, c1))
+    return point[lo:hi] - c0, source[lo:hi], shares[lo:hi], core[lo:hi]
+
+
+def _pair_values(z, q, local):
+    """Every (x, y) pair's share of B(x, t) per unit cell, shape (n_x, c, n_y),
+    for one block of points.
 
     A share is the complex o_0 + i o_1 in d = 2 (c = 1, the flux is sigma)
     and the d real components in d = 3 (c = d).  ``z`` holds x - y, shape
-    (n_x, n_y, d), and ``r2`` its squared length.  The gradient kernel splits
-    as F(z, tau) = G(z) + D(z, tau), G = grad L and D the Gaussian-local
-    rest.  Every pair contracts G with the collapsed flux ``q``; D is added
-    at each time node (s, tau = t - s) whose reach |z|^2 < c^2 tau covers the
-    pair, with the flux interpolated at the node.  Sorted by |z|^2, a node's
-    covered pairs are a prefix.  A core pair, |z| < _CORE sqrt(tau) at the
-    earliest node or inside every node's reach, takes the full F at every
-    node instead: no pair next to a source point evaluates the singular G,
-    and none sums a G + D that cancels.  The full F of all (core pair, node)
-    entries is one kernel call, and each core pair's node sum runs in node
-    order.
+    (n_x, n_y, d).  Every pair contracts G = grad L with the collapsed flux
+    ``q``; the block's local pairs ``local`` (``_block_shares``) then add
+    their D share to it, or, as core pairs, replace it by their F share.
     """
     n_x, n_y, d = z.shape
-    tau = t - np.array([s for s, *_ in nodes])
-    reach = FAR_CUTOFF**2 * tau
-    core = _core_pairs(r2, tau)
-    # core pairs get a placeholder z here; their values are replaced below
-    lead_z = np.where(core[..., None], 1.0, z) if core.any() else z
+    rows, source, shares, core = local
+    lead_z = z
+    if core.any():
+        # core pairs get a placeholder z here; their values are replaced below
+        lead_z = z.copy()
+        lead_z[rows[core], source[core]] = 1.0
     # (n_x, c, n_y): each point's sum over sources runs along a contiguous row
     lead = kernels.grad_leading_contract(lead_z, d, q).reshape(n_x, n_y, -1)
     vals = np.ascontiguousarray(np.moveaxis(lead, -1, 1))
-    n_c = vals.shape[1]
-
-    pairs = np.flatnonzero((r2 < reach.max()) & ~core)
-    if pairs.size:
-        pairs = pairs[np.argsort(r2.ravel()[pairs], kind="stable")]
-        cx, cy = np.divmod(pairs, n_y)
-        zc = z[cx, cy]
-        ks = np.searchsorted(r2[cx, cy], reach)
-        # each slice's flux gathered once, for the longest prefix a node needs
-        rows = {}
-        for (_, _, idx, _), k in zip(nodes, ks):
-            for i in idx:
-                rows[i] = max(rows.get(i, 0), k)
-        near_flux = {i: fluxes[i][cy[:k]] for i, k in rows.items()}
-        acc = np.zeros((pairs.size, n_c), dtype=vals.dtype)
-        for (s, weight, idx, lw), k in zip(nodes, ks):
-            if k:
-                acc[:k] += weight * kernels.psi_grad_contract(
-                    zc[:k], t - s, d, _flux_at(near_flux, idx, lw, slice(0, k))
-                ).reshape(k, n_c)
-        vals[cx, :, cy] += acc
-
-    if core.any():
-        ix, iy = np.nonzero(core)
-        # (node, core pair) entries, node-major
-        zi = np.broadcast_to(z[ix, iy], (tau.size, ix.size, d)).reshape(-1, d)
-        flux = np.concatenate([_flux_at(fluxes, idx, lw, iy) for _, _, idx, lw in nodes])
-        full = kernels.oseen_grad_contract(zi, np.repeat(tau, ix.size), d, flux)
-        acc = np.zeros((ix.size, n_c), dtype=vals.dtype)
-        for (_, weight, _, _), f in zip(nodes, full.reshape(tau.size, ix.size, n_c)):
-            acc += weight * f
-        vals[ix, :, iy] = acc
+    near = ~core
+    vals[rows[near], :, source[near]] += shares[near]
+    vals[rows[core], :, source[core]] = shares[core]
     return vals
 
 
@@ -939,9 +990,11 @@ class _Budget(Mapping):
 def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions):
     """B(u,u)(x, t) by kernel quadrature over the |y| <= L/2 history.
 
-    Every source pair contracts grad L(x - y) with the collapsed flux, one
-    spatial sum; the Gaussian-local rest of the kernel is added only at the
-    time nodes whose reach FAR_CUTOFF sqrt(t - s) covers the pair (see
+    One local pass over every point of the call (``_local_shares``) finds
+    the pairs that the Gaussian-local rest of the kernel reaches and sums
+    their node shares.  Then, in blocks of ``_CHUNK`` points, every source
+    pair contracts grad L(x - y) with the collapsed flux, one spatial sum,
+    and the block's local shares join it before each point's row sum (see
     ``_pair_values``).  In d = 2 each point's row sum o_0 + i o_1 becomes
     the vector (o_0, o_1).  Returns (values, error budget); the values are
     computed here, and the budget is a ``_Budget`` that ``_bilinear_budget``
@@ -953,12 +1006,12 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
     if m_t > 0:
         pts_y, fluxes = traj.flux_history()
         nodes, q = _collapsed_history(traj, m_t, opts, 4)
+        local = _local_shares(x, pts_y, t, nodes, fluxes)
         cell = traj.grid.spacing**d
         for c0 in range(0, x.shape[0], _CHUNK):
             xs = x[c0:c0 + _CHUNK]
             z = xs[:, None, :] - pts_y[None, :, :]
-            r2 = np.sum(z * z, axis=-1)
-            pairs = _pair_values(z, r2, t, q, nodes, fluxes)
+            pairs = _pair_values(z, q, _block_shares(local, c0, c0 + xs.shape[0]))
             out[c0:c0 + xs.shape[0]] = _components(cell * pairs.sum(axis=-1))
     return out, _Budget(functools.partial(_bilinear_budget, traj, x.copy(), t, opts))
 
@@ -990,6 +1043,7 @@ def _bilinear_budget(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOpti
     stride_idx = np.arange(pts_y.shape[0]).reshape((side,) * d)
     stride_mask[stride_idx[(slice(None, None, 2),) * d].ravel()] = True
     time_gap = space_gap = psi_mass = 0.0
+    local4, local2 = (_local_shares(x, pts_y, t, nodes, fluxes) for nodes in (nodes4, nodes2))
 
     for c0 in range(0, x.shape[0], _CHUNK):
         xs = x[c0:c0 + _CHUNK]
@@ -999,9 +1053,11 @@ def _bilinear_budget(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOpti
         # at most psi_gradient_bound(1, 1/c^2) |z|^-(d+1) times the node flux
         psi_mass = max(psi_mass, float((np.where(_core_pairs(r2, tau), np.inf, r2)
                                         ** (-(d + 1) / 2.0) @ mass).max()))
-        pairs = _pair_values(z, r2, t, q4, nodes4, fluxes)
+        c1 = c0 + xs.shape[0]
+        pairs = _pair_values(z, q4, _block_shares(local4, c0, c1))
         values = _components(cell * pairs.sum(axis=-1))
-        coarse = _components(cell * _pair_values(z, r2, t, q2, nodes2, fluxes).sum(axis=-1))
+        coarse = _components(cell * _pair_values(z, q2, _block_shares(local2, c0, c1))
+                             .sum(axis=-1))
         sub = _components((cell * 2**d) * pairs[..., stride_mask].sum(axis=-1))
         time_gap = max(time_gap, float(np.linalg.norm(values - coarse, axis=-1).max()))
         space_gap = max(space_gap, float(np.linalg.norm(values - sub, axis=-1).max()))

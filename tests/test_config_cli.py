@@ -180,6 +180,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="e sqrt"):
             parse_config(text)
 
+    @pytest.mark.parametrize("n_dirs", [0, -3])
+    def test_window_directions_at_least_one(self, n_dirs):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[checks]\nwindow_directions = {n_dirs}\n")
+        assert exc.value.problems == [f"checks.window_directions: need at least 1, "
+                                      f"got {n_dirs}"]
+
     def test_hash_source_excludes_output(self):
         c1 = parse_config(QUICK)
         c2 = parse_config(QUICK.replace("directory = out", "directory = elsewhere"))
@@ -283,6 +290,13 @@ class TestCli:
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(QUICK.replace("horizon = 0.5", "horizon = nan"))
         assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG_ERROR
+
+    def test_zero_window_directions_exit_code(self, tmp_path):
+        cfg = tmp_path / "nodirs.cfg"
+        cfg.write_text(QUICK.replace("run = lemlog", "run = window")
+                       + "\n[checks]\nwindow_directions = 0\n")
+        code = cli.main(["all", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG_ERROR
 
     def test_missing_config(self):
         assert cli.main(["simulate", "--config", "/nonexistent.cfg"]) == cli.EXIT_CONFIG_ERROR

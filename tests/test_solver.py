@@ -503,25 +503,27 @@ class TestBilinear:
         np.testing.assert_allclose(sv._flux_mass(fluxes, nodes4), mass,
                                    rtol=1e-15, atol=0.0)
 
-    def test_kernel_evaluations_match_node_reach(self, canonical, monkeypatch):
+    def test_kernel_evaluations_match_node_reach(self, canonical, opts, monkeypatch):
         # D is evaluated once per (pair, node) entry with |x - y|^2 < c^2 (t - s)
-        # outside the core, F once per (core pair, node), and neither elsewhere
+        # outside the core, F once per (core pair, node), and neither elsewhere;
+        # a far-field call evaluates D in at most one kernel call per node
         from nsfarfield import kernels
 
-        _, _, traj = canonical
+        a, f, traj = canonical
         pts_y, fluxes = traj.flux_history()
         m_t = traj.slice_index(T)
         nodes4, q4 = sv._collapsed_history(traj, m_t, sv.SolverOptions(slices=M), 4)
         x = np.concatenate([(L / 2) * sphere_points(2, 8), [[-L / 2, 0.0], [9.3, 2.1]]])
         z = x[:, None, :] - pts_y[None, :, :]
         r2 = np.sum(z * z, axis=-1)
-        counted = {}
+        counted, calls = {}, {}
         for name in ("psi_grad_contract", "oseen_grad_contract"):
             def counting(zz, *args, _fn=getattr(kernels, name), _name=name):
                 counted[_name] = counted.get(_name, 0) + len(zz)
+                calls[_name] = calls.get(_name, 0) + 1
                 return _fn(zz, *args)
             monkeypatch.setattr(kernels, name, counting)
-        sv._pair_values(z, r2, T, q4, nodes4, fluxes)
+        sv._local_shares(x, pts_y, T, nodes4, fluxes)
         taus = T - np.array([node[0] for node in nodes4])
         core = sv._core_pairs(r2, taus)
         reach = sv.FAR_CUTOFF**2 * taus
@@ -530,6 +532,41 @@ class TestBilinear:
         assert core.any() and 0 < counted["psi_grad_contract"] == expected
         assert counted["oseen_grad_contract"] == int(core.sum()) * taus.size
         assert expected < 0.1 * r2.size * taus.size
+
+        # 48 points, with local pairs in every block of 8
+        x = np.concatenate([r * sphere_points(2, 8) for r in (0.5, 1.0, 2.5, 4.0, 6.0, L / 2)])
+        calls.clear()
+        sv.farfield_velocity(traj, a, f, x, T, opts)
+        assert 0 < calls["psi_grad_contract"] <= len(nodes4)
+        assert calls["oseen_grad_contract"] == 1
+
+    def test_local_pass_prefilter_boundary(self, canonical, opts):
+        # points whose distance to the source square is just inside, at and
+        # just outside the largest reach, mixed with interior and far points:
+        # the local pass finds exactly the pairs of a brute-force scan, and
+        # every value is the point's own row-by-row value, bit for bit
+        _, _, traj = canonical
+        pts_y, fluxes = traj.flux_history()
+        nodes4, _ = sv._collapsed_history(traj, traj.slice_index(T), opts, 4)
+        taus = T - np.array([node[0] for node in nodes4])
+        lim = sv.FAR_CUTOFF**2 * taus.max()
+        lo, hi = pts_y.min(axis=0), pts_y.max(axis=0)
+        y0, reach = pts_y[pts_y.shape[0] // 3, 1], math.sqrt(lim)
+        ring = []
+        for rel in (1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6):
+            ring.append([hi[0] + rel * reach, y0])
+            ring.append([lo[0] - rel * reach, y0])
+            ring.append(hi + rel * reach / math.sqrt(2))
+        x = np.concatenate([np.array(ring), [[0.3, -1.1], [-L / 2, 0.0], [40.0, -25.0]]])
+        point, source, _, _ = sv._local_shares(x, pts_y, T, nodes4, fluxes)
+        r2 = np.sum((x[:, None, :] - pts_y[None, :, :]) ** 2, axis=-1)
+        ix, iy = np.nonzero(r2 < lim)
+        assert np.array_equal(point, ix) and np.array_equal(source, iy)
+        found = set(point.tolist())
+        assert {0, 1, 2, 15, 16} <= found and not found & {12, 13, 14, 17}
+        batch, _ = sv._bilinear_point(traj, x, T, opts)
+        rows = np.concatenate([sv._bilinear_point(traj, xi[None], T, opts)[0] for xi in x])
+        assert np.array_equal(batch, rows)
 
     def test_threaded_flow_is_one_serial_batch(self, canonical, opts, monkeypatch):
         # a thread count leaves the batch on the calling thread, as one
@@ -555,6 +592,14 @@ class TestFarField:
         traj = sv.picard_solve(a, f, box, 0.5, sv.SolverOptions(slices=8, tol=1e-12))
         vel, _ = sv.farfield_velocity(traj, a, f, np.array([4.0, 3.0]), 0.5, opts)
         assert np.abs(vel).max() == 0.0
+
+    def test_zero_points(self, canonical, opts):
+        # an empty point set gives an empty (0, d) array and a readable budget
+        a, f, traj = canonical
+        vel, budget = sv.farfield_velocity(traj, a, f, np.zeros((0, 2)), T, opts)
+        assert vel.shape == (0, 2)
+        assert budget["linear_quadrature"] == 0.0
+        assert budget["bilinear_time_quadrature"] == budget["bilinear_psi_cutoff"] == 0.0
 
     def test_matches_leading_profile_far_out(self, canonical, opts):
         a, f, traj = canonical
