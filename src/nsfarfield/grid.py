@@ -155,7 +155,8 @@ class VectorFieldGrid:
             fh.write(b"<")
             fh.write(struct.pack("<IIddI", self.grid.d, self.grid.n,
                                  self.grid.length, self.time, self.components.shape[0]))
-            fh.write(np.ascontiguousarray(self.components, dtype="<f8").tobytes())
+            # the array's own buffer: no bytes copy of the samples
+            fh.write(np.ascontiguousarray(self.components, dtype="<f8"))
 
 
 def read_snapshot(path) -> VectorFieldGrid:

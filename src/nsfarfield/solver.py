@@ -26,7 +26,9 @@ on the real-FFT half spectrum.  In d = 2 the projected flux divergence is
 i k_perp s with one scalar s per mode, so B accumulates scalars.  A sweep
 writes each new slice over the old one as soon as its update norm is taken:
 the old slice's flux has been read by then, so the iteration stays Jacobi
-and the solve holds one list of snapshots.
+and the solve holds one list of snapshots.  On large grids one helper
+thread computes those fluxes' sources a few slices ahead of the recursion
+(``_source_lane``).
 
 The box zero mode cannot represent decay at infinity, so it is split off
 analytically: snapshots are stored mean-free and the uniform drift
@@ -129,6 +131,23 @@ _SCAN_MARGIN = 1e-9
 
 # _linear_point: floats per block of quadrature nodes (about 1 MB)
 _NODE_BLOCK = 1 << 17
+
+# _SliceRule.fold: its propagator columns, one per distinct |k|^2, come in
+# multiples of this, as the half spectrum's (N/2 + 1) N^(d-1) modes do for
+# N >= 16.  A BLAS gemv may round a last partial group of columns on
+# another path, and then a fold would not be bitwise the per-mode one.
+_FOLD_COLUMNS = 16
+
+# The flux-source lane of _mild_series: on grids of at least _LANE_POINTS
+# points, with at least _LANE_CPUS usable CPUs, one helper thread computes
+# the flux sources of the next stencil slices while the main thread runs the
+# recursion.  On smaller grids the thread handoffs cost more than the work
+# they overlap.  While slice m is built the lane queues sources through
+# slice m + _LANE_REACH; the stencil of slice m reaches m + 1 (m + 2 at
+# m = 1).
+_LANE_POINTS = 1 << 16
+_LANE_CPUS = 2
+_LANE_REACH = 3
 
 # The `format` line of a trajectory manifest; `load_trajectory` reuses no other.
 # Raise it whenever a change alters what a reused trajectory would hold;
@@ -329,11 +348,10 @@ class _SpectralOps:
             b = f0 * f1
             f0 *= f0
             f0 -= f1 * f1
-            f0 *= 0.5
-            f1[...] = b                       # full holds (a, b) now
-            a_hat, b_hat = self._block_rfftn(full)
+            f0 *= 0.5                         # f0 holds a now
+            # one component at a time: the same values, half the spectra held
             wa, wb = self._source_weights
-            return wa * a_hat + wb * b_hat
+            return wa * self._block_rfftn(f0) + wb * self._block_rfftn(b)
         k = self._k_block
         div = np.zeros((d,) + self.block_shape, dtype=complex)
         for kk in range(d):
@@ -488,7 +506,9 @@ class Trajectory:
 
 
 def load_trajectory(directory) -> Trajectory:
-    """Read a ``Trajectory.save`` directory; ValueError unless the manifest is whole and current."""
+    """Read a ``Trajectory.save`` directory; ValueError unless the manifest is
+    whole and current and every snapshot's header agrees with it and with the
+    first snapshot's grid."""
     with open(os.path.join(directory, "manifest.txt")) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     formats = [ln.split()[1:] for ln in lines if ln.split()[0] == "format"]
@@ -524,6 +544,13 @@ def load_trajectory(directory) -> Trajectory:
         if len(parts) != 4 + fld.grid.d:
             raise ValueError(f"{directory}: snapshot {parts[1]} lists {len(parts) - 4} "
                              f"drift components for d = {fld.grid.d}")
+        # header and manifest are written from the same grid and float(t)
+        if grid is not None and fld.grid != grid:
+            raise ValueError(f"{directory}: snapshot {parts[1]} is on {fld.grid!r}, "
+                             f"the first on {grid!r}")
+        if fld.time != times[-1]:
+            raise ValueError(f"{directory}: snapshot {parts[1]} holds time {fld.time!r}, "
+                             f"the manifest lists {times[-1]!r}")
         grid = fld.grid
         snaps.append(fld.components)
         drifts.append([float(v) for v in parts[4:]])
@@ -552,27 +579,32 @@ class _SliceRule:
     Slices are uniform, so a node's offset inside its slice, and with it the
     propagator exp(-(t1 - s)|k|^2) to the slice end, is the same in every
     slice.  ``offsets``/``weights`` are the nodes' s - t0 and half * wgt;
-    ``factors`` stacks one propagator per node; ``decay`` is exp(-dt |k|^2).
+    ``factors`` holds one propagator per node and distinct |k|^2, and
+    ``index`` maps each half-spectrum mode to its |k|^2 column;
+    ``decay`` is exp(-dt |k|^2).
     """
 
     dt: float
     offsets: np.ndarray
     weights: np.ndarray
     factors: np.ndarray
+    index: np.ndarray
     decay: np.ndarray
 
     def fold(self, node_weights: np.ndarray) -> np.ndarray:
         """sum over nodes of weights * node_weights * propagator: one field."""
-        return np.tensordot(self.weights * node_weights, self.factors, axes=1)
+        return np.tensordot(self.weights * node_weights, self.factors, axes=1)[self.index]
 
 
 def _slice_rule(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions) -> _SliceRule:
     dt = _uniform_step(times)
     offsets, weights = (a.ravel() for a in kernels.gauss_panels(
         *_time_panels([0.0, dt], opts.refine), 4))
-    factors = np.multiply(-(dt - offsets).reshape((-1,) + (1,) * ops.grid.d), ops.k2)
-    np.exp(factors, out=factors)          # one (nodes, half spectrum) array, not two
-    return _SliceRule(dt, offsets, weights, factors, np.exp(-dt * ops.k2))
+    k2, index = np.unique(ops.k2, return_inverse=True)
+    k2 = np.concatenate([k2, np.zeros(-k2.size % _FOLD_COLUMNS)])
+    factors = np.exp(np.multiply.outer(-(dt - offsets), k2))
+    return _SliceRule(dt, offsets, weights, factors, index.reshape(ops.shape),
+                      np.exp(-dt * ops.k2))
 
 
 def _force_spectra(ops: _SpectralOps, f: ForceModel):
@@ -584,6 +616,19 @@ def _force_spectra(ops: _SpectralOps, f: ForceModel):
         spec[(slice(None),) + (0,) * ops.grid.d] = 0.0  # mean handled as drift
         out.append((term.time_profile, ops.project(spec)))
     return out
+
+
+def _source_lane(grid: BoxGrid):
+    """A one-thread executor for flux sources, or None below the lane's gate
+    (``_LANE_POINTS``, ``_LANE_CPUS``)."""
+    if grid.n ** grid.d < _LANE_POINTS:
+        return None
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < _LANE_CPUS:
+        return None
+    from concurrent.futures import ThreadPoolExecutor   # only grids above the gate
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="flux-source")
 
 
 def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
@@ -606,8 +651,11 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
     transform.
 
     ``history`` is (snapshots, drift).  Slice m's stencil reaches an index
-    >= m, so the source of snapshots[m] is taken before slice m is yielded:
-    a caller may overwrite snapshots[m] (m >= 1) with the yielded slice m.
+    >= m, so the source of snapshots[m] is taken, or queued on the lane
+    (``_source_lane``) with the array it reads, before slice m is yielded:
+    a caller may replace snapshots[m] (m >= 1) with the yielded slice m.
+    The lane runs ``flux_source`` on the same arrays as the inline call, so
+    every value is the same with and without it.
     """
     d = ops.grid.d
     rule = _slice_rule(ops, times, opts)
@@ -618,10 +666,12 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
     terms = [] if f is None else _force_spectra(ops, f)
     sources: dict = {}
     patterns: dict = {}
+    lane = None
     if history is not None:
         snapshots, drift = history
         decay = ops.block(rule.decay)
         bil = np.zeros(ops.block_shape if d == 2 else (d,) + ops.block_shape, dtype=complex)
+        lane = _source_lane(ops.grid)
 
     def stencil_fields(offset: int, size: int):
         if (offset, size) not in patterns:
@@ -631,26 +681,43 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
             patterns[offset, size] = [ops.block(rule.fold(lw[:, j])) for j in range(size)]
         return patterns[offset, size]
 
-    yield ops.ifft(acc)
-    for m in range(1, times.size):
-        acc *= rule.decay
-        for tau, spec in terms:
-            tv = tau.value(times[m - 1] + rule.offsets)
-            if np.any(tv):
-                acc += rule.fold(tv) * spec
-        total = acc
-        if history is not None:
-            idx = _stencil(m, times.size - 1)
-            for i in [i for i in sources if i < idx[0]]:
-                del sources[i]
-            bil *= decay
-            for i, weight in zip(idx, stencil_fields(m - idx[0], len(idx))):
-                if i not in sources:
-                    sources[i] = ops.flux_source(snapshots[i], drift[i])
-                bil += weight * sources[i]
-            total = acc.copy()
-            ops.subtract_block(total, ops.lift(bil))
-        yield ops.ifft(total)
+    queued = 0
+
+    def queue(last: int) -> None:
+        """Take, or queue on the lane, every source through slice ``last``."""
+        nonlocal queued
+        for i in range(queued, min(last, times.size - 1) + 1):
+            if lane is None:
+                sources[i] = ops.flux_source(snapshots[i], drift[i])
+            else:
+                sources[i] = lane.submit(ops.flux_source, snapshots[i], drift[i])
+            queued = i + 1
+
+    try:
+        if lane is not None:
+            queue(_LANE_REACH)
+        yield ops.ifft(acc)
+        for m in range(1, times.size):
+            acc *= rule.decay
+            for tau, spec in terms:
+                tv = tau.value(times[m - 1] + rule.offsets)
+                if np.any(tv):
+                    acc += rule.fold(tv) * spec
+            total = acc
+            if history is not None:
+                idx = _stencil(m, times.size - 1)
+                for i in [i for i in sources if i < idx[0]]:
+                    del sources[i]
+                queue(idx[-1] if lane is None else m + _LANE_REACH)
+                bil *= decay
+                for i, weight in zip(idx, stencil_fields(m - idx[0], len(idx))):
+                    bil += weight * (sources[i] if lane is None else sources[i].result())
+                total = acc.copy()
+                ops.subtract_block(total, ops.lift(bil))
+            yield ops.ifft(total)
+    finally:
+        if lane is not None:
+            lane.shutdown(cancel_futures=True)
 
 
 def _linear_series(ops: _SpectralOps, f: ForceModel, times: np.ndarray,

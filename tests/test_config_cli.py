@@ -15,6 +15,7 @@ import pytest
 import helpers
 from nsfarfield import cli
 from nsfarfield.config import ConfigError, parse_config
+from nsfarfield.grid import BoxGrid, VectorFieldGrid, read_snapshot
 
 QUICK = """\
 [scenario]
@@ -78,11 +79,26 @@ def _lying_header(**field):
     return lambda tdir: helpers.rewrite_snapshot_header(tdir / "u00003.nsvf", **field)
 
 
+def _other_grid(tdir):
+    # snapshot 3 at its own time, sampled on a grid of half the points
+    snap = read_snapshot(tdir / "u00003.nsvf")
+    grid = BoxGrid(snap.grid.d, snap.grid.length, snap.grid.n // 2)
+    VectorFieldGrid(grid, snap.components[:, ::2, ::2], time=snap.time).save(
+        tdir / "u00003.nsvf")
+
+
+def _swap_snapshots(tdir):
+    a, b = tdir / "u00003.nsvf", tdir / "u00004.nsvf"
+    data = a.read_bytes()
+    a.write_bytes(b.read_bytes())
+    b.write_bytes(data)
+
+
 def _truncate(path, size=None):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2 if size is None else size])
 
 
-# ways a cached trajectory directory can be left incomplete
+# ways a cached trajectory directory can be left incomplete or inconsistent
 _DAMAGE = {
     "manifest_deleted": lambda tdir: (tdir / "manifest.txt").unlink(),
     "snapshot_truncated": lambda tdir: _truncate(tdir / "u00003.nsvf"),
@@ -94,6 +110,8 @@ _DAMAGE = {
     "older_format": _older_format,
     "snapshot_header_inflated_n": _lying_header(n=1 << 20),
     "snapshot_header_wrong_ncomp": _lying_header(ncomp=3),
+    "snapshot_from_other_grid": _other_grid,
+    "snapshots_swapped": _swap_snapshots,
 }
 
 

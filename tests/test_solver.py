@@ -1,6 +1,8 @@
 """Mild solver: Picard contraction, Duhamel terms, far-field evaluation."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -267,6 +269,87 @@ class TestInPlaceSweeps:
         finally:
             tracemalloc.stop()
         assert peak <= 2.0 * sum(s.nbytes for s in traj.snapshots)
+
+
+class TestSourceLane:
+    # the gate patched open or shut: the same small solves with the flux
+    # sources on the lane and inline
+    @staticmethod
+    def solve(monkeypatch, lane, d, n, slices):
+        monkeypatch.setattr(sv, "_LANE_POINTS", 0 if lane else math.inf)
+        monkeypatch.setattr(sv, "_LANE_CPUS", 1)
+        on_main = set()
+        source = sv._SpectralOps.flux_source
+
+        def spy(self, *args):
+            on_main.add(threading.current_thread() is threading.main_thread())
+            return source(self, *args)
+
+        monkeypatch.setattr(sv._SpectralOps, "flux_source", spy)
+        grid = BoxGrid(d, 8.0, n)
+        a = build_initial_data(d, kind="curl_bump", amplitude=0.001, width=1.0)
+        f = bump_force(amp=0.001, t_off=0.3, d=d)
+        opts = sv.SolverOptions(slices=slices, tol=1e-13)
+        traj = sv.picard_solve(a, f, grid, 0.5, opts)
+        return traj, sv.integral_residual(traj, a, f, opts), on_main
+
+    @pytest.mark.parametrize("d, n, slices", [(2, 32, 1), (2, 32, 8), (3, 16, 4)])
+    def test_lane_matches_inline(self, monkeypatch, d, n, slices):
+        traj, residual, on_main = self.solve(monkeypatch, False, d, n, slices)
+        assert on_main == {True}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)       # switch threads as often as it can
+        try:
+            lane, lane_residual, on_main = self.solve(monkeypatch, True, d, n, slices)
+        finally:
+            sys.setswitchinterval(interval)
+        assert on_main == {False}
+        assert lane.iteration_log == traj.iteration_log
+        assert lane_residual == residual
+        assert all(np.array_equal(u, v) for u, v in zip(lane.snapshots, traj.snapshots))
+
+    def test_lane_failure_surfaces_and_ends_the_thread(self, monkeypatch):
+        class LaneFailure(RuntimeError):
+            pass
+
+        def fail(self, *args):
+            raise LaneFailure("flux source")
+
+        monkeypatch.setattr(sv, "_LANE_POINTS", 0)
+        monkeypatch.setattr(sv, "_LANE_CPUS", 1)
+        monkeypatch.setattr(sv._SpectralOps, "flux_source", fail)
+        before = threading.active_count()
+        with pytest.raises(LaneFailure):
+            sv.picard_solve(build_initial_data(2, kind="zero"), bump_force(),
+                            BoxGrid(2, 8.0, 32), 0.5, sv.SolverOptions(slices=8))
+        assert threading.active_count() == before
+
+    def test_gate(self, monkeypatch):
+        # the lane serves the N = 256 plane, not the N = 128 one, and only
+        # with enough CPUs
+        monkeypatch.setattr(sv, "_LANE_CPUS", 1)
+        assert sv._source_lane(BoxGrid(2, L, 128)) is None
+        sv._source_lane(BoxGrid(2, L, 256)).shutdown()
+        monkeypatch.setattr(sv, "_LANE_CPUS", 1 << 20)
+        assert sv._source_lane(BoxGrid(2, L, 256)) is None
+
+
+class TestSliceRule:
+    # per distinct |k|^2, the fold is bitwise the one over per-mode
+    # propagators; d = 3 stops at N = 64, where the per-mode reference
+    # already holds 30 MB (1.9 GB at N = 256)
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 64), (2, 256), (3, 16), (3, 64)])
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_fold_matches_per_mode_propagators(self, d, n, refine):
+        ops = sv._SpectralOps(BoxGrid(d, 8.0, n))
+        rule = sv._slice_rule(ops, np.linspace(0.0, 0.5, 9), sv.SolverOptions(refine=refine))
+        dense = np.exp(np.multiply(-(rule.dt - rule.offsets).reshape((-1,) + (1,) * d),
+                                   ops.k2))
+        assert rule.factors.shape[1] < ops.k2.size
+        assert np.array_equal(rule.decay, np.exp(-rule.dt * ops.k2))
+        rng = np.random.default_rng(n + refine)
+        for w in (np.ones(rule.offsets.size), rng.normal(size=rule.offsets.size)):
+            assert np.array_equal(rule.fold(w), np.tensordot(rule.weights * w, dense, axes=1))
 
 
 class TestHalfSpectrum:
