@@ -366,11 +366,12 @@ def run_report(cfg: ScenarioConfig, out_dir: str) -> int:
 
     digest = scenario_digest(cfg.hash_source())
     path = os.path.join(out_dir, f"verify_{digest}.json")
-    if not os.path.exists(path):
-        print(f"no verify summary at {path}; run `verify` first")
+    try:
+        with open(path) as fh:
+            summary = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"no readable verify summary at {path} ({exc}); run `verify` first")
         return EXIT_CONFIG_ERROR
-    with open(path) as fh:
-        summary = json.load(fh)
     all_pass = True
     for check, result in sorted(summary.get("checks", {}).items()):
         if "error" in result:
@@ -432,9 +433,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(out_dir: str) -> bool:
+    """Create ``out_dir``; False, with one line printed, when that fails."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot use output directory: {exc}")
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "kernel-check":
+        if not _make_out_dir(args.out):
+            return EXIT_CONFIG_ERROR
         return run_kernel_check(args.out, args.dimension)
 
     try:
@@ -457,7 +470,8 @@ def main(argv=None) -> int:
             print(f"config error: unknown checks in --only: {', '.join(unknown)}")
             return EXIT_CONFIG_ERROR
 
-    os.makedirs(out_dir, exist_ok=True)
+    if not _make_out_dir(out_dir):
+        return EXIT_CONFIG_ERROR
     try:
         if args.command == "simulate":
             simulate(cfg, out_dir)

@@ -63,9 +63,9 @@ only its traceless part as one complex number per source point, and each pair
 is one complex product (see ``kernels``).
 
 Far-field values are computed when ``farfield_velocity`` is called; the
-error budget is built, and then kept, when it is first read.  No check reads
-it yet (per-point budgets in each check's report are still to come), so the
-checks pay for the values alone.
+error budget, built and kept on its first read, runs the same evaluator with
+GL2 and on the stride-2 sources.  No check reads it yet (per-point budgets
+in each check's report are still to come), so the checks pay for the values.
 """
 
 from __future__ import annotations
@@ -430,13 +430,9 @@ class Trajectory:
 
     # -- bilinear history on the central |y| <= L/2 sub-box ------------------
 
-    def _central_slices(self):
-        n = self.grid.n
-        sl = slice(n // 4, 3 * n // 4)
-        return (sl,) * self.grid.d
-
-    def flux_history(self):
-        """Per-slice momentum flux of u + D, D the drift, on |y| <= L/2.
+    def flux_history(self, stride: int = 1):
+        """Per-slice momentum flux of u + D, D the drift, on |y| <= L/2 at
+        every ``stride``-th grid point along each axis.
 
         Returns (points (n_y, d), fluxes): one array per slice.  In d = 2 a
         flux is its traceless part sigma = (Q_11 - Q_22)/2 + i Q_12 of
@@ -446,8 +442,8 @@ class Trajectory:
         of shape (n_y, d, d).
         """
         def build():
-            d = self.grid.d
-            region = self._central_slices()
+            d, n = self.grid.d, self.grid.n
+            region = (slice(n // 4, 3 * n // 4, stride),) * d
             pts = self.grid.points[region].reshape(-1, d)
             fluxes = []
             for i, comps in enumerate(self.snapshots):
@@ -460,7 +456,7 @@ class Trajectory:
                     fluxes.append(np.einsum("ky,ly->ykl", u, u))
             return pts, fluxes
 
-        return self._cached("flux", build)
+        return self._cached(("flux", stride), build)
 
     # -- persistence ---------------------------------------------------------
 
@@ -880,16 +876,16 @@ def _collapse(nodes: list, fluxes: list):
     return sum(w[i] * fluxes[i] for i in np.flatnonzero(w))
 
 
-def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions, order: int):
+def _collapsed_history(traj: Trajectory, m_t: int, opts: SolverOptions, order: int,
+                       stride: int = 1):
     """The history integral at one evaluation time, for the leading-part sum:
     (GL``order`` nodes of ``_history_rule``, the flux they collapse to in the
-    form of ``Trajectory.flux_history``).  The values take order 4; the error
-    budget compares them with order 2."""
+    form of ``Trajectory.flux_history(stride)``)."""
     def build():
         nodes = _history_rule(traj.times, m_t, opts, order)
-        return nodes, _collapse(nodes, traj.flux_history()[1])
+        return nodes, _collapse(nodes, traj.flux_history(stride)[1])
 
-    return traj._cached(("collapsed", m_t, opts.refine, order), build)
+    return traj._cached(("collapsed", m_t, opts.refine, order, stride), build)
 
 
 def _flux_mass(fluxes: list, nodes: list) -> np.ndarray:
@@ -1054,8 +1050,10 @@ class _Budget(Mapping):
         return len(self._entries)
 
 
-def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions):
-    """B(u,u)(x, t) by kernel quadrature over the |y| <= L/2 history.
+def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions,
+                    order: int = 4, stride: int = 1) -> np.ndarray:
+    """B(u,u)(x, t) by kernel quadrature over the |y| <= L/2 history, with the
+    GL``order`` history rule and every ``stride``-th source along each axis.
 
     One local pass over every point of the call (``_local_shares``) finds
     the pairs that the Gaussian-local rest of the kernel reaches and sums
@@ -1063,28 +1061,27 @@ def _bilinear_point(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptio
     pair contracts grad L(x - y) with the collapsed flux, one spatial sum,
     and the block's local shares join it before each point's row sum (see
     ``_pair_values``).  In d = 2 each point's row sum o_0 + i o_1 becomes
-    the vector (o_0, o_1).  Returns (values, error budget); the values are
-    computed here, and the budget is a ``_Budget`` that ``_bilinear_budget``
-    builds over every point when it is first read.
+    the vector (o_0, o_1).  ``_bilinear_gap`` estimates the error.
     """
     d = traj.grid.d
     m_t = traj.slice_index(t)
     out = np.zeros_like(x)
     if m_t > 0:
-        pts_y, fluxes = traj.flux_history()
-        nodes, q = _collapsed_history(traj, m_t, opts, 4)
+        pts_y, fluxes = traj.flux_history(stride)
+        nodes, q = _collapsed_history(traj, m_t, opts, order, stride)
         local = _local_shares(x, pts_y, t, nodes, fluxes)
-        cell = traj.grid.spacing**d
+        cell = (traj.grid.spacing * stride)**d
         for c0 in range(0, x.shape[0], _CHUNK):
             xs = x[c0:c0 + _CHUNK]
             z = xs[:, None, :] - pts_y[None, :, :]
             pairs = _pair_values(z, q, _block_shares(local, c0, c0 + xs.shape[0]))
             out[c0:c0 + xs.shape[0]] = _components(cell * pairs.sum(axis=-1))
-    return out, _Budget(functools.partial(_bilinear_budget, traj, x.copy(), t, opts))
+    return out
 
 
-def _bilinear_budget(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOptions) -> dict:
-    """The error budget of ``_bilinear_point`` at the points ``x``.
+def _bilinear_gap(values: np.ndarray, traj: Trajectory, x: np.ndarray, t: float,
+                  opts: SolverOptions) -> dict:
+    """The error budget of ``_bilinear_point``'s ``values`` at the points ``x``.
 
     Each entry is a maximum over the points, so it depends on the point set
     alone.  Quadrature error is the distance of each point's value to the
@@ -1098,46 +1095,33 @@ def _bilinear_budget(traj: Trajectory, x: np.ndarray, t: float, opts: SolverOpti
                             "psi_cutoff"), 0.0)
     if m_t == 0:
         return budget
+
+    def gap(**rule):   # twice the largest distance to a coarser rule's values
+        coarse = _bilinear_point(traj, x, t, opts, **rule)
+        return 2.0 * float(np.max(np.linalg.norm(values - coarse, axis=-1), initial=0.0))
+
     pts_y, fluxes = traj.flux_history()
-    nodes4, q4 = _collapsed_history(traj, m_t, opts, 4)
-    nodes2, q2 = _collapsed_history(traj, m_t, opts, 2)
-    mass = _flux_mass(fluxes, nodes4)
-    tau = t - np.array([s for s, *_ in nodes4])
-    cell = traj.grid.spacing**d
-
-    stride_mask = np.zeros(pts_y.shape[0], dtype=bool)
-    side = round(pts_y.shape[0] ** (1.0 / d))
-    stride_idx = np.arange(pts_y.shape[0]).reshape((side,) * d)
-    stride_mask[stride_idx[(slice(None, None, 2),) * d].ravel()] = True
-    time_gap = space_gap = psi_mass = 0.0
-    local4, local2 = (_local_shares(x, pts_y, t, nodes, fluxes) for nodes in (nodes4, nodes2))
-
+    nodes, _ = _collapsed_history(traj, m_t, opts, 4)
+    mass = _flux_mass(fluxes, nodes)
+    tau = t - np.array([s for s, *_ in nodes])
+    psi_mass = 0.0
     for c0 in range(0, x.shape[0], _CHUNK):
-        xs = x[c0:c0 + _CHUNK]
-        z = xs[:, None, :] - pts_y[None, :, :]
+        z = x[c0:c0 + _CHUNK, None, :] - pts_y[None, :, :]
         r2 = np.sum(z * z, axis=-1)
         # a dropped (pair, node) entry has tau <= |z|^2 / c^2: its Psi part is
         # at most psi_gradient_bound(1, 1/c^2) |z|^-(d+1) times the node flux
         psi_mass = max(psi_mass, float((np.where(_core_pairs(r2, tau), np.inf, r2)
                                         ** (-(d + 1) / 2.0) @ mass).max()))
-        c1 = c0 + xs.shape[0]
-        pairs = _pair_values(z, q4, _block_shares(local4, c0, c1))
-        values = _components(cell * pairs.sum(axis=-1))
-        coarse = _components(cell * _pair_values(z, q2, _block_shares(local2, c0, c1))
-                             .sum(axis=-1))
-        sub = _components((cell * 2**d) * pairs[..., stride_mask].sum(axis=-1))
-        time_gap = max(time_gap, float(np.linalg.norm(values - coarse, axis=-1).max()))
-        space_gap = max(space_gap, float(np.linalg.norm(values - sub, axis=-1).max()))
 
     c_dec = traj.decay_constant()
     tail = (c_dec**2 * (1.0 + traj.grid.length / 2.0) ** (-2 * d) * 2.0
             * _unit_gradient_l1(d) * math.sqrt(t))
     budget.update({
-        "time_quadrature": 2.0 * time_gap,
-        "space_quadrature": 2.0 * space_gap,
+        "time_quadrature": gap(order=2),
+        "space_quadrature": gap(stride=2),
         "truncation": float(tail),
         "psi_cutoff": (kernels.psi_gradient_bound(1.0, FAR_CUTOFF**-2, d)
-                       * cell * psi_mass if psi_mass else 0.0),
+                       * traj.grid.spacing**d * psi_mass if psi_mass else 0.0),
     })
     return budget
 
@@ -1151,26 +1135,26 @@ def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: flo
     ``_bilinear_point``; its four budget entries carry the ``bilinear_``
     prefix.  The values are computed here.  The budget is a read-only
     mapping that computes all its entries on the first read, over every
-    point of the call: the GL2 rules of both quadratures, a second GL4 pass
-    for the stride-2 subsample and the decay constant behind the truncation
-    bound.  A caller that reads only the values, as every check does until
-    the checks report per-point budgets, pays for none of it.
+    point of the call: the GL2 rules of both quadratures, the bilinear
+    values on the stride-2 sources and the decay constant behind the
+    truncation bound.  A caller that reads only the values, as every check
+    does until the checks report per-point budgets, pays for none of it.
     """
     d = traj.grid.d
     pts, single, lead = _require_points(x, d)
     t = float(t)
     hint = traj.times.size - 1
     lin_vals = _linear_point(f, pts, t, opts, slices_hint=hint)
-    bil, b_budget = _bilinear_point(traj, pts, t, opts)
+    bil = _bilinear_point(traj, pts, t, opts)
     total = a.value(pts, t) + lin_vals - bil
     out = total.reshape(lead + (d,)) if not single else total[0]
     pts = pts.copy()
 
     def budget():
-        entries = {"heat": 0.0,   # the heat term is exact
-                   "linear_quadrature": _linear_gap(lin_vals, f, pts, t, opts, hint)}
-        entries.update({f"bilinear_{k}": v for k, v in b_budget.items()})
-        return entries
+        bilinear = _bilinear_gap(bil, traj, pts, t, opts)
+        return {"heat": 0.0,   # the heat term is exact
+                "linear_quadrature": _linear_gap(lin_vals, f, pts, t, opts, hint),
+                **{f"bilinear_{k}": v for k, v in bilinear.items()}}
 
     return out, _Budget(budget)
 

@@ -435,6 +435,32 @@ class TestCli:
         code = cli.main(["report", "--config", str(cfg), "--out", str(tmp_path / "empty")])
         assert code == cli.EXIT_CONFIG_ERROR
 
+    def test_truncated_verify_summary_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK)
+        out = tmp_path / "out"
+        out.mkdir()
+        digest = cli.scenario_digest(parse_config(QUICK).hash_source())
+        (out / f"verify_{digest}.json").write_text('{"checks": ')
+        code = cli.main(["report", "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert "no readable verify summary" in capsys.readouterr().out
+        assert not list(out.glob("report_*.json"))
+
+    @pytest.mark.parametrize("command", ["all", "kernel-check"])
+    def test_out_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        argv = [command, "--out", str(taken)]
+        if command == "all":
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cannot use output directory")
+        assert taken.read_text() == "not a directory"
+
     def test_verify_runs_only_selected(self, tmp_path):
         cfg = tmp_path / "quick.cfg"
         cfg.write_text(QUICK)

@@ -525,7 +525,7 @@ class TestBilinear:
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         consts = []
         for r in (L / 2, L, 2 * L, 4 * L):
-            vals, _ = sv._bilinear_point(traj, r * dirs, t, opts)
+            vals = sv._bilinear_point(traj, r * dirs, t, opts)
             consts.append(np.max(np.linalg.norm(vals, axis=-1)) * r**3 / math.sqrt(t))
         assert max(consts) / min(consts) < 2.0
 
@@ -551,16 +551,55 @@ class TestBilinear:
         cases = [(r * dirs, t) for r in (L / 2, L / 2 * math.sqrt(2), L, 2 * L, 4 * L)
                  for t in (T / 2, T)]
         cases += [(on_source, t) for t in (T / 2, T)]
-        # a budget is built when first read: read these under the finite cutoff
-        split = [(vals, dict(budget)) for vals, budget in
-                 (sv._bilinear_point(traj, x, t, opts) for x, t in cases)]
+
+        # the values and the psi_cutoff entry under the current cutoff
+        def split(x, t):
+            vals = sv._bilinear_point(traj, x, t, opts)
+            return vals, sv._bilinear_gap(vals, traj, x, t, opts)["psi_cutoff"]
+
+        finite = [split(x, t) for x, t in cases]
         monkeypatch.setattr(sv, "FAR_CUTOFF", math.inf)
-        for (x, t), (vals, budget) in zip(cases, split):
-            ref, ref_budget = sv._bilinear_point(traj, x, t, opts)
+        for (x, t), (vals, psi_cutoff) in zip(cases, finite):
+            ref, ref_psi_cutoff = split(x, t)
             gap = np.linalg.norm(vals - ref, axis=-1)
             assert gap.max() <= 1e-9 * np.linalg.norm(ref, axis=-1).min()
-            assert budget["psi_cutoff"] >= gap.max()
-            assert ref_budget["psi_cutoff"] == 0.0
+            assert psi_cutoff >= gap.max()
+            assert ref_psi_cutoff == 0.0
+
+    def test_budget_quadrature_entries_rerun_the_evaluator(self, canonical, opts):
+        # the time and space entries are twice the largest distance to the
+        # values of the GL2 rule and of the stride-2 sources
+        _, _, traj = canonical
+        x = np.concatenate([r * sphere_points(2, 8) for r in (1.0, L / 2, 3 * L)])
+        for t in (T / 2, T):
+            vals = sv._bilinear_point(traj, x, t, opts)
+            budget = sv._bilinear_gap(vals, traj, x, t, opts)
+            for key, rule in (("time_quadrature", {"order": 2}),
+                              ("space_quadrature", {"stride": 2})):
+                coarse = sv._bilinear_point(traj, x, t, opts, **rule)
+                gap = np.linalg.norm(vals - coarse, axis=-1).max()
+                assert 0.0 < budget[key] == 2.0 * gap, key
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_strided_flux_history_is_every_other_row(self, canonical, d):
+        # flux_history(2) holds, bit for bit, the rows of flux_history() at
+        # every other source along each axis, and is cached per stride
+        if d == 2:
+            traj = canonical[2]
+        else:
+            rng = np.random.default_rng(3)
+            grid = BoxGrid(3, L, 16)
+            traj = sv.Trajectory(grid, np.linspace(0.0, T, 3),
+                                 [rng.normal(size=(3,) + grid.shape) for _ in range(3)],
+                                 rng.normal(size=(3, 3)), [])
+        pts, fluxes = traj.flux_history()
+        side = traj.grid.n // 2
+        rows = np.arange(pts.shape[0]).reshape((side,) * d)[(slice(None, None, 2),) * d].ravel()
+        sub_pts, sub_fluxes = traj.flux_history(2)
+        assert np.array_equal(sub_pts, pts[rows]) and len(sub_fluxes) == len(fluxes)
+        for sub, full in zip(sub_fluxes, fluxes):
+            assert np.array_equal(sub, full[rows])
+        assert traj.flux_history(2) is traj.flux_history(2)
 
     def test_complex_flux_history_matches_real_tensor(self, canonical):
         # sigma = (Q_11 - Q_22)/2 + i Q_12 of Q = (u + D)(x)(u + D), and
@@ -647,8 +686,8 @@ class TestBilinear:
         assert np.array_equal(point, ix) and np.array_equal(source, iy)
         found = set(point.tolist())
         assert {0, 1, 2, 15, 16} <= found and not found & {12, 13, 14, 17}
-        batch, _ = sv._bilinear_point(traj, x, T, opts)
-        rows = np.concatenate([sv._bilinear_point(traj, xi[None], T, opts)[0] for xi in x])
+        batch = sv._bilinear_point(traj, x, T, opts)
+        rows = np.concatenate([sv._bilinear_point(traj, xi[None], T, opts) for xi in x])
         assert np.array_equal(batch, rows)
 
     def test_threaded_flow_is_one_serial_batch(self, canonical, opts, monkeypatch):
@@ -698,9 +737,9 @@ class TestFarField:
         # sample every sphere of one time in one batch: the batch, its
         # reversal and row-by-row evaluation agree bit for bit, inside L/2
         # as well as beyond it.  The budget is a maximum over the points, so
-        # the reversal's equals the batch's and the time entry is the largest
-        # single-point one; the space and Psi entries sum over sources in
-        # blocks whose order may follow the batch shape
+        # the reversal's equals the batch's, and the time and space entries,
+        # distances between such values, are the largest single-point ones;
+        # the Psi entry's mass product may follow the batch shape
         a, f, traj = canonical
         x = np.concatenate([r * sphere_points(2, 8)
                             for r in (1.0, 2.5, 6.0, L / 2, L, 3 * L)])
@@ -716,9 +755,10 @@ class TestFarField:
         largest = {key: max(b[key] for _, b in singles)
                    for key in ("bilinear_time_quadrature", "bilinear_space_quadrature",
                                "bilinear_psi_cutoff")}
-        assert budget["bilinear_time_quadrature"] == largest["bilinear_time_quadrature"]
-        for key in ("bilinear_space_quadrature", "bilinear_psi_cutoff"):
-            assert abs(budget[key] - largest[key]) <= 1e-12 * largest[key], key
+        for key in ("bilinear_time_quadrature", "bilinear_space_quadrature"):
+            assert budget[key] == largest[key], key
+        key = "bilinear_psi_cutoff"
+        assert abs(budget[key] - largest[key]) <= 1e-12 * largest[key]
 
     def test_check_path_builds_no_budget(self, canonical, opts, tmp_path, monkeypatch):
         # the checks read only values, so on a freshly loaded trajectory their
@@ -737,7 +777,7 @@ class TestFarField:
         monkeypatch.setattr(sv, "_flux_mass", refuse)
         value_history = sv._collapsed_history
         monkeypatch.setattr(sv, "_collapsed_history", lambda *args: (
-            value_history(*args) if args[-1] == 4 else refuse()))
+            value_history(*args) if args[3:] == (4, 1) else refuse()))
         monkeypatch.setattr(sv, "_linear_gap", refuse)
         x = np.concatenate([r * sphere_points(2, 8) for r in (2.5, L / 2, 3 * L)])
         flow = cli._ThreadedFlow(fresh, a, f, opts, threads=2)
