@@ -369,11 +369,14 @@ def run_report(cfg: ScenarioConfig, out_dir: str) -> int:
     try:
         with open(path) as fh:
             summary = json.load(fh)
+        checks = summary.get("checks", {}) if isinstance(summary, dict) else None
+        if not (isinstance(checks, dict) and all(isinstance(r, dict) for r in checks.values())):
+            raise ValueError("not an object of per-check results")
     except (OSError, ValueError) as exc:
         print(f"no readable verify summary at {path} ({exc}); run `verify` first")
         return EXIT_CONFIG_ERROR
     all_pass = True
-    for check, result in sorted(summary.get("checks", {}).items()):
+    for check, result in sorted(checks.items()):
         if "error" in result:
             print(f"{check}: ERROR {result['error']}")
             all_pass = False
@@ -382,7 +385,7 @@ def run_report(cfg: ScenarioConfig, out_dir: str) -> int:
             all_pass = all_pass and bool(result.get("passed"))
     verdict = {"scenario": summary.get("scenario"), "hash": digest,
                "overall": "pass" if all_pass else "fail",
-               "checks": summary.get("checks", {})}
+               "checks": checks}
     verify.write_json(os.path.join(out_dir, f"report_{digest}.json"), verdict)
     print(f"overall: {'pass' if all_pass else 'FAIL'}")
     return EXIT_PASS if all_pass else EXIT_CHECK_FAILURE
@@ -411,9 +414,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="far-field asymptotics laboratory for forced Navier-Stokes flows")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p):
         p.add_argument("--config", default=env.get("NSFF_CONFIG"),
-                       required=needs_config and "NSFF_CONFIG" not in env,
+                       required="NSFF_CONFIG" not in env,
                        help="scenario config file")
         p.add_argument("--out", default=env.get("NSFF_OUT"),
                        help="output directory (default: config output.directory)")

@@ -20,6 +20,9 @@ from dataclasses import dataclass, field, fields
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "norm_regime", "CHECK_NAMES"]
 
 CHECK_NAMES = ("kernel", "profile", "window", "sweep", "divergence", "lemlog", "next_order")
+# a time within SLICE_TIME_TOL * max(1, horizon) of a slice time k*horizon/slices
+# is that slice time (``Trajectory.slice_index``)
+SLICE_TIME_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -267,7 +270,7 @@ def _violations(cfg: ScenarioConfig) -> list:
         if label in cfg.checks and len(radii) < 5:
             problems.append(f"checks.{label}_radii: need at least 5 radii for the "
                             f"power-law fit, got {len(radii)}")
-        if label in cfg.checks and radii:
+        if label in cfg.checks and radii and t_check > 0:
             bound = math.e * math.sqrt(t_check)
             bad = [r for r in radii if r < bound]
             if bad:
@@ -282,6 +285,20 @@ def _violations(cfg: ScenarioConfig) -> list:
             len(radii) < 3 or any(hi <= lo for lo, hi in zip(radii, radii[1:]))):
         problems.append(f"checks.divergence_radii: need at least 3 increasing radii, "
                         f"got {list(radii)}")
+    if cfg.horizon > 0 and cfg.slices >= 1:
+        step = cfg.horizon / cfg.slices
+        tol = SLICE_TIME_TOL * max(1.0, cfg.horizon)
+        for check, key, times in (("profile", "profile_time", (cfg.profile_time,)),
+                                  ("window", "window_time", (cfg.window_time,)),
+                                  ("window", "short_times", cfg.short_times),
+                                  ("divergence", "divergence_time", (cfg.divergence_time,)),
+                                  ("next_order", "next_order_time", (cfg.next_order_time,))):
+            off = [t for t in times if check in cfg.checks and not (
+                0 < t <= cfg.horizon and abs(t - round(t / step) * step) <= tol)]
+            if off:
+                problems.append(
+                    f"checks.{key}: {', '.join(f'{t:g}' for t in off)} not a slice time "
+                    f"k*horizon/slices in (0, {cfg.horizon:g}] (slices = {cfg.slices})")
     if "sweep" in cfg.checks:
         late = [t for t in cfg.sweep_times if t > cfg.horizon + 1e-12]
         if late:

@@ -44,6 +44,10 @@ __all__ = [
 
 # radius (in widths) at which a unit Gaussian drops below 1e-12
 _GAUSS_CUT = math.sqrt(math.log(1e12))
+# the admission lattice of validate_assumptions: midpoints per axis (d = 2)
+# and midpoint times over the force's support
+_LATTICE_POINTS = 128
+_TIME_SAMPLES = 129
 
 
 @dataclass(frozen=True)
@@ -235,17 +239,7 @@ class AssumptionReport:
         return self.epsilon_f1 + self.l1_norm
 
 
-def _measurement_lattice(f: ForceModel, points_per_axis: int):
-    r = max(f.support_radius(), 1.0)
-    n = points_per_axis if f.d == 2 else max(48, points_per_axis // 3)
-    ax = np.linspace(-r, r, n, endpoint=False) + r / n
-    mesh = np.meshgrid(*([ax] * f.d), indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    return pts, (2.0 * r / n) ** f.d
-
-
-def validate_assumptions(f: ForceModel, epsilon: float,
-                          points_per_axis: int = 128, time_samples: int = 129) -> AssumptionReport:
+def validate_assumptions(f: ForceModel, epsilon: float) -> AssumptionReport:
     """Measure the force-assumption constants by quadrature over the support.
 
     Summing the terms that share a time profile into one lattice field F_g
@@ -256,19 +250,24 @@ def validate_assumptions(f: ForceModel, epsilon: float,
     one profile), and each constant is that pass's maximum or sum times a
     scalar time factor, exactly up to the order of rounding.
 
-    Passing means the measured f1/f2 constants are at most ``epsilon`` and the
-    f3 constant is finite.  The defaults are the lattice the solver's
-    admission guard measures on.
+    The lattice has ``_LATTICE_POINTS`` midpoints per axis over the support
+    square in d = 2 (a third of that, at least 48, in d = 3), and the time
+    rule ``_TIME_SAMPLES`` midpoints.  Passing means the measured f1/f2
+    constants are at most ``epsilon`` and the f3 constant is finite.
     """
     if not f.terms:
         return AssumptionReport(0.0, 0.0, 0.0, target=epsilon)
 
-    pts, cell = _measurement_lattice(f, points_per_axis)
+    r = max(f.support_radius(), 1.0)
+    n = _LATTICE_POINTS if f.d == 2 else max(48, _LATTICE_POINTS // 3)
+    ax = np.linspace(-r, r, n, endpoint=False) + r / n
+    pts = np.stack(np.meshgrid(*([ax] * f.d), indexing="ij"), axis=-1)
+    cell = (2.0 * r / n) ** f.d
     radii = np.linalg.norm(pts, axis=-1)
     t_end = max(f.support_end(), 1e-6)
     # midpoint rule in time: robust to indicator-profile jumps at the window ends
-    dt = t_end / time_samples
-    times = (np.arange(time_samples) + 0.5) * dt
+    dt = t_end / _TIME_SAMPLES
+    times = (np.arange(_TIME_SAMPLES) + 0.5) * dt
 
     # the spatial profiles do not depend on time: evaluate each once, into the
     # field of its term's time profile

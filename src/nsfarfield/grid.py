@@ -136,11 +136,12 @@ class VectorFieldGrid:
         self.time = float(time)
 
     @classmethod
-    def from_callable(cls, grid: BoxGrid, func, time: float = 0.0):
-        """Sample a vectorized callable x -> (..., d) of physical points."""
+    def from_callable(cls, grid: BoxGrid, func):
+        """Sample a vectorized callable x -> (..., d) of physical points at
+        time 0."""
         values = np.asarray(func(grid.points), dtype=float)
         components = np.moveaxis(values, -1, 0)
-        return cls(grid, components, time=time)
+        return cls(grid, components)
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(self.components**2, axis=0))

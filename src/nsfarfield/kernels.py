@@ -5,8 +5,9 @@ Everything here is exact (closed form) and dimension-generic for d in {2, 3}:
 * ``heat_kernel``        -- the Gaussian g_t(x) = (4*pi*t)^(-d/2) exp(-|x|^2/(4t)).
 * ``oseen_kernel``       -- K(x,t), the matrix kernel of heat flow composed with
                             the Leray projection onto divergence-free fields.
-* ``oseen_grad_kernel``  -- F(x,t) with F[j,k,l] = d/dx_l K[j,k], the kernel that
-                            contracts against u (x) u in the bilinear Duhamel term.
+* ``oseen_grad_contract`` -- F(x,t) : s with F[j,k,l] = d/dx_l K[j,k], the
+                            kernel that contracts against u (x) u in the bilinear
+                            Duhamel term, without building F.
 * ``leading_tensor``     -- the Hessian of the fundamental solution of the
                             Laplacian, homogeneous of degree -d; the t-independent
                             far-field limit of K.
@@ -42,8 +43,7 @@ J. Comput. Phys. 73 (1987), and a radial form with coefficients P, W is
 calls erfc, gamma or gammainc.
 
 The checks' constants come from the same radial coefficients, with no
-sampled direction and no rank-3 tensor; ``oseen_grad_kernel`` and
-``grad_leading_tensor`` build the full tensors only as test references.
+sampled direction and no rank-3 tensor.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ __all__ = [
     "SPHERE_AREA",
     "heat_kernel",
     "oseen_kernel",
-    "oseen_grad_kernel",
     "oseen_grad_contract",
     "leading_tensor",
-    "grad_leading_tensor",
     "grad_leading_contract",
     "psi_grad_contract",
     "psi_gradient_bound",
@@ -125,36 +123,50 @@ def heat_kernel(x, t: float, d: int):
     return (4.0 * math.pi * t) ** (-d / 2.0) * np.exp(-r2 / (4.0 * t))
 
 
+def _by_series(u, series, closed) -> np.ndarray:
+    """``series(u)`` on the entries of ``u`` below ``_SERIES_CUT``, where the
+    closed forms cancel, and ``closed(u)`` on the rest."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    small = u < _SERIES_CUT
+    if np.any(small):
+        out[small] = series(u[small])
+    big = ~small
+    if np.any(big):
+        out[big] = closed(u[big])
+    return out
+
+
+def _mass_fraction_series(us: np.ndarray, d: int) -> np.ndarray:
+    """H(r)/A by its Taylor series in u, for u below _SERIES_CUT."""
+    acc = np.zeros_like(us)
+    for m in range(_SERIES_TERMS - 1, -1, -1):
+        if d == 2:
+            b_m = 0.5 / math.factorial(m + 1)
+        else:
+            b_m = 1.0 / (math.factorial(m) * (2 * m + 3))
+        acc = acc * (-us) + b_m
+    return acc
+
+
+def _mass_fraction_closed(ub: np.ndarray, d: int) -> np.ndarray:
+    """H(r)/A in closed form, for u at or above _SERIES_CUT."""
+    if d == 2:
+        return -np.expm1(-ub) / (2.0 * ub)
+    from scipy.special import gamma, gammainc
+
+    # H/A = lower_gamma(3/2, u) / (2 u^(3/2)), with no cancellation
+    return gamma(1.5) * gammainc(1.5, ub) / (2.0 * ub**1.5)
+
+
 def _mass_fraction_over_u(u: np.ndarray, d: int) -> np.ndarray:
     """H(r)/A for the unit-amplitude Gaussian exp(-r^2/a^2), as a function of u=(r/a)^2.
 
     H(r) = M(r)/(sigma_{d-1} r^d) where M is the mass inside radius r.
     Smooth at u = 0 with value 1/d; series branch below _SERIES_CUT.
     """
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = u < _SERIES_CUT
-    if np.any(small):
-        us = u[small]
-        acc = np.zeros_like(us)
-        for m in range(_SERIES_TERMS - 1, -1, -1):
-            if d == 2:
-                b_m = 0.5 / math.factorial(m + 1)
-            else:
-                b_m = 1.0 / (math.factorial(m) * (2 * m + 3))
-            acc = acc * (-us) + b_m
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        ub = u[big]
-        if d == 2:
-            out[big] = -np.expm1(-ub) / (2.0 * ub)
-        else:
-            from scipy.special import gamma, gammainc
-
-            # H/A = lower_gamma(3/2, u) / (2 u^(3/2)), with no cancellation
-            out[big] = gamma(1.5) * gammainc(1.5, ub) / (2.0 * ub**1.5)
-    return out
+    return _by_series(u, lambda us: _mass_fraction_series(us, d),
+                      lambda ub: _mass_fraction_closed(ub, d))
 
 
 def _defect_series_over_u(us: np.ndarray, d: int) -> np.ndarray:
@@ -169,25 +181,20 @@ def _defect_series_over_u(us: np.ndarray, d: int) -> np.ndarray:
     return acc
 
 
+def _defect_closed(ub: np.ndarray, d: int) -> np.ndarray:
+    """(d*H(r) - q(r))/A in closed form, for u at or above _SERIES_CUT."""
+    if d == 2:
+        return d * _mass_fraction_closed(ub, d) - np.exp(-ub)
+    from scipy.special import gamma, gammainc
+
+    # incomplete-gamma recurrence: d*H - q = lower_gamma(d/2+1, u) / u^(d/2)
+    return gamma(d / 2 + 1) * gammainc(d / 2 + 1, ub) / ub ** (d / 2)
+
+
 def _defect_over_u(u: np.ndarray, d: int) -> np.ndarray:
     """(d*H(r) - q(r))/A as a function of u = (r/a)^2; vanishes linearly at u=0."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = u < _SERIES_CUT
-    if np.any(small):
-        us = u[small]
-        out[small] = us * _defect_series_over_u(us, d)
-    big = ~small
-    if np.any(big):
-        ub = u[big]
-        if d == 2:
-            out[big] = d * _mass_fraction_over_u(ub, d) - np.exp(-ub)
-        else:
-            from scipy.special import gamma, gammainc
-
-            # incomplete-gamma recurrence: d*H - q = lower_gamma(d/2+1, u) / u^(d/2)
-            out[big] = gamma(d / 2 + 1) * gammainc(d / 2 + 1, ub) / ub ** (d / 2)
-    return out
+    return _by_series(u, lambda us: us * _defect_series_over_u(us, d),
+                      lambda ub: _defect_closed(ub, d))
 
 
 def _radial_profiles(x, amplitude, width, d: int):
@@ -247,43 +254,10 @@ def _grad_pw(x, t: float, d: int):
     q = amplitude * np.exp(-u)
     p = q / (2.0 * t)
     # W = -(d*H - q)/r^2 = -A (defect(u)/u) / w^2, the ratio by its series below the cut
-    ratio = np.empty_like(u)
-    small = u < _SERIES_CUT
-    ratio[small] = _defect_series_over_u(u[small], d)
-    ratio[~small] = _defect_over_u(u[~small], d) / u[~small]
+    ratio = _by_series(u, lambda us: _defect_series_over_u(us, d),
+                       lambda ub: _defect_closed(ub, d) / ub)
     w = -amplitude * ratio / width2
     return p, w
-
-
-def oseen_grad_kernel(x, t: float, d: int):
-    """Gradient kernel F(x,t), F[j,k,l] = d/dx_l K[j,k](x,t).  Shape (..., d, d, d).
-
-    Contracting F[j,k,l] with the (k,l) entries of u (x) u yields component j of
-    the projected divergence of the momentum flux.  Satisfies
-    F(x,t) = t^(-(d+1)/2) F(x/sqrt(t), 1) and sum_j F[j,k,j] = 0.
-    """
-    d = _check_dim(d)
-    t = _check_time(t)
-    x = _as_points(x, d)
-    p, w = _grad_pw(x, t, d)
-    r2 = np.sum(x * x, axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv_r2 = np.where(r2 > 0.0, 1.0 / r2, 0.0)
-    eye = np.eye(d)
-    out = np.zeros(x.shape[:-1] + (d, d, d))
-    # -(P+W) delta_jk x_l
-    out -= (p + w)[..., None, None, None] * eye[:, :, None] * x[..., None, None, :]
-    # -W (delta_jl x_k + delta_kl x_j)
-    out -= w[..., None, None, None] * (
-        eye[:, None, :] * x[..., None, :, None]
-        + eye[None, :, :] * x[..., :, None, None]
-    )
-    # +(P + (d+2) W) x_j x_k x_l / r^2
-    cubic = (
-        x[..., :, None, None] * x[..., None, :, None] * x[..., None, None, :]
-    )
-    out += ((p + (d + 2.0) * w) * inv_r2)[..., None, None, None] * cubic
-    return out
 
 
 def oseen_grad_contract(z, t, d: int, s):
@@ -364,27 +338,10 @@ def leading_tensor(x, d: int):
     return out
 
 
-def grad_leading_tensor(x, d: int):
-    """Analytic gradient G[j,k,h] = d/dx_h of leading_tensor[j,k]; degree -(d+1)."""
-    d = _check_dim(d)
-    x = _as_points(x, d)
-    r2 = np.sum(x * x, axis=-1)
-    if np.any(r2 == 0.0):
-        raise ValueError("gradient of the leading tensor is singular at x = 0")
-    coeff = d / (SPHERE_AREA[d] * r2 ** (d / 2.0 + 1.0))
-    eye = np.eye(d)
-    out = np.zeros(x.shape[:-1] + (d, d, d))
-    out += eye[:, :, None] * x[..., None, None, :]
-    out += eye[:, None, :] * x[..., None, :, None]
-    out += eye[None, :, :] * x[..., :, None, None]
-    cubic = x[..., :, None, None] * x[..., None, :, None] * x[..., None, None, :]
-    out -= (d + 2.0) * cubic / r2[..., None, None, None]
-    return coeff[..., None, None, None] * out
-
-
 def grad_leading_contract(z, d: int, s):
     """Contract the leading-tensor gradient with a symmetric matrix field:
-    out_j = sum_{k,h} G[j,k,h](z) s[k,h], without materializing G.
+    out_j = sum_{k,h} G[j,k,h](z) s[k,h] with G[j,k,h] = d/dz_h
+    leading_tensor[j,k], without materializing G.
 
     The t -> 0 limit of ``oseen_grad_contract``, free of exp/erf:
 
@@ -430,9 +387,9 @@ def _psi_pw(r2, t: float, d: int):
 
 
 def psi_grad_contract(z, t: float, d: int, s):
-    """Contract F - G with a symmetric matrix field: out_j = sum_{k,l}
-    (F - G)[j,k,l](z, t) s[k,l], with F ``oseen_grad_kernel`` and G
-    ``grad_leading_tensor``.
+    """Contract F - G with a symmetric matrix field: the value of
+    ``oseen_grad_contract(z, t, d, s) - grad_leading_contract(z, d, s)``,
+    computed without the cancellation of that difference.
 
     The Gaussian-local part of ``oseen_grad_contract``, in its radial form
     with the coefficients of ``_psi_pw``; it decays like exp(-|z|^2/(4t)).

@@ -83,6 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .config import SLICE_TIME_TOL
 from .forcing import ForceModel, InitialData, force_integral, validate_assumptions
 from .grid import BoxGrid, VectorFieldGrid, leray_apply, read_snapshot
 
@@ -400,7 +401,7 @@ class Trajectory:
 
     def slice_index(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, self.horizon):
+        if abs(self.times[i] - t) > SLICE_TIME_TOL * max(1.0, self.horizon):
             raise ValueError(f"time {t} is not a sample time of this trajectory")
         return i
 
@@ -903,12 +904,12 @@ def _flux_mass(fluxes: list, nodes: list) -> np.ndarray:
     return mass
 
 
-def _flux_at(fluxes, idx, lw, ys) -> np.ndarray:
-    """The flux at one time node, interpolated on its stencil, at rows ``ys``
-    of the per-slice flux arrays ``fluxes[i]``."""
-    flux = lw[0] * fluxes[idx[0]][ys]
+def _flux_at(fluxes, idx, lw) -> np.ndarray:
+    """The flux at one time node, interpolated on its stencil from the
+    per-slice flux arrays ``fluxes[i]``."""
+    flux = lw[0] * fluxes[idx[0]]
     for j in range(1, len(idx)):
-        flux = flux + lw[j] * fluxes[idx[j]][ys]
+        flux = flux + lw[j] * fluxes[idx[j]]
     return flux
 
 
@@ -969,7 +970,7 @@ def _local_shares(x, pts_y, t: float, nodes, fluxes):
     for n, ((s, weight, idx, lw), k) in enumerate(zip(nodes, ks)):
         if not (k or y_core.size):
             continue
-        flux = _flux_at(fluxes, idx, lw, slice(None))
+        flux = _flux_at(fluxes, idx, lw)
         if k:
             acc[:k] += weight * kernels.psi_grad_contract(
                 z_near[:k], t - s, d, flux[y_near[:k]]).reshape(k, n_c)

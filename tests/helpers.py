@@ -4,8 +4,9 @@ import struct
 
 import numpy as np
 
+from nsfarfield import kernels as kn
 from nsfarfield import solver as sv
-from nsfarfield.forcing import AssumptionReport, ForceModel, _measurement_lattice
+from nsfarfield.forcing import AssumptionReport, ForceModel
 from nsfarfield.grid import leray_apply
 
 
@@ -33,16 +34,77 @@ def rewrite_snapshot_header(path, **fields) -> None:
     path.write_bytes(bytes(raw))
 
 
+# ---------------------------------------------------------------------------
+# The rank-3 gradient tensors, the references of the radial contractions
+# ``oseen_grad_contract`` and ``grad_leading_contract``.
+# ---------------------------------------------------------------------------
+
+
+def oseen_grad_kernel(x, t: float, d: int):
+    """Gradient kernel F(x,t), F[j,k,l] = d/dx_l K[j,k](x,t).  Shape (..., d, d, d).
+
+    Contracting F[j,k,l] with the (k,l) entries of u (x) u yields component j of
+    the projected divergence of the momentum flux.  Satisfies
+    F(x,t) = t^(-(d+1)/2) F(x/sqrt(t), 1) and sum_j F[j,k,j] = 0.
+    """
+    d = kn._check_dim(d)
+    t = kn._check_time(t)
+    x = kn._as_points(x, d)
+    p, w = kn._grad_pw(x, t, d)
+    r2 = np.sum(x * x, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        inv_r2 = np.where(r2 > 0.0, 1.0 / r2, 0.0)
+    eye = np.eye(d)
+    out = np.zeros(x.shape[:-1] + (d, d, d))
+    # -(P+W) delta_jk x_l
+    out -= (p + w)[..., None, None, None] * eye[:, :, None] * x[..., None, None, :]
+    # -W (delta_jl x_k + delta_kl x_j)
+    out -= w[..., None, None, None] * (
+        eye[:, None, :] * x[..., None, :, None]
+        + eye[None, :, :] * x[..., :, None, None]
+    )
+    # +(P + (d+2) W) x_j x_k x_l / r^2
+    cubic = (
+        x[..., :, None, None] * x[..., None, :, None] * x[..., None, None, :]
+    )
+    out += ((p + (d + 2.0) * w) * inv_r2)[..., None, None, None] * cubic
+    return out
+
+
+def grad_leading_tensor(x, d: int):
+    """Analytic gradient G[j,k,h] = d/dx_h of leading_tensor[j,k]; degree -(d+1)."""
+    d = kn._check_dim(d)
+    x = kn._as_points(x, d)
+    r2 = np.sum(x * x, axis=-1)
+    if np.any(r2 == 0.0):
+        raise ValueError("gradient of the leading tensor is singular at x = 0")
+    coeff = d / (kn.SPHERE_AREA[d] * r2 ** (d / 2.0 + 1.0))
+    eye = np.eye(d)
+    out = np.zeros(x.shape[:-1] + (d, d, d))
+    out += eye[:, :, None] * x[..., None, None, :]
+    out += eye[:, None, :] * x[..., None, :, None]
+    out += eye[None, :, :] * x[..., :, None, None]
+    cubic = x[..., :, None, None] * x[..., None, :, None] * x[..., None, None, :]
+    out -= (d + 2.0) * cubic / r2[..., None, None, None]
+    return coeff[..., None, None, None] * out
+
+
 def validate_assumptions_reference(f: ForceModel, epsilon: float,
                                    points_per_axis: int = 128,
                                    time_samples: int = 129) -> AssumptionReport:
     """``forcing.validate_assumptions`` as one lattice pass per time sample:
     the force is summed term by term at each midpoint time and its norm
-    taken there, with no separation of the time factor."""
+    taken there, with no separation of the time factor.  The defaults are
+    the production lattice: ``points_per_axis`` midpoints per axis in d = 2,
+    max(48, points_per_axis // 3) in d = 3, over the support square."""
     if not f.terms:
         return AssumptionReport(0.0, 0.0, 0.0, target=epsilon)
 
-    pts, cell = _measurement_lattice(f, points_per_axis)
+    r = max(f.support_radius(), 1.0)
+    n = points_per_axis if f.d == 2 else max(48, points_per_axis // 3)
+    ax = np.linspace(-r, r, n, endpoint=False) + r / n
+    pts = np.stack(np.meshgrid(*([ax] * f.d), indexing="ij"), axis=-1)
+    cell = (2.0 * r / n) ** f.d
     radii = np.linalg.norm(pts, axis=-1)
     t_end = max(f.support_end(), 1e-6)
     dt = t_end / time_samples

@@ -293,9 +293,10 @@ class TestCli:
     ])
     def test_too_few_radii_is_a_config_error(self, tmp_path, check, key, value):
         # a selected check's fit needs 5 radii (3 increasing ones for the
-        # divergence octaves); fewer is a config error, not a failed check
+        # divergence octaves); fewer is a config error, not a failed check.
+        # The check's time is the horizon, a slice time.
         text = QUICK.replace("run = lemlog", f"run = {check}")
-        text += f"\n[checks]\n{key} = {value}\n"
+        text += f"\n[checks]\n{key} = {value}\n{check}_time = 0.5\n"
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert all(p.startswith(f"checks.{key}:") for p in exc.value.problems)
@@ -303,6 +304,35 @@ class TestCli:
         cfg.write_text(text)
         code = cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("check,key,value", [
+        ("profile", "profile_time", "0.3"),
+        ("profile", "profile_time", "0.75"),
+        ("window", "window_time", "0"),
+        ("window", "short_times", "0.125 0.1"),
+        ("divergence", "divergence_time", "2.0"),
+        ("next_order", "next_order_time", "-0.25"),
+    ])
+    def test_check_time_off_the_slices_is_a_config_error(self, tmp_path, capsys,
+                                                         check, key, value):
+        # QUICK's slices are k/32, k = 1..16: a selected check's time must be
+        # one of them, or the solved trajectory has no snapshot there
+        times = {"profile_time": 0.5, "window_time": 0.5, "divergence_time": 0.5,
+                 "next_order_time": 0.5, key: value}
+        cfg = tmp_path / "offgrid.cfg"
+        cfg.write_text(QUICK.replace("run = lemlog", f"run = {check}") + "\n[checks]\n"
+                       + "".join(f"{k} = {v}\n" for k, v in times.items()))
+        out = tmp_path / "o"
+        assert cli.main(["all", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: checks.{key}:"), lines
+        assert not list(out.glob("trajectory_*"))
+
+    def test_check_time_on_the_slices_parses(self):
+        text = QUICK + ("\n[checks]\nrun = profile window\nprofile_time = 0.15625\n"
+                        "window_time = 0.5\nshort_times = 0.03125 0.0625\n")
+        cfg = parse_config(text)
+        assert cfg.profile_time == 0.15625 and cfg.short_times == (0.03125, 0.0625)
 
     def test_non_finite_number_exit_code(self, tmp_path):
         cfg = tmp_path / "nan.cfg"
@@ -441,11 +471,14 @@ class TestCli:
         out = tmp_path / "out"
         out.mkdir()
         digest = cli.scenario_digest(parse_config(QUICK).hash_source())
-        (out / f"verify_{digest}.json").write_text('{"checks": ')
-        code = cli.main(["report", "--config", str(cfg), "--out", str(out)])
-        assert code == cli.EXIT_CONFIG_ERROR
-        assert "no readable verify summary" in capsys.readouterr().out
-        assert not list(out.glob("report_*.json"))
+        # cut JSON, then valid JSON of the wrong shape
+        for text in ('{"checks": ', '[]', '{"checks": []}', '{"checks": {"a": 1}}'):
+            (out / f"verify_{digest}.json").write_text(text)
+            code = cli.main(["report", "--config", str(cfg), "--out", str(out)])
+            assert code == cli.EXIT_CONFIG_ERROR, text
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("no readable verify summary"), text
+            assert not list(out.glob("report_*.json"))
 
     @pytest.mark.parametrize("command", ["all", "kernel-check"])
     def test_out_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys, command):

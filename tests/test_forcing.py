@@ -44,28 +44,27 @@ def _config_force(name, **replace):
     return cli.build_scenario(parse_config(text))[2]
 
 
-# (force, lattice arguments): every shipped force kind, two smooth profiles
+# forces: every shipped force kind, two smooth profiles
 # with different windows, two overlapping indicators (the profile vector
 # takes the directions (1, 0), (1, 1)/sqrt(2) and (0, 1)), a narrow bump
 # switched on late (zero samples first, then the (1+t)^2 blow-up of f1 wins)
 # and a d = 3 term
 PARITY_CASES = {
-    "canonical": (lambda: _config_force("canonical.cfg"), {}),
-    "dipole": (lambda: _config_force("dipole.cfg"), {}),
-    "quadrupole": (lambda: _config_force("dipole.cfg",
-                                         **{"kind = dipole_pair": "kind = quadrupole"}), {}),
-    "two_smooth_bumps": (lambda: ForceModel(2, terms=[
+    "canonical": lambda: _config_force("canonical.cfg"),
+    "dipole": lambda: _config_force("dipole.cfg"),
+    "quadrupole": lambda: _config_force("dipole.cfg",
+                                        **{"kind = dipole_pair": "kind = quadrupole"}),
+    "two_smooth_bumps": lambda: ForceModel(2, terms=[
         SeparableTerm(GaussianBump(2, width=1.0, center=(0.5, -0.25)),
                       SmoothBump(0.0, 0.3), (0.002, 0.001)),
-        SeparableTerm(GaussianBump(2, width=1.5), SmoothBump(0.1, 0.5), (-0.001, 0.0))]), {}),
-    "overlapping_indicators": (lambda: ForceModel(2, terms=[
+        SeparableTerm(GaussianBump(2, width=1.5), SmoothBump(0.1, 0.5), (-0.001, 0.0))]),
+    "overlapping_indicators": lambda: ForceModel(2, terms=[
         SeparableTerm(GaussianBump(2, center=(1.0, 0.0)), Indicator(0.0, 0.6), (1e-3, 0.0)),
         SeparableTerm(GaussianBump(2, width=0.8, center=(-0.5, 0.5)), Indicator(0.3, 1.0),
-                      (-5e-4, 2e-4))]), {}),
-    "late_narrow_bump": (lambda: ForceModel(2, terms=[
-        SeparableTerm(GaussianBump(2, width=0.3), Indicator(2.0, 20.0), (1e-3, 0.0))]), {}),
-    "d3": (lambda: unit_bump_force(d=3, amplitude=(1e-3, 0.0, 5e-4), center=(0.5, 0.0, 0.0)),
-           dict(points_per_axis=48, time_samples=17)),
+                      (-5e-4, 2e-4))]),
+    "late_narrow_bump": lambda: ForceModel(2, terms=[
+        SeparableTerm(GaussianBump(2, width=0.3), Indicator(2.0, 20.0), (1e-3, 0.0))]),
+    "d3": lambda: unit_bump_force(d=3, amplitude=(1e-3, 0.0, 5e-4), center=(0.5, 0.0, 0.0)),
 }
 
 
@@ -76,10 +75,8 @@ class TestValidateAssumptions:
         assert rep.all_pass
 
     def test_constants_scale_linearly_in_amplitude(self):
-        rep1 = validate_assumptions(unit_bump_force(amplitude=(1.0, 0.0)), 10.0,
-                                    points_per_axis=96, time_samples=65)
-        rep2 = validate_assumptions(unit_bump_force(amplitude=(2.0, 0.0)), 10.0,
-                                    points_per_axis=96, time_samples=65)
+        rep1 = validate_assumptions(unit_bump_force(amplitude=(1.0, 0.0)), 10.0)
+        rep2 = validate_assumptions(unit_bump_force(amplitude=(2.0, 0.0)), 10.0)
         assert rep2.epsilon_f1 == pytest.approx(2 * rep1.epsilon_f1, rel=1e-12)
         assert rep2.l1_norm == pytest.approx(2 * rep1.l1_norm, rel=1e-12)
         assert rep2.c_f3 == pytest.approx(2 * rep1.c_f3, rel=1e-12)
@@ -110,17 +107,16 @@ class TestValidateAssumptions:
         terms = [SeparableTerm(GaussianBump(2, width=w), SmoothBump(0.0, 1.0), (1e-3, 0.0))
                  for w in (1.0, 1.5)]
         force = ForceModel(2, terms=terms)
-        rep = validate_assumptions(force, 1.0, points_per_axis=32, time_samples=17)
+        rep = validate_assumptions(force, 1.0)
         assert len(calls) == 2 and rep.l1_norm > 0
 
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_separated_constants_match_per_time_reference(self, case):
         # one lattice pass per profile direction gives the constants of one
         # pass per time sample, up to the order of rounding
-        build, lattice = PARITY_CASES[case]
-        force = build()
-        got = validate_assumptions(force, 1.0, **lattice)
-        ref = validate_assumptions_reference(force, 1.0, **lattice)
+        force = PARITY_CASES[case]()
+        got = validate_assumptions(force, 1.0)
+        ref = validate_assumptions_reference(force, 1.0)
         for name in ("epsilon_f1", "l1_norm", "c_f3"):
             assert getattr(ref, name) > 0
             assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-14, abs=0), name
@@ -215,12 +211,11 @@ class TestForceModelBasics:
         t1 = SeparableTerm(GaussianBump(2, center=(1.0, 0.0)), Indicator(0.0, 1.0), (1.0, 0.0))
         t2 = SeparableTerm(GaussianBump(2, center=(-1.0, 0.0)), Indicator(0.0, 1.0), (-1.0, 0.0))
         f = ForceModel(2, terms=[t1, t2])
-        lattice = dict(points_per_axis=32, time_samples=17)
-        one = validate_assumptions(ForceModel(2, terms=[t1]), 10.0, **lattice)
-        two = validate_assumptions(ForceModel(2, terms=[t1, t1]), 10.0, **lattice)
+        one = validate_assumptions(ForceModel(2, terms=[t1]), 10.0)
+        two = validate_assumptions(ForceModel(2, terms=[t1, t1]), 10.0)
         assert two.l1_norm == pytest.approx(2 * one.l1_norm, rel=1e-12)
         assert two.epsilon_f1 == pytest.approx(2 * one.epsilon_f1, rel=1e-12)
-        assert validate_assumptions(f, 10.0, **lattice).l1_norm < 2 * one.l1_norm
+        assert validate_assumptions(f, 10.0).l1_norm < 2 * one.l1_norm
         # mean zero but first moment nonzero
         np.testing.assert_allclose(force_integral(f, 2.0), np.zeros(2), atol=1e-15)
         assert np.abs(first_moment(f, 2.0)).max() > 0

@@ -90,7 +90,7 @@ class TestLinearResponse:
         f = bump_force()
         from nsfarfield.forcing import validate_assumptions
 
-        eps = validate_assumptions(f, 1.0, points_per_axis=96, time_samples=65).epsilon_f1
+        eps = validate_assumptions(f, 1.0).epsilon_f1
         worst = 0.0
         for t in (0.25, 0.5):
             radii = np.array([2.0, 4.0, 8.0, 16.0, 32.0])

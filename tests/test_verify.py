@@ -414,7 +414,7 @@ class TestOneBatchPerTime:
         grid = BoxGrid(2, 8.0, 16)
         flow = CountingFlow(vf.SyntheticFlow(2, u))
         flow.grid = grid
-        flow.snapshot = lambda t: VectorFieldGrid.from_callable(grid, lambda x: u(x, t), time=t)
+        flow.snapshot = lambda t: VectorFieldGrid.from_callable(grid, lambda x: u(x, t))
         flow.traj = SimpleNamespace(nearest_time=float)
         norms = vf.TrajectoryNorms(flow)
         times = [1.0, 1.25, 1.5, 1.75, 2.0]
