@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import kernels, verify
-from .config import CHECK_NAMES, ConfigError, ScenarioConfig, parse_config
+from .config import ConfigError, ScenarioConfig, parse_config
 from .forcing import (
     ForceModel,
     GaussianBump,
@@ -370,8 +370,9 @@ def run_report(cfg: ScenarioConfig, out_dir: str) -> int:
         with open(path) as fh:
             summary = json.load(fh)
         checks = summary.get("checks", {}) if isinstance(summary, dict) else None
-        if not (isinstance(checks, dict) and all(isinstance(r, dict) for r in checks.values())):
-            raise ValueError("not an object of per-check results")
+        if not (isinstance(checks, dict) and checks
+                and all(isinstance(r, dict) for r in checks.values())):
+            raise ValueError("not a non-empty object of per-check results")
     except (OSError, ValueError) as exc:
         print(f"no readable verify summary at {path} ({exc}); run `verify` first")
         return EXIT_CONFIG_ERROR
@@ -468,10 +469,13 @@ def main(argv=None) -> int:
     only = None
     if getattr(args, "only", None):
         only = [c.strip() for c in args.only.split(",") if c.strip()]
-        unknown = [c for c in only if c not in CHECK_NAMES]
-        if unknown:
-            print(f"config error: unknown checks in --only: {', '.join(unknown)}")
+        others = [c for c in only if c not in cfg.checks]
+        if others:
+            print(f"config error: --only names checks not in checks.run: {', '.join(others)}")
             return EXIT_CONFIG_ERROR
+    if args.command in ("verify", "all") and not (cfg.checks if only is None else only):
+        print("config error: no check selected")
+        return EXIT_CONFIG_ERROR
 
     if not _make_out_dir(out_dir):
         return EXIT_CONFIG_ERROR

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "norm_regime", "CHECK_NAMES"]
 
 CHECK_NAMES = ("kernel", "profile", "window", "sweep", "divergence", "lemlog", "next_order")
@@ -47,6 +49,11 @@ def norm_regime(d: int, alpha: float, p: float) -> str | None:
         gap = alpha - d
         return "limit" if abs(gap) < 1e-12 else ("decay" if gap < 0 else None)
     return "decay" if alpha + d / p - d < -1e-12 else "divergence"
+
+
+def nearest_slice(times, t: float) -> int:
+    """Index of the slice time in ``times`` nearest to t; the earlier on a tie."""
+    return int(np.argmin(np.abs(times - t)))
 
 
 def _number(text: str) -> float:
@@ -299,8 +306,17 @@ def _violations(cfg: ScenarioConfig) -> list:
                 problems.append(
                     f"checks.{key}: {', '.join(f'{t:g}' for t in off)} not a slice time "
                     f"k*horizon/slices in (0, {cfg.horizon:g}] (slices = {cfg.slices})")
-    if "sweep" in cfg.checks:
-        late = [t for t in cfg.sweep_times if t > cfg.horizon + 1e-12]
-        if late:
-            problems.append(f"checks.sweep_times: {late} beyond the horizon")
+        # the sweep fits its norms at the slice times the solved trajectory
+        # snaps sweep_times to (``Trajectory.nearest_time``)
+        times = np.linspace(0.0, cfg.horizon, cfg.slices + 1)
+        snapped = {nearest_slice(times, t) for t in cfg.sweep_times}
+        if "sweep" in cfg.checks and (0 in snapped or len(snapped) < 5 or any(
+                not 0 < t <= cfg.horizon for t in cfg.sweep_times)):
+            problems.append(
+                f"checks.sweep_times: need times in (0, {cfg.horizon:g}] that snap to at least "
+                f"5 distinct slice times k*horizon/slices > 0 (slices = {cfg.slices})")
+    for check, key, pairs in (("sweep", "sweep_pairs", cfg.sweep_pairs),
+                              ("divergence", "divergence_pairs", cfg.divergence_pairs)):
+        if check in cfg.checks and not pairs:
+            problems.append(f"checks.{key}: need at least one alpha:p pair")
     return problems

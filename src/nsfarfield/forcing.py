@@ -7,12 +7,12 @@ A separable force is a sum of terms c * rho(x) * tau(t) with
            indicator window),
 * ``c``    a constant amplitude vector.
 
+All terms of one force share one time profile, so f(x, t) = tau(t) F(x).
 Terms expose exact values of the space integral of rho, its first moment,
 and the running time integral of tau, which drive the far-field profiles.
-Assumption validation measures decay/integrability constants by lattice
-quadrature over the support, one pass per direction of the vector of time
-profile values (the time factors enter as scalars), and reports them next to
-the target bound.
+Assumption validation measures decay/integrability constants by one lattice
+pass over F (the time factor |tau(t)| enters as a scalar), and reports them
+next to the target bound.
 
 Initial data is either zero or a compactly supported divergence-free bump
 built in curl form (perp-gradient of a Gaussian stream bump in d=2, curl of
@@ -88,11 +88,8 @@ class GaussianBump:
 
 
 @dataclass(frozen=True)
-class SmoothBump:
-    """Quartic bump on [t_on, t_off]: tau = 30 s^2 (1-s)^2 with s the local phase.
-
-    Normalized so the full time integral equals t_off - t_on.
-    """
+class _TimeWindow:
+    """A time profile supported on [t_on, t_off]."""
 
     t_on: float = 0.0
     t_off: float = 1.0
@@ -100,6 +97,18 @@ class SmoothBump:
     def __post_init__(self):
         if not (0 <= self.t_on < self.t_off):
             raise ValueError("need 0 <= t_on < t_off")
+
+    @property
+    def support_end(self) -> float:
+        return self.t_off
+
+
+@dataclass(frozen=True)
+class SmoothBump(_TimeWindow):
+    """Quartic bump on [t_on, t_off]: tau = 30 s^2 (1-s)^2 with s the local phase.
+
+    Normalized so the full time integral equals t_off - t_on.
+    """
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -114,21 +123,10 @@ class SmoothBump:
         anti = 10.0 * s**3 - 15.0 * s**4 + 6.0 * s**5
         return float(span * anti) if np.ndim(t) == 0 else span * anti
 
-    @property
-    def support_end(self) -> float:
-        return self.t_off
-
 
 @dataclass(frozen=True)
-class Indicator:
+class Indicator(_TimeWindow):
     """tau = 1 on [t_on, t_off), 0 elsewhere."""
-
-    t_on: float = 0.0
-    t_off: float = 1.0
-
-    def __post_init__(self):
-        if not (0 <= self.t_on < self.t_off):
-            raise ValueError("need 0 <= t_on < t_off")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -138,10 +136,6 @@ class Indicator:
         t = np.asarray(t, dtype=float)
         out = np.clip(t, self.t_on, self.t_off) - self.t_on
         return float(out) if np.ndim(t) == 0 else out
-
-    @property
-    def support_end(self) -> float:
-        return self.t_off
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,8 @@ class SeparableTerm:
 
 
 class ForceModel:
-    """External force: a sum of separable terms."""
+    """External force: a sum of separable terms under one time profile,
+    ``time_profile`` (None for the zero force)."""
 
     def __init__(self, d: int, terms: list):
         if d not in (2, 3):
@@ -166,6 +161,9 @@ class ForceModel:
         for term in terms:
             if term.profile.d != d:
                 raise ValueError("term dimension mismatch")
+        self.time_profile = terms[0].time_profile if terms else None
+        if any(term.time_profile != self.time_profile for term in terms):
+            raise ValueError("all terms of a force must share one time profile")
         self.d = d
         self.terms = list(terms)
 
@@ -177,19 +175,19 @@ class ForceModel:
         return max((t.profile.support_radius() for t in self.terms), default=0.0)
 
     def support_end(self) -> float:
-        return max((t.time_profile.support_end for t in self.terms), default=0.0)
+        return 0.0 if self.time_profile is None else self.time_profile.support_end
 
 
 def force_integral(f: ForceModel, t: float) -> np.ndarray:
     """Running space-time integral of the force up to time t (a d-vector).
 
-    Exact; zero at t = 0 and constant once every time profile has switched off.
+    Exact; zero at t = 0 and constant once the time profile has switched off.
     """
     if t < 0:
         raise ValueError("time must be >= 0")
     out = np.zeros(f.d)
     for term in f.terms:
-        out += np.asarray(term.amplitude) * term.profile.integral() * term.time_profile.integral_to(t)
+        out += np.asarray(term.amplitude) * term.profile.integral() * f.time_profile.integral_to(t)
     return out
 
 
@@ -200,7 +198,7 @@ def first_moment(f: ForceModel, t: float) -> np.ndarray:
         raise ValueError("time must be >= 0")
     out = np.zeros((f.d, f.d))
     for term in f.terms:
-        out += np.outer(term.profile.first_moment(), term.amplitude) * term.time_profile.integral_to(t)
+        out += np.outer(term.profile.first_moment(), term.amplitude) * f.time_profile.integral_to(t)
     return out
 
 
@@ -242,12 +240,9 @@ class AssumptionReport:
 def validate_assumptions(f: ForceModel, epsilon: float) -> AssumptionReport:
     """Measure the force-assumption constants by quadrature over the support.
 
-    Summing the terms that share a time profile into one lattice field F_g
-    gives f(x, t) = sum_g tau_g(t) F_g(x).  With n = |tau(t)| and
-    u = tau(t)/n, |f(x, t)| = n(t) |sum_g u_g F_g(x)|: the time samples with
-    one direction u share one spatial magnitude, scaled by n.  So the lattice
-    is passed once per distinct direction (at most twice when all terms share
-    one profile), and each constant is that pass's maximum or sum times a
+    The terms share one time profile, so f(x, t) = tau(t) F(x) with F the sum
+    of the terms' lattice fields, and |f(x, t)| = |tau(t)| |F(x)|.  One pass
+    over |F| then gives each constant as that pass's maximum or sum times a
     scalar time factor, exactly up to the order of rounding.
 
     The lattice has ``_LATTICE_POINTS`` midpoints per axis over the support
@@ -268,37 +263,19 @@ def validate_assumptions(f: ForceModel, epsilon: float) -> AssumptionReport:
     # midpoint rule in time: robust to indicator-profile jumps at the window ends
     dt = t_end / _TIME_SAMPLES
     times = (np.arange(_TIME_SAMPLES) + 0.5) * dt
+    scale = np.abs(f.time_profile.value(times))
+    times, scale = times[scale > 0], scale[scale > 0]
 
-    # the spatial profiles do not depend on time: evaluate each once, into the
-    # field of its term's time profile
-    profiles = list(dict.fromkeys(term.time_profile for term in f.terms))
-    fields = np.zeros((len(profiles),) + pts.shape)
+    field = np.zeros(pts.shape)
     for term in f.terms:
-        fields[profiles.index(term.time_profile)] += (
-            term.profile.value(pts)[..., None] * np.asarray(term.amplitude))
-    tau = np.stack([profile.value(times) for profile in profiles], axis=-1)
-    scale = np.linalg.norm(tau, axis=-1)
-    live = scale > 0
-    times, scale = times[live], scale[live]
-    directions, group = np.unique(tau[live] / scale[:, None], axis=0, return_inverse=True)
-    group = group.reshape(-1)
-
-    space_weight = (1.0 + radii) ** (f.d + 2)
-    time_weight = (1.0 + times) ** ((f.d + 2) / 2.0)
-    eps_f1 = 0.0
-    l1 = 0.0
-    f3 = 0.0
-    for k, u in enumerate(directions):
-        mag = np.linalg.norm(np.tensordot(u, fields, axes=1), axis=-1)
-        at = group == k
-        n = scale[at]
-        # 1 / min((1+|x|)^{-d-2}, (1+t)^{-(d+2)/2}) = max of the two blow-ups
-        blowup = np.maximum(float((mag * space_weight).max()),
-                            time_weight[at] * float(mag.max()))
-        eps_f1 = max(eps_f1, float((n * blowup).max()))
-        l1 += float(mag.sum()) * cell * float(n.sum()) * dt
-        f3 = max(f3, float(((1.0 + times[at]) ** 0.5 * n).max())
-                 * float((radii * mag).sum()) * cell)
+        field += term.profile.value(pts)[..., None] * np.asarray(term.amplitude)
+    mag = np.linalg.norm(field, axis=-1)
+    # 1 / min((1+|x|)^{-d-2}, (1+t)^{-(d+2)/2}) = max of the two blow-ups
+    blowup = np.maximum(float((mag * (1.0 + radii) ** (f.d + 2)).max()),
+                        (1.0 + times) ** ((f.d + 2) / 2.0) * float(mag.max()))
+    eps_f1 = float((scale * blowup).max(initial=0.0))
+    l1 = float(mag.sum()) * cell * float(scale.sum()) * dt
+    f3 = float(((1.0 + times) ** 0.5 * scale).max(initial=0.0)) * float((radii * mag).sum()) * cell
     return AssumptionReport(eps_f1, l1, f3, target=epsilon)
 
 

@@ -83,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .config import SLICE_TIME_TOL
+from .config import SLICE_TIME_TOL, nearest_slice
 from .forcing import ForceModel, InitialData, force_integral, validate_assumptions
 from .grid import BoxGrid, VectorFieldGrid, leray_apply, read_snapshot
 
@@ -400,14 +400,14 @@ class Trajectory:
         return all(log[i] < log[i - 1] for i in range(2, len(log)))
 
     def slice_index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
+        i = nearest_slice(self.times, t)
         if abs(self.times[i] - t) > SLICE_TIME_TOL * max(1.0, self.horizon):
             raise ValueError(f"time {t} is not a sample time of this trajectory")
         return i
 
     def nearest_time(self, t: float) -> float:
         """Snap to the closest sample time."""
-        return float(self.times[int(np.argmin(np.abs(self.times - t)))])
+        return float(self.times[nearest_slice(self.times, t)])
 
     def field_at(self, t: float) -> VectorFieldGrid:
         i = self.slice_index(t)
@@ -611,7 +611,7 @@ def _force_spectra(ops: _SpectralOps, f: ForceModel):
         rho_hat = np.fft.rfftn(term.profile.value(ops.grid.points))
         spec = np.stack([rho_hat * amp for amp in term.amplitude])
         spec[(slice(None),) + (0,) * ops.grid.d] = 0.0  # mean handled as drift
-        out.append((term.time_profile, ops.project(spec)))
+        out.append(ops.project(spec))
     return out
 
 
@@ -635,8 +635,8 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
 
     One exponential-integrator recursion carries all three Duhamel terms; a
     term whose argument is None is left out.  The vector accumulator starts
-    at the projected, mean-free data spectrum and each slice adds, per force
-    term, one field (the node propagators folded with tau(s)) times the
+    at the projected, mean-free data spectrum and each slice adds one field
+    (the node propagators folded with the force's tau(s)) times each force
     term's spectrum.  B's source (``_SpectralOps.flux_source``: one scalar
     per mode in d = 2) goes into a second accumulator on the dealiased
     block: slice m adds sum_j E_j source(t_{idx_j}) over its cubic stencil
@@ -660,7 +660,7 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
     if a is not None:
         acc += ops.project(ops.fft(a.to_field(ops.grid).components))
         acc[(slice(None),) + (0,) * d] = 0.0
-    terms = [] if f is None else _force_spectra(ops, f)
+    specs = [] if f is None else _force_spectra(ops, f)
     sources: dict = {}
     patterns: dict = {}
     lane = None
@@ -696,10 +696,11 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
         yield ops.ifft(acc)
         for m in range(1, times.size):
             acc *= rule.decay
-            for tau, spec in terms:
-                tv = tau.value(times[m - 1] + rule.offsets)
-                if np.any(tv):
-                    acc += rule.fold(tv) * spec
+            tv = f.time_profile.value(times[m - 1] + rule.offsets) if specs else 0.0
+            if np.any(tv):
+                fold = rule.fold(tv)
+                for spec in specs:
+                    acc += fold * spec
             total = acc
             if history is not None:
                 idx = _stencil(m, times.size - 1)
@@ -829,7 +830,7 @@ def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
     amplitudes = np.array([term.amplitude for term in f.terms])
     block = max(1, _NODE_BLOCK // x.size)
     s, w = (a.ravel() for a in kernels.gauss_panels(*panels, order))
-    tv = np.stack([term.time_profile.value(s) for term in f.terms], axis=-1)
+    tv = np.broadcast_to(f.time_profile.value(s)[:, None], (s.size, len(f.terms)))
     ii, jj = np.nonzero(tv)          # node-major, as the quadrature sum runs
     coef = w[ii] * tv[ii, jj]
     evolved = np.array([f.terms[j].profile.heat_evolved(t - s[i])

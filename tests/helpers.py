@@ -184,7 +184,7 @@ def mild_series_full(ops, times, opts, a=None, f=None, history=None):
     if a is not None:
         acc += ops.project(ops.fft(a.to_field(ops.grid).components))
         acc[(slice(None),) + (0,) * d] = 0.0
-    terms = [] if f is None else sv._force_spectra(ops, f)
+    specs = [] if f is None else sv._force_spectra(ops, f)
     sources = {}
     patterns = {}
     if history is not None:
@@ -202,10 +202,11 @@ def mild_series_full(ops, times, opts, a=None, f=None, history=None):
     yield ops.ifft(acc)
     for m in range(1, times.size):
         acc *= rule.decay
-        for tau, spec in terms:
-            tv = tau.value(times[m - 1] + rule.offsets)
-            if np.any(tv):
-                acc += rule.fold(tv) * spec
+        tv = f.time_profile.value(times[m - 1] + rule.offsets) if specs else 0.0
+        if np.any(tv):
+            fold = rule.fold(tv)
+            for spec in specs:
+                acc += fold * spec
         total = acc
         if history is not None:
             idx = sv._stencil(m, times.size - 1)

@@ -328,6 +328,62 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith(f"config error: checks.{key}:"), lines
         assert not list(out.glob("trajectory_*"))
 
+    @pytest.mark.parametrize("run,key,value", [
+        ("sweep", "sweep_pairs", ""),
+        ("divergence", "divergence_pairs", ""),
+        ("sweep", "sweep_times", "0.25 0.5"),
+        ("sweep", "sweep_times", "0.25 0.26 0.3125 0.375 0.5"),
+        ("sweep", "sweep_times", "0 0.25 0.3125 0.375 0.5"),
+        ("sweep", "sweep_times", "0.01 0.25 0.3125 0.375 0.5"),
+    ])
+    def test_sweep_or_divergence_without_a_fit_is_a_config_error(self, tmp_path, capsys,
+                                                                 run, key, value):
+        # an empty pair list would pass with nothing checked; sweep times that
+        # snap to fewer than 5 distinct positive slice times cannot be fitted
+        good = {"sweep_times": "0.25 0.3125 0.375 0.4375 0.5", "divergence_time": "0.5"}
+        cfg = tmp_path / "nofit.cfg"
+        cfg.write_text(QUICK.replace("run = lemlog", f"run = {run}") + "\n[checks]\n"
+                       + "".join(f"{k} = {v}\n" for k, v in {**good, key: value}.items()))
+        out = tmp_path / "o"
+        assert cli.main(["all", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: checks.{key}:"), lines
+        assert not list(out.glob("trajectory_*"))
+
+    @pytest.mark.parametrize("horizon,slices", [(0.5, 16), (0.3, 10)])
+    def test_sweep_time_rule_snaps_as_the_trajectory(self, horizon, slices):
+        # a half-step time is a tie in exact arithmetic, broken by rounding on
+        # the 0.3/10 grid; the config rule must pick the slice that
+        # Trajectory.nearest_time picks.  Four fixed slice times plus one
+        # half-step time: 5 distinct slices unless the half-step time lands
+        # on a fixed one (or on t = 0).  The trajectory is a real (zero) solve,
+        # so its times are the solver's own
+        from nsfarfield import solver as sv
+        from nsfarfield.forcing import ForceModel, InitialData
+
+        traj = sv.picard_solve(InitialData(2), ForceModel.zero(2), BoxGrid(2, 16.0, 16),
+                               horizon, sv.SolverOptions(slices=slices))
+        times = traj.times
+        fixed = tuple(float(times[i]) for i in (slices // 2, slices * 5 // 8,
+                                                slices * 3 // 4, slices))
+        base = QUICK.replace("run = lemlog", "run = sweep").replace(
+            "horizon = 0.5\nslices = 16", f"horizon = {horizon!r}\nslices = {slices}")
+        outcomes = set()
+        for k in range(slices):
+            half = (k + 0.5) * horizon / slices
+            snapped = traj.nearest_time(half)
+            fits = snapped > 0 and snapped not in fixed
+            try:
+                parse_config(base + "\n[checks]\nsweep_times = "
+                             + " ".join(repr(t) for t in (half,) + fixed) + "\n")
+                parsed = True
+            except ConfigError as exc:
+                assert [p.split(":")[0] for p in exc.problems] == ["checks.sweep_times"]
+                parsed = False
+            assert parsed == fits, (k, half, snapped)
+            outcomes.add(parsed)
+        assert outcomes == {True, False}
+
     def test_check_time_on_the_slices_parses(self):
         text = QUICK + ("\n[checks]\nrun = profile window\nprofile_time = 0.15625\n"
                         "window_time = 0.5\nshort_times = 0.03125 0.0625\n")
@@ -355,6 +411,35 @@ class TestCli:
         code = cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
                          "--only", "nonsense"])
         assert code == cli.EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("command,run,only,problem", [
+        ("all", "", None, "no check selected"),
+        ("verify", "", None, "no check selected"),
+        ("all", "lemlog", ",", "no check selected"),
+        ("all", "lemlog", "profile", "--only names checks not in checks.run: profile"),
+        ("verify", "lemlog", "lemlog,kernel,nonsense",
+         "--only names checks not in checks.run: kernel, nonsense"),
+    ])
+    def test_no_check_run_is_a_config_error(self, tmp_path, capsys, command, run, only,
+                                            problem):
+        # before any solve: a run that checks nothing must not report a pass
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK.replace("run = lemlog", f"run = {run}"))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if only is not None:
+            argv += ["--only", only]
+        assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"config error: {problem}"]
+        assert not list(out.glob("trajectory_*"))
+
+    def test_simulate_runs_without_checks(self, tmp_path):
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK.replace("run = lemlog", "run ="))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PASS
+        assert list(out.glob("trajectory_*"))
 
     def test_zero_scenario_passes(self, tmp_path):
         text = QUICK.replace("kind = gaussian_bump", "kind = zero")
@@ -471,8 +556,9 @@ class TestCli:
         out = tmp_path / "out"
         out.mkdir()
         digest = cli.scenario_digest(parse_config(QUICK).hash_source())
-        # cut JSON, then valid JSON of the wrong shape
-        for text in ('{"checks": ', '[]', '{"checks": []}', '{"checks": {"a": 1}}'):
+        # cut JSON, then valid JSON of the wrong shape, then no check at all
+        for text in ('{"checks": ', '[]', '{"checks": []}', '{"checks": {"a": 1}}',
+                     '{"checks": {}}'):
             (out / f"verify_{digest}.json").write_text(text)
             code = cli.main(["report", "--config", str(cfg), "--out", str(out)])
             assert code == cli.EXIT_CONFIG_ERROR, text

@@ -44,10 +44,9 @@ def _config_force(name, **replace):
     return cli.build_scenario(parse_config(text))[2]
 
 
-# forces: every shipped force kind, two smooth profiles
-# with different windows, two overlapping indicators (the profile vector
-# takes the directions (1, 0), (1, 1)/sqrt(2) and (0, 1)), a narrow bump
-# switched on late (zero samples first, then the (1+t)^2 blow-up of f1 wins)
+# forces: every shipped force kind, two bumps under one smooth profile, two
+# overlapping bumps under one indicator switched on late, a narrow bump
+# switched on later (zero samples first, then the (1+t)^2 blow-up of f1 wins)
 # and a d = 3 term
 PARITY_CASES = {
     "canonical": lambda: _config_force("canonical.cfg"),
@@ -57,9 +56,9 @@ PARITY_CASES = {
     "two_smooth_bumps": lambda: ForceModel(2, terms=[
         SeparableTerm(GaussianBump(2, width=1.0, center=(0.5, -0.25)),
                       SmoothBump(0.0, 0.3), (0.002, 0.001)),
-        SeparableTerm(GaussianBump(2, width=1.5), SmoothBump(0.1, 0.5), (-0.001, 0.0))]),
+        SeparableTerm(GaussianBump(2, width=1.5), SmoothBump(0.0, 0.3), (-0.001, 0.0))]),
     "overlapping_indicators": lambda: ForceModel(2, terms=[
-        SeparableTerm(GaussianBump(2, center=(1.0, 0.0)), Indicator(0.0, 0.6), (1e-3, 0.0)),
+        SeparableTerm(GaussianBump(2, center=(1.0, 0.0)), Indicator(0.3, 1.0), (1e-3, 0.0)),
         SeparableTerm(GaussianBump(2, width=0.8, center=(-0.5, 0.5)), Indicator(0.3, 1.0),
                       (-5e-4, 2e-4))]),
     "late_narrow_bump": lambda: ForceModel(2, terms=[
@@ -112,8 +111,8 @@ class TestValidateAssumptions:
 
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_separated_constants_match_per_time_reference(self, case):
-        # one lattice pass per profile direction gives the constants of one
-        # pass per time sample, up to the order of rounding
+        # one lattice pass over |F| scaled by |tau(t)| gives the constants of
+        # one pass per time sample, up to the order of rounding
         force = PARITY_CASES[case]()
         got = validate_assumptions(force, 1.0)
         ref = validate_assumptions_reference(force, 1.0)
@@ -219,6 +218,21 @@ class TestForceModelBasics:
         # mean zero but first moment nonzero
         np.testing.assert_allclose(force_integral(f, 2.0), np.zeros(2), atol=1e-15)
         assert np.abs(first_moment(f, 2.0)).max() > 0
+
+    def test_terms_share_one_time_profile(self):
+        bump = GaussianBump(2)
+        with pytest.raises(ValueError, match="one time profile"):
+            ForceModel(2, terms=[SeparableTerm(bump, SmoothBump(0.0, 0.3), (1.0, 0.0)),
+                                 SeparableTerm(bump, SmoothBump(0.1, 0.5), (1.0, 0.0))])
+        with pytest.raises(ValueError, match="one time profile"):
+            ForceModel(2, terms=[SeparableTerm(bump, SmoothBump(0.0, 1.0), (1.0, 0.0)),
+                                 SeparableTerm(bump, Indicator(0.0, 1.0), (1.0, 0.0))])
+        # equal profiles are one profile, whichever object each term holds
+        f = ForceModel(2, terms=[SeparableTerm(bump, Indicator(0.3, 1.0), (1.0, 0.0)),
+                                 SeparableTerm(bump, Indicator(0.3, 1.0), (0.0, 1.0))])
+        assert f.time_profile == Indicator(0.3, 1.0) and f.support_end() == 1.0
+        zero = ForceModel.zero(2)
+        assert zero.time_profile is None and zero.support_end() == 0.0
 
     def test_time_profiles(self):
         sb = SmoothBump(0.0, 1.0)

@@ -122,15 +122,15 @@ def _slice_nodes(t0, t1, opts):
 
 def reference_linear_series(ops, f, times, opts):
     d = ops.grid.d
-    terms = sv._force_spectra(ops, f)
+    specs = sv._force_spectra(ops, f)
     acc = np.zeros((d,) + ops.shape, dtype=complex)
     out = [np.zeros((d,) + ops.grid.shape)]
     for m in range(1, times.size):
         acc *= np.exp(-(times[m] - times[m - 1]) * ops.k2)
         for s, weight in _slice_nodes(times[m - 1], times[m], opts):
-            for tau, spec in terms:
-                tv = float(tau.value(s))
-                if tv != 0.0:
+            tv = float(f.time_profile.value(s))
+            if tv != 0.0:
+                for spec in specs:
                     acc += np.exp(-(times[m] - s) * ops.k2) * ((weight * tv) * spec)
         out.append(ops.ifft(acc))
     return out
@@ -835,9 +835,10 @@ class TestFarField:
         # same order as one projected Gaussian per node and term
         from nsfarfield import kernels
 
-        terms = [SeparableTerm(GaussianBump(2, width=1.0, center=(0.5, -0.25)),
-                               SmoothBump(0.0, 0.3), (0.002, 0.001)),
-                 SeparableTerm(GaussianBump(2, width=1.5), SmoothBump(0.1, 0.5), (-0.001, 0.0))]
+        tau = SmoothBump(0.0, 0.3)
+        terms = [SeparableTerm(GaussianBump(2, width=1.0, center=(0.5, -0.25)), tau,
+                               (0.002, 0.001)),
+                 SeparableTerm(GaussianBump(2, width=1.5), tau, (-0.001, 0.0))]
         f = ForceModel(2, terms=terms)
         x = np.concatenate([r * sphere_points(2, 6) for r in (3.0, 10.0, 40.0)])
         t = 0.4
