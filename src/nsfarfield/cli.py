@@ -168,6 +168,8 @@ def simulate(cfg: ScenarioConfig, out_dir: str, scenario=None) -> Trajectory:
         "sweeps": len(traj.iteration_log),
         "iteration_log": traj.iteration_log,
         "contractive": traj.contractive,
+        "kappa": traj.kappa,
+        "certified_bound": traj.bound,
         "decay_constant": traj.decay_constant(),
         "assumptions": {"epsilon_f1": rep.epsilon_f1, "l1_norm": rep.l1_norm,
                         "c_f3": rep.c_f3, "pass": rep.all_pass},

@@ -28,7 +28,9 @@ writes each new slice over the old one as soon as its update norm is taken:
 the old slice's flux has been read by then, so the iteration stays Jacobi
 and the solve holds one list of snapshots.  On large grids one helper
 thread computes those fluxes' sources a few slices ahead of the recursion
-(``_source_lane``).
+(``_source_lane``).  The iteration stops once the certified distance of
+u^(k) to the discrete fixed point, a Banach bound from a Lipschitz constant
+of the sweep's map, is below the tolerance (see ``picard_solve``).
 
 The box zero mode cannot represent decay at infinity, so it is split off
 analytically: snapshots are stored mean-free and the uniform drift
@@ -153,7 +155,7 @@ _LANE_REACH = 3
 # The `format` line of a trajectory manifest; `load_trajectory` reuses no other.
 # Raise it whenever a change alters what a reused trajectory would hold;
 # tests/test_solver.py pins a small solve under each value.
-TRAJECTORY_FORMAT = 1
+TRAJECTORY_FORMAT = 2
 
 
 class SolverError(RuntimeError):
@@ -372,16 +374,25 @@ class _SpectralOps:
 
 
 class Trajectory:
-    """Solved trajectory: mean-free snapshots plus analytic drift bookkeeping."""
+    """Solved trajectory: mean-free snapshots plus analytic drift bookkeeping.
+
+    ``kappa`` is the Lipschitz constant of the Picard map certified at the
+    last sweep, and ``bound`` the certified distance of the snapshots to the
+    discrete fixed point, or None when kappa > 1/2 certifies none (see
+    ``picard_solve``).
+    """
 
     def __init__(self, grid: BoxGrid, times: np.ndarray, snapshots: list,
-                 drift: np.ndarray, iteration_log: list, scenario_hash: str = ""):
+                 drift: np.ndarray, iteration_log: list, scenario_hash: str = "", *,
+                 kappa: float, bound: float | None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.snapshots = snapshots          # list of (d, N..N) mean-free arrays
         self.drift = np.asarray(drift)      # (M+1, d) uniform box drift
         self.iteration_log = list(iteration_log)
         self.scenario_hash = scenario_hash
+        self.kappa = kappa
+        self.bound = bound
         self._cache = {}                    # derived data built on first use
 
     def _cached(self, key, build):
@@ -396,6 +407,11 @@ class Trajectory:
 
     @property
     def contractive(self) -> bool:
+        """kappa <= 1/2 when the solve certified its fixed point; else, for a
+        solve that stopped on its last update alone, a strictly decreasing
+        update log."""
+        if self.bound is not None:
+            return self.kappa <= 0.5
         log = self.iteration_log
         return all(log[i] < log[i - 1] for i in range(2, len(log)))
 
@@ -482,7 +498,9 @@ class Trajectory:
             lines = [f"format {TRAJECTORY_FORMAT}",
                      f"scenario_hash {self.scenario_hash}",
                      f"slices {len(self.snapshots) - 1}",
-                     "iteration_log " + " ".join(repr(float(v)) for v in self.iteration_log)]
+                     "iteration_log " + " ".join(repr(float(v)) for v in self.iteration_log),
+                     f"kappa {float(self.kappa)!r}",
+                     f"bound {'none' if self.bound is None else repr(float(self.bound))}"]
             for i, t in enumerate(self.times):
                 snap = f"u{i:05d}.nsvf"
                 VectorFieldGrid(self.grid, self.snapshots[i], time=float(t)).save(
@@ -505,27 +523,45 @@ class Trajectory:
 def load_trajectory(directory) -> Trajectory:
     """Read a ``Trajectory.save`` directory; ValueError unless the manifest is
     whole and current and every snapshot's header agrees with it and with the
-    first snapshot's grid."""
+    first snapshot's grid.
+
+    The manifest holds one ``iteration_log``, ``kappa`` and ``bound`` line
+    each, every number on them finite; ``bound none`` stands for no
+    certified bound.
+    """
     with open(os.path.join(directory, "manifest.txt")) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    formats = [ln.split()[1:] for ln in lines if ln.split()[0] == "format"]
-    if formats != [[str(TRAJECTORY_FORMAT)]]:
+        lines = [ln.split() for ln in fh if ln.strip()]
+
+    def single(key: str) -> list:
+        found = [parts[1:] for parts in lines if parts[0] == key]
+        if len(found) != 1:
+            raise ValueError(f"{directory}: the manifest has {len(found)} {key} lines, not 1")
+        return found[0]
+
+    def finite(values: list, one: bool = False) -> list:
+        numbers = [float(v) for v in values]
+        if not all(map(math.isfinite, numbers)) or (one and len(numbers) != 1):
+            raise ValueError(f"{directory}: the manifest has {' '.join(values)!r} where "
+                             f"{'one finite number' if one else 'finite numbers'} belong")
+        return numbers
+
+    if single("format") != [str(TRAJECTORY_FORMAT)]:
         raise ValueError(f"{directory}: the manifest is not of format {TRAJECTORY_FORMAT}")
+    log = finite(single("iteration_log"))
+    kappa, = finite(single("kappa"), one=True)
+    bound = single("bound")
+    bound = None if bound == ["none"] else finite(bound, one=True)[0]
     scenario_hash = ""
     slices = None
     entries = []
-    log = []
-    for ln in lines:
-        parts = ln.split()
+    for parts in lines:
         if parts[0] == "scenario_hash" and len(parts) > 1:
             scenario_hash = parts[1]
         elif parts[0] == "slices" and len(parts) > 1:
             slices = int(parts[1])
-        elif parts[0] == "iteration_log":
-            log = [float(v) for v in parts[1:]]
         elif parts[0] == "snapshot":
             if len(parts) < 4:
-                raise ValueError(f"{directory}: the manifest line {ln!r} is cut")
+                raise ValueError(f"{directory}: the manifest line {' '.join(parts)!r} is cut")
             entries.append(parts)
     if not entries:
         raise ValueError(f"{directory}: the manifest lists no snapshot")
@@ -551,7 +587,8 @@ def load_trajectory(directory) -> Trajectory:
         grid = fld.grid
         snaps.append(fld.components)
         drifts.append([float(v) for v in parts[4:]])
-    return Trajectory(grid, np.array(times), snaps, np.array(drifts), log, scenario_hash)
+    return Trajectory(grid, np.array(times), snaps, np.array(drifts), log, scenario_hash,
+                      kappa=kappa, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +625,13 @@ class _SliceRule:
     index: np.ndarray
     decay: np.ndarray
 
+    def columns(self, node_weights: np.ndarray) -> np.ndarray:
+        """sum over nodes of weights * node_weights * propagator, per |k|^2 column."""
+        return np.tensordot(self.weights * node_weights, self.factors, axes=1)
+
     def fold(self, node_weights: np.ndarray) -> np.ndarray:
-        """sum over nodes of weights * node_weights * propagator: one field."""
-        return np.tensordot(self.weights * node_weights, self.factors, axes=1)[self.index]
+        """``columns`` spread over the half-spectrum modes: one field."""
+        return self.columns(node_weights)[self.index]
 
 
 def _slice_rule(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions) -> _SliceRule:
@@ -602,6 +643,72 @@ def _slice_rule(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions) -> _S
     factors = np.exp(np.multiply.outer(-(dt - offsets), k2))
     return _SliceRule(dt, offsets, weights, factors, index.reshape(ops.shape),
                       np.exp(-dt * ops.k2))
+
+
+def _stencil_columns(rule: _SliceRule):
+    """The stencil weights of B's recursion, per |k|^2 column of ``rule``.
+
+    Slice m adds sum_j E_j source(t_{idx_j}) over its cubic stencil idx,
+    where E_j folds the Lagrange weight of stencil slice j into the node
+    propagators.  E_j depends only on the stencil's position relative to the
+    slice, (m - idx[0], len(idx)): the returned function maps that pattern to
+    [E_j], each built once.  ``_mild_series`` spreads them over the modes and
+    ``_flux_weight`` reads them as they are.
+    """
+    @functools.cache
+    def columns(offset: int, size: int) -> list:
+        lw = np.stack([_lagrange_weights(np.arange(size) * rule.dt, (offset - 1) * rule.dt + s)
+                       for s in rule.offsets])
+        return [rule.columns(lw[:, j]) for j in range(size)]
+
+    return columns
+
+
+def _flux_weight(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions) -> float:
+    """W_h = max over slices m of sum_n sup_k |k| |c_{m,n}(k)|, k over the
+    dealiased block, in O(slices x |k|^2 columns) time.
+
+    c_{m,n} is the weight with which slice n's flux source enters slice m in
+    ``_mild_series``: c_{m,n} = decay c_{m-1,n}, plus E_j when slice m's
+    stencil holds n at position j.  So c_{n+l,n} depends on n only through
+    the record of which stencils hold n, where and how: sources with one
+    record share one impulse response in the lag l = m - n.  The interior
+    sources share one record, and the first and last few sources add a few
+    more.  Each response runs once, on the block's distinct |k|^2 (c depends
+    on k only through |k|^2), and keeps only its sup over k at every lag.
+    """
+    n_slices = times.size - 1
+    rule = _slice_rule(ops, times, opts)
+    columns = _stencil_columns(rule)
+    # np.unique without return_inverse would import numpy.ma (1.3 MB)
+    k2, decay, block = np.zeros((3, rule.factors.shape[1]))
+    k2[rule.index], decay[rule.index], block[ops.block(rule.index)] = ops.k2, rule.decay, 1.0
+    cols = np.flatnonzero(block)
+    modulus, decay = np.sqrt(k2[cols]), decay[cols]
+    records = [[] for _ in range(n_slices + 1)]
+    for m in range(1, n_slices + 1):
+        idx = _stencil(m, n_slices)
+        for j, n in enumerate(idx):
+            records[n].append((m - n, m - idx[0], len(idx), j))
+    records = [tuple(rec) for rec in records]
+    row = {rec: i for i, rec in enumerate(sorted(set(records)))}
+    terms = {}                                  # lag -> [(row, E_j)]
+    for rec, i in row.items():
+        for lag, offset, size, j in rec:
+            terms.setdefault(lag, []).append((i, columns(offset, size)[j][cols]))
+    first = min(terms)                          # the least lag: stencils reach ahead
+    c = np.zeros((len(row), cols.size))         # one impulse response per row
+    sups = np.zeros((len(row), n_slices + 1 - first))
+    for lag in range(first, n_slices + 1):
+        c *= decay
+        for i, e in terms.get(lag, ()):
+            c[i] += e
+        sups[:, lag - first] = np.max(modulus * np.abs(c), axis=1)
+    totals = np.zeros(n_slices + 1)
+    for n, rec in enumerate(records):
+        lo = max(1, n + first)
+        totals[lo:] += sups[row[rec], lo - n - first:n_slices + 1 - n - first]
+    return float(totals.max())
 
 
 def _force_spectra(ops: _SpectralOps, f: ForceModel):
@@ -640,12 +747,10 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
     term's spectrum.  B's source (``_SpectralOps.flux_source``: one scalar
     per mode in d = 2) goes into a second accumulator on the dealiased
     block: slice m adds sum_j E_j source(t_{idx_j}) over its cubic stencil
-    idx, where E_j folds the Lagrange weight of stencil slice j into the
-    node propagators.  E_j depends only on the stencil's position relative
-    to the slice, (m - idx[0], len(idx)), so each pattern is built once per
-    call, and only its block is kept.  Each slice costs one lift, taken off
-    a copy of the vector accumulator at the block, and one inverse
-    transform.
+    idx, with E_j from ``_stencil_columns``; each pattern's fields are
+    spread over the modes once per call, and only their block is kept.  Each
+    slice costs one lift, taken off a copy of the vector accumulator at the
+    block, and one inverse transform.
 
     ``history`` is (snapshots, drift).  Slice m's stencil reaches an index
     >= m, so the source of snapshots[m] is taken, or queued on the lane
@@ -662,21 +767,17 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
         acc[(slice(None),) + (0,) * d] = 0.0
     specs = [] if f is None else _force_spectra(ops, f)
     sources: dict = {}
-    patterns: dict = {}
     lane = None
     if history is not None:
         snapshots, drift = history
         decay = ops.block(rule.decay)
         bil = np.zeros(ops.block_shape if d == 2 else (d,) + ops.block_shape, dtype=complex)
         lane = _source_lane(ops.grid)
+        columns = _stencil_columns(rule)
 
+    @functools.cache
     def stencil_fields(offset: int, size: int):
-        if (offset, size) not in patterns:
-            lw = np.stack([_lagrange_weights(np.arange(size) * rule.dt,
-                                             (offset - 1) * rule.dt + s)
-                           for s in rule.offsets])
-            patterns[offset, size] = [ops.block(rule.fold(lw[:, j])) for j in range(size)]
-        return patterns[offset, size]
+        return [ops.block(c[rule.index]) for c in columns(offset, size)]
 
     queued = 0
 
@@ -725,21 +826,26 @@ def _linear_series(ops: _SpectralOps, f: ForceModel, times: np.ndarray,
 
 
 def _sweep(ops: _SpectralOps, a: InitialData, f: ForceModel, snapshots: list,
-           drift: np.ndarray, times: np.ndarray, opts: SolverOptions) -> float:
-    """Sup over slice times of the L2 update norm of one Picard sweep.
+           drift: np.ndarray, times: np.ndarray, opts: SolverOptions) -> tuple:
+    """(update, peak) of one Picard sweep: the sup over slice times of the L2
+    update norm, and an upper bound on sup |u + D| over the new slices.
 
     Slice m >= 1 of the sweep replaces snapshots[m] right after its norm is
     taken; ``_mild_series`` has read the old slice by then, so this is still
-    the Jacobi iteration.  Slice 0 is heat(a) at t = 0 in every sweep.
+    the Jacobi iteration.  Slice 0 is heat(a) at t = 0 in every sweep.  The
+    peak of a slice is sqrt(sum_i max(|max u_i + D_i|, |min u_i + D_i|)^2)
+    over its components i, which makes no full-grid temporary.
     """
-    update = 0.0
+    update = peak = 0.0
     diff = None
     for m, new in enumerate(_mild_series(ops, times, opts, a, f, (snapshots, drift))):
+        extremes = [max(abs(c.max() + dv), abs(c.min() + dv)) for c, dv in zip(new, drift[m])]
+        peak = max(peak, math.sqrt(sum(e * e for e in extremes)))
         diff = np.subtract(new, snapshots[m], out=diff)
         update = max(update, grid_l2(diff, ops.grid, out=diff))
         if m > 0:
             snapshots[m] = new
-    return update
+    return update, peak
 
 
 def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
@@ -747,7 +853,41 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
                  scenario_hash: str = "", assumptions=None) -> Trajectory:
     """Iterate the integral formulation to its discrete fixed point.
 
-    Stops when the sup-over-times L2 update norm drops below opts.tol.
+    Sweep k applies the discrete Picard map Phi(u) = heat a + L(f) - B(u, u)
+    to the iterate u_{k-1} on every slice at once and gives u_k.  With
+    update_k = ||u_k - u_{k-1}|| (sup over slices of the grid L2 norm), the
+    solve stops after the first sweep with
+
+        update_k < tol,   or   kappa <= 1/2 and kappa / (1 - kappa) update_k < tol,
+
+    where kappa = 2 W_h (S_k + h^(-d/2) update_k) is a Lipschitz constant of
+    Phi on the closed ball of radius update_k about u_k:
+
+    * Phi(u) - Phi(v) = -B(u - v, u + D) - B(v + D, u - v), D the drift.
+      Slice m of B sums, over slices n, c_{m,n} times the projected
+      divergence of the flux at slice n on the dealiased block.  With
+      |P ik.W^| <= |k| |W^|, Parseval, the block being a projection, and
+      ||w (x) z|| <= ||w|| sup|z| on the grid, ||Phi(u) - Phi(v)|| <=
+      W_h (sup|u + D| + sup|v + D|) ||u - v||; W_h = max_m sum_n
+      sup_k |k| |c_{m,n}(k)| (``_flux_weight``, built once per solve).
+    * On the grid sup|w| <= h^(-d/2) ||w||, so every w in the ball has
+      sup|w + D| <= S_k + h^(-d/2) update_k, S_k the sup over slices of
+      |u_k + D| (bounded from above by ``_sweep``'s peak).  So Phi is
+      kappa-Lipschitz on the ball.
+    * The ball holds u_{k-1}, and Phi(u_{k-1}) = u_k.  For w in the ball,
+      ||Phi(w) - u_k|| <= kappa ||w - u_{k-1}|| <= 2 kappa update_k, so
+      2 kappa <= 1 makes Phi map the ball into itself.  By Banach's theorem
+      its fixed point u* lies in the ball, and ||u* - u_k|| <=
+      kappa ||u* - u_{k-1}|| <= kappa (||u* - u_k|| + update_k) gives
+      ||u* - u_k|| <= kappa / (1 - kappa) update_k.
+
+    So opts.tol bounds the certified distance of the returned iterate to the
+    discrete fixed point; the trajectory keeps kappa and that bound.  When
+    kappa > 1/2 nothing is certified, update_k < tol alone stops the solve,
+    and the bound is None.  W_h is the grid form of the heat flow's
+    smoothing, sup_k |k| exp(-tau k^2) = (2 e tau)^(-1/2), which gives
+    W <= sqrt(2T/e) (Fujita & Kato, Arch. Rational Mech. Anal. 16, 1964).
+
     Raises AdmissionError when the measured smallness constants exceed the
     empirical contraction guard, ContractionError when update norms fail to
     decrease, ConvergenceError when max_sweeps is exhausted.  A caller that
@@ -773,12 +913,15 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
     vol = (2.0 * grid.length) ** grid.d
     drift = np.stack([force_integral(f, float(t)) / vol for t in times])
 
+    weight = _flux_weight(ops, times, opts)
     snapshots = list(_mild_series(ops, times, opts, a, f))   # heat a + L(f)
     log = []
     for sweep in range(1, opts.max_sweeps + 1):
-        update = _sweep(ops, a, f, snapshots, drift, times, opts)
+        update, peak = _sweep(ops, a, f, snapshots, drift, times, opts)
         log.append(update)
-        if update < opts.tol:
+        kappa = 2.0 * weight * (peak + grid.spacing ** (-grid.d / 2) * update)
+        bound = kappa / (1.0 - kappa) * update if kappa <= 0.5 else None
+        if update < opts.tol or (bound is not None and bound < opts.tol):
             break
         if len(log) >= 2 and log[-1] >= log[-2] and update > opts.tol * 10:
             raise ContractionError(
@@ -787,7 +930,8 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
         raise ConvergenceError(
             f"no convergence to tol={opts.tol:g} in {opts.max_sweeps} sweeps: {log}", log)
 
-    return Trajectory(grid, times, snapshots, drift, log, scenario_hash)
+    return Trajectory(grid, times, snapshots, drift, log, scenario_hash,
+                      kappa=kappa, bound=bound)
 
 
 def integral_residual(traj: Trajectory, a: InitialData, f: ForceModel,
@@ -795,7 +939,7 @@ def integral_residual(traj: Trajectory, a: InitialData, f: ForceModel,
     """Max over sample times of the L2 defect of the integral equation: the
     update norm of one more Picard sweep from the trajectory."""
     return _sweep(_SpectralOps(traj.grid), a, f, list(traj.snapshots), traj.drift,
-                  traj.times, opts)
+                  traj.times, opts)[0]
 
 
 # ---------------------------------------------------------------------------

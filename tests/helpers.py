@@ -223,10 +223,13 @@ def mild_series_full(ops, times, opts, a=None, f=None, history=None):
 
 def sweep_full(ops, a, f, snapshots, drift, times, opts):
     """``solver._sweep`` on ``mild_series_full``, with a new array for every
-    difference and square."""
-    update = 0.0
+    difference and square; its peak is the same per-component bound."""
+    update = peak = 0.0
     for m, new in enumerate(mild_series_full(ops, times, opts, a, f, (snapshots, drift))):
         update = max(update, sv.grid_l2(new - snapshots[m], ops.grid))
+        ext = np.maximum(np.abs(new.max(axis=tuple(range(1, new.ndim))) + drift[m]),
+                         np.abs(new.min(axis=tuple(range(1, new.ndim))) + drift[m]))
+        peak = max(peak, float(np.sqrt(np.sum(ext * ext))))
         if m > 0:
             snapshots[m] = new
-    return update
+    return update, peak

@@ -73,3 +73,33 @@ def test_digest_tree_skips_the_run_log(tool, tmp_path):
     assert list(tree) == ["sub/window.json"]
     assert tree["sub/window.json"] == (
         "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a")
+
+
+def test_differing_artifacts_name_their_largest_numeric_change(tool, tmp_path, capsys):
+    # artifacts next to each digest file: the JSON and CSV lines say which
+    # number moved most, and by how much relative to the larger side
+    sides = {
+        "a": ({"fit": {"exponent": -2.0, "radii": [16, 32]}, "passed": True, "name": "x"},
+              "radius,value\n16,1.0\n32,0.25\n"),
+        "b": ({"fit": {"exponent": -2.0, "radii": [16, 40]}, "passed": True, "name": "y"},
+              "radius,value\n16,1.0\n32,0.2\n"),
+    }
+    paths = []
+    for side, (payload, table) in sides.items():
+        root = tmp_path / side / "canonical"
+        root.mkdir(parents=True)
+        (root / "fit.json").write_text(json.dumps(payload))
+        (root / "table.csv").write_text(table)
+        (root / "same.json").write_text('{"name": "' + side + '"}')
+        digest = tmp_path / side / "digests.json"
+        digest.write_text(json.dumps(digests(**{"fit.json": side, "table.csv": side,
+                                                 "same.json": side, "x.bin": side})))
+        paths.append(str(digest))
+    code = tool.main(["--compare"] + paths)
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "canonical/fit.json: differs, largest relative change 0.2 at fit.radii[1]",
+        "canonical/same.json: differs, no number moved",
+        "canonical/table.csv: differs, largest relative change 0.2 at value[1]",
+        "canonical/x.bin: differs",
+    ]

@@ -94,6 +94,15 @@ def _swap_snapshots(tdir):
     b.write_bytes(data)
 
 
+def _drop_line(key):
+    # the manifest without its `key` line
+    def drop(tdir):
+        manifest = tdir / "manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(ln for ln in lines if ln.split()[0] != key))
+    return drop
+
+
 def _truncate(path, size=None):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2 if size is None else size])
 
@@ -112,6 +121,8 @@ _DAMAGE = {
     "snapshot_header_wrong_ncomp": _lying_header(ncomp=3),
     "snapshot_from_other_grid": _other_grid,
     "snapshots_swapped": _swap_snapshots,
+    "iteration_log_dropped": _drop_line("iteration_log"),
+    "kappa_dropped": _drop_line("kappa"),
 }
 
 

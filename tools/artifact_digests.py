@@ -13,13 +13,18 @@ which maps each config stem to its exit code and ``{path: sha256}``.
 
 prints the files whose digest differs, or that only one side has, and the
 configs whose exit code differs; it exits 1 when anything differs, else 0.
+For a JSON or CSV artifact that differs and sits next to both digest files
+(``A/<config stem>/<path>``), the line adds the largest relative change
+|a - b| / max(|a|, |b|) among the numeric fields both sides hold, and where.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,8 +73,62 @@ def run_configs(configs, out_dir: str) -> dict:
     return result
 
 
-def compare(a: dict, b: dict) -> list:
-    """Lines naming every difference between two ``digests.json`` contents."""
+def numeric_fields(path: str) -> dict:
+    """Every number in a JSON or CSV file, keyed by where it sits: a JSON
+    path such as ``fits.0_2.fitted`` or ``radii[3]``, or ``column[row]``."""
+    out = {}
+    if path.endswith(".json"):
+        def walk(node, key):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    walk(v, f"{key}.{k}" if key else k)
+            elif isinstance(node, list):
+                for i, v in enumerate(node):
+                    walk(v, f"{key}[{i}]")
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                out[key] = float(node)
+
+        with open(path) as fh:
+            walk(json.load(fh), "")
+        return out
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh)) or [[]]
+    for i, row in enumerate(rows):
+        for name, cell in zip(header, row):
+            try:
+                out[f"{name}[{i}]"] = float(cell)
+            except ValueError:
+                pass
+    return out
+
+
+def largest_change(a: dict, b: dict) -> tuple:
+    """(relative change, field) of the field of both ``numeric_fields``
+    results that moved most; (0.0, "") when none moved."""
+    best = (0.0, "")
+    for key in a.keys() & b.keys():
+        x, y = a[key], b[key]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        scale = max(abs(x), abs(y))
+        best = max(best, (abs(x - y) / scale if math.isfinite(scale) else math.inf, key))
+    return best
+
+
+def _moved(roots, stem: str, path: str) -> str:
+    """The change note of a differing artifact's line, or "" when it is not
+    a JSON or CSV file next to both digest files."""
+    files = [os.path.join(root, stem, *path.split("/")) for root in roots or ()]
+    if not path.endswith((".json", ".csv")) or not files or not all(map(os.path.isfile, files)):
+        return ""
+    rel, key = largest_change(*map(numeric_fields, files))
+    return f", largest relative change {rel:.2g} at {key}" if key else ", no number moved"
+
+
+def compare(a: dict, b: dict, roots=None) -> list:
+    """Lines naming every difference between two ``digests.json`` contents;
+    ``roots``, the directories of the two digest files, adds to each
+    differing JSON or CSV artifact the largest relative change of a number."""
     lines = []
     for stem in sorted(set(a) | set(b)):
         if stem not in a or stem not in b:
@@ -82,7 +141,7 @@ def compare(a: dict, b: dict) -> list:
             if path not in fa or path not in fb:
                 lines.append(f"{stem}/{path}: only in {'B' if path not in fa else 'A'}")
             elif fa[path] != fb[path]:
-                lines.append(f"{stem}/{path}: differs")
+                lines.append(f"{stem}/{path}: differs{_moved(roots, stem, path)}")
     return lines
 
 
@@ -98,7 +157,8 @@ def main(argv=None) -> int:
         for path in args.compare:
             with open(path) as fh:
                 loaded.append(json.load(fh))
-        lines = compare(*loaded)
+        lines = compare(*loaded, roots=[os.path.dirname(os.path.abspath(p))
+                                        for p in args.compare])
         print("\n".join(lines) if lines else "no differences")
         return 1 if lines else 0
     if not args.out or not args.configs:
