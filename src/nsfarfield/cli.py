@@ -207,7 +207,6 @@ def _check_profile(cfg, flow):
              * math.sqrt(cfg.profile_time), res)
             for r, v, res in zip(rep.abscissa, rep.values, residuals)]
     payload = {
-        "check": "profile",
         "passed": bool(rep.passed and (u_fit is None or u_fit.passed)),
         "remainder_exponent": rep.fitted_exponent if math.isfinite(rep.fitted_exponent) else None,
         "remainder_constant": rep.extras["constant"],
@@ -230,11 +229,10 @@ def _check_window(cfg, flow):
     # per radius: min over directions of |u| r^d, the sphere floor, max/min
     rows = [(r, lo, rep.sphere_floor, hi / max(lo, 1e-300))
             for r, lo, hi in zip(rep.radii, rep.radius_min, rep.radius_max)]
-    expected_fail = control
     payload = {
-        "check": "window", "control_scenario": control,
+        "control_scenario": control,
         "passed": bool((not rep.window_pass and rep.fitted_slope <= -(flow.d + 0.5))
-                       if expected_fail else rep.window_pass and rep.short_time_pass),
+                       if control else rep.window_pass and rep.short_time_pass),
         "lower": rep.lower, "upper": rep.upper, "ratio": rep.ratio,
         "fitted_slope": rep.fitted_slope,
         "sphere_floor": rep.sphere_floor,
@@ -261,7 +259,7 @@ def _check_sweep(cfg, flow):
         for t, v in zip(rep.abscissa, rep.values):
             rows.append((t, v, math.exp(rep.extras["intercept"])
                          * t ** rep.predicted_exponent, rep.residual))
-    payload = {"check": "sweep", "passed": bool(ok), "fits": results}
+    payload = {"passed": bool(ok), "fits": results}
     return rows, payload
 
 
@@ -279,7 +277,7 @@ def _check_divergence(cfg, flow):
         ok = ok and rep.divergent
         for r, inc in zip(rep.radii[1:], rep.increments):
             rows.append((r, inc, rep.increments[0], 0.0))
-    payload = {"check": "divergence", "passed": bool(ok), "results": results}
+    payload = {"passed": bool(ok), "results": results}
     return rows, payload
 
 
@@ -291,7 +289,7 @@ def _check_lemlog(cfg, flow):
     rep = verify.lemlog_check(xs, [t0], d=cfg.dimension)
     rows = [(r / math.sqrt(t), ratio, pred, ratio - pred)
             for (r, t), ratio, pred in zip(rep.pairs, rep.ratios, rep.predictions)]
-    payload = {"check": "lemlog", "passed": bool(rep.passed),
+    payload = {"passed": bool(rep.passed),
                "sup_ratio": rep.sup_ratio, "variation": rep.variation,
                "refinement_shift": rep.refinement_shift}
     return rows, payload
@@ -305,7 +303,7 @@ def _check_next_order(cfg, flow):
         for r, v, agr in zip(rep.radii, rep.fit.values, rep.agreement):
             rows.append((r, v, math.exp(rep.fit.extras["intercept"])
                          * r ** rep.fit.predicted_exponent, agr))
-    payload = {"check": "next_order", "passed": bool(rep.passed),
+    payload = {"passed": bool(rep.passed),
                "degenerate": rep.degenerate, "note": rep.note,
                "fitted_exponent": None if rep.fit is None else rep.fit.fitted_exponent,
                "agreement": None if rep.agreement is None else rep.agreement.tolist()}
@@ -334,30 +332,28 @@ def run_verify(cfg: ScenarioConfig, out_dir: str, only=None, scenario=None) -> i
     status = EXIT_PASS
     for check in selected:
         if check == "kernel":
-            code = run_kernel_check(out_dir, cfg.dimension)
-            summary["checks"]["kernel"] = {"passed": code == EXIT_PASS}
-            if code != EXIT_PASS:
+            passed = run_kernel_check(out_dir, cfg.dimension) == EXIT_PASS
+        else:
+            try:
+                rows, payload = _CHECK_RUNNERS[check](cfg, flow)
+            except (SolverError, FloatingPointError) as exc:
+                summary["checks"][check] = {"error": f"{type(exc).__name__}: {exc}"}
+                print(f"check {check}: NUMERICAL FAILURE ({exc})")
+                status = max(status, EXIT_NUMERICAL_FAILURE)
+                continue
+            except ValueError as exc:  # RegimeError, HypothesisError, ValidityRegionError
+                summary["checks"][check] = {"error": f"{type(exc).__name__}: {exc}"}
+                print(f"check {check}: ERROR ({exc})")
                 status = max(status, EXIT_CHECK_FAILURE)
-            continue
-        runner = _CHECK_RUNNERS[check]
-        try:
-            rows, payload = runner(cfg, flow)
-        except (SolverError, FloatingPointError) as exc:
-            summary["checks"][check] = {"error": f"{type(exc).__name__}: {exc}"}
-            print(f"check {check}: NUMERICAL FAILURE ({exc})")
-            status = max(status, EXIT_NUMERICAL_FAILURE)
-            continue
-        except ValueError as exc:  # RegimeError, HypothesisError, ValidityRegionError
-            summary["checks"][check] = {"error": f"{type(exc).__name__}: {exc}"}
-            print(f"check {check}: ERROR ({exc})")
-            status = max(status, EXIT_CHECK_FAILURE)
-            continue
-        verify.write_csv(os.path.join(out_dir, f"{check}_{digest}.csv"),
-                         ["abscissa", "value", "prediction", "residual"], rows)
-        verify.write_json(os.path.join(out_dir, f"{check}_{digest}.json"), payload)
-        summary["checks"][check] = {"passed": payload.get("passed")}
-        print(f"check {check}: {'pass' if payload.get('passed') else 'FAIL'}")
-        if not payload.get("passed"):
+                continue
+            verify.write_csv(os.path.join(out_dir, f"{check}_{digest}.csv"),
+                             ["abscissa", "value", "prediction", "residual"], rows)
+            verify.write_json(os.path.join(out_dir, f"{check}_{digest}.json"),
+                              {"check": check, **payload})
+            passed = payload["passed"]
+            print(f"check {check}: {'pass' if passed else 'FAIL'}")
+        summary["checks"][check] = {"passed": passed}
+        if not passed:
             status = max(status, EXIT_CHECK_FAILURE)
     verify.write_json(os.path.join(out_dir, f"verify_{digest}.json"), summary)
     return status

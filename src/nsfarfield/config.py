@@ -19,12 +19,19 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "norm_regime", "CHECK_NAMES"]
+__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "norm_regime", "CHECKS"]
 
-CHECK_NAMES = ("kernel", "profile", "window", "sweep", "divergence", "lemlog", "next_order")
-# a time within SLICE_TIME_TOL * max(1, horizon) of a slice time k*horizon/slices
-# is that slice time (``Trajectory.slice_index``)
-SLICE_TIME_TOL = 1e-9
+# check -> the [checks] keys it reads, by role: "times" are slice times, "radii" at
+# least 5 with |x| >= e sqrt(first time), "pairs" at least one alpha:p (``_violations``)
+CHECKS = {
+    "kernel": {},
+    "profile": {"times": ("profile_time",), "radii": "profile_radii"},
+    "window": {"times": ("window_time", "short_times"), "radii": "window_radii"},
+    "sweep": {"pairs": "sweep_pairs"},
+    "divergence": {"times": ("divergence_time",), "pairs": "divergence_pairs"},
+    "lemlog": {},
+    "next_order": {"times": ("next_order_time",), "radii": "next_order_radii"},
+}
 
 
 class ConfigError(ValueError):
@@ -54,6 +61,11 @@ def norm_regime(d: int, alpha: float, p: float) -> str | None:
 def nearest_slice(times, t: float) -> int:
     """Index of the slice time in ``times`` nearest to t; the earlier on a tie."""
     return int(np.argmin(np.abs(times - t)))
+
+
+def on_slice(times, t: float) -> bool:
+    """Whether t is within 1e-9 * max(1, horizon) of a slice time in ``times`` (0 to horizon)."""
+    return bool(abs(times[nearest_slice(times, t)] - t) <= 1e-9 * max(1.0, times[-1]))
 
 
 def _number(text: str) -> float:
@@ -250,9 +262,11 @@ def _violations(cfg: ScenarioConfig) -> list:
     if cfg.refine < 1:
         problems.append("solver.refine: need at least 1")
     for check in cfg.checks:
-        if check not in CHECK_NAMES:
+        if check not in CHECKS:
             problems.append(
-                f"checks.run: unknown check {check!r} (known: {', '.join(CHECK_NAMES)})")
+                f"checks.run: unknown check {check!r} (known: {', '.join(CHECKS)})")
+    for check in dict.fromkeys(c for i, c in enumerate(cfg.checks) if c in cfg.checks[:i]):
+        problems.append(f"checks.run: {check!r} named more than once")
     if d in (2, 3):
         for alpha, p in cfg.sweep_pairs:
             regime = norm_regime(d, alpha, p)
@@ -271,52 +285,45 @@ def _violations(cfg: ScenarioConfig) -> list:
                 problems.append(
                     f"checks.divergence_pairs: ({alpha:g},{p:g}) has alpha + d/p < d; "
                     "it belongs under sweep_pairs")
-    for label, t_check, radii in (("profile", cfg.profile_time, cfg.profile_radii),
-                                  ("window", cfg.window_time, cfg.window_radii),
-                                  ("next_order", cfg.next_order_time, cfg.next_order_radii)):
-        if label in cfg.checks and len(radii) < 5:
-            problems.append(f"checks.{label}_radii: need at least 5 radii for the "
-                            f"power-law fit, got {len(radii)}")
-        if label in cfg.checks and radii and t_check > 0:
-            bound = math.e * math.sqrt(t_check)
-            bad = [r for r in radii if r < bound]
-            if bad:
-                problems.append(
-                    f"checks.{label}_radii: radii {bad} violate |x| >= e sqrt(t) "
-                    f"= {bound:.4g}")
     if cfg.window_directions < 1:
         problems.append(f"checks.window_directions: need at least 1, got "
                         f"{cfg.window_directions}")
+    times = (np.linspace(0.0, cfg.horizon, cfg.slices + 1)
+             if cfg.horizon > 0 and cfg.slices >= 1 else None)
+    for check, keys in CHECKS.items():
+        if check not in cfg.checks:
+            continue
+        for key in keys.get("times", ()):
+            off = [t for t in np.atleast_1d(getattr(cfg, key)) if times is not None
+                   and not (0 < t <= cfg.horizon and on_slice(times, t))]
+            if off:
+                problems.append(
+                    f"checks.{key}: {', '.join(f'{t:g}' for t in off)} not a slice time "
+                    f"k*horizon/slices in (0, {cfg.horizon:g}] (slices = {cfg.slices})")
+        if "radii" in keys:
+            radii, t_check = getattr(cfg, keys["radii"]), getattr(cfg, keys["times"][0])
+            if len(radii) < 5:
+                problems.append(f"checks.{keys['radii']}: need at least 5 radii for the "
+                                f"power-law fit, got {len(radii)}")
+            bound = math.e * math.sqrt(t_check) if t_check > 0 else -math.inf
+            bad = [r for r in radii if r < bound]
+            if bad:
+                problems.append(f"checks.{keys['radii']}: radii {bad} violate "
+                                f"|x| >= e sqrt(t) = {bound:.4g}")
+        if "pairs" in keys and not getattr(cfg, keys["pairs"]):
+            problems.append(f"checks.{keys['pairs']}: need at least one alpha:p pair")
     radii = cfg.divergence_radii
     if "divergence" in cfg.checks and (
             len(radii) < 3 or any(hi <= lo for lo, hi in zip(radii, radii[1:]))):
         problems.append(f"checks.divergence_radii: need at least 3 increasing radii, "
                         f"got {list(radii)}")
-    if cfg.horizon > 0 and cfg.slices >= 1:
-        step = cfg.horizon / cfg.slices
-        tol = SLICE_TIME_TOL * max(1.0, cfg.horizon)
-        for check, key, times in (("profile", "profile_time", (cfg.profile_time,)),
-                                  ("window", "window_time", (cfg.window_time,)),
-                                  ("window", "short_times", cfg.short_times),
-                                  ("divergence", "divergence_time", (cfg.divergence_time,)),
-                                  ("next_order", "next_order_time", (cfg.next_order_time,))):
-            off = [t for t in times if check in cfg.checks and not (
-                0 < t <= cfg.horizon and abs(t - round(t / step) * step) <= tol)]
-            if off:
-                problems.append(
-                    f"checks.{key}: {', '.join(f'{t:g}' for t in off)} not a slice time "
-                    f"k*horizon/slices in (0, {cfg.horizon:g}] (slices = {cfg.slices})")
-        # the sweep fits its norms at the slice times the solved trajectory
-        # snaps sweep_times to (``Trajectory.nearest_time``)
-        times = np.linspace(0.0, cfg.horizon, cfg.slices + 1)
+    # the sweep fits its norms at the slice times the solved trajectory snaps
+    # sweep_times to (``Trajectory.nearest_time``)
+    if "sweep" in cfg.checks and times is not None:
         snapped = {nearest_slice(times, t) for t in cfg.sweep_times}
-        if "sweep" in cfg.checks and (0 in snapped or len(snapped) < 5 or any(
-                not 0 < t <= cfg.horizon for t in cfg.sweep_times)):
+        if 0 in snapped or len(snapped) < 5 or any(
+                not 0 < t <= cfg.horizon for t in cfg.sweep_times):
             problems.append(
                 f"checks.sweep_times: need times in (0, {cfg.horizon:g}] that snap to at least "
                 f"5 distinct slice times k*horizon/slices > 0 (slices = {cfg.slices})")
-    for check, key, pairs in (("sweep", "sweep_pairs", cfg.sweep_pairs),
-                              ("divergence", "divergence_pairs", cfg.divergence_pairs)):
-        if check in cfg.checks and not pairs:
-            problems.append(f"checks.{key}: need at least one alpha:p pair")
     return problems

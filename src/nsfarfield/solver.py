@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .config import SLICE_TIME_TOL, nearest_slice
+from .config import nearest_slice, on_slice
 from .forcing import ForceModel, InitialData, force_integral, validate_assumptions
 from .grid import BoxGrid, VectorFieldGrid, leray_apply, read_snapshot
 
@@ -416,10 +416,9 @@ class Trajectory:
         return all(log[i] < log[i - 1] for i in range(2, len(log)))
 
     def slice_index(self, t: float) -> int:
-        i = nearest_slice(self.times, t)
-        if abs(self.times[i] - t) > SLICE_TIME_TOL * max(1.0, self.horizon):
+        if not on_slice(self.times, t):
             raise ValueError(f"time {t} is not a sample time of this trajectory")
-        return i
+        return nearest_slice(self.times, t)
 
     def nearest_time(self, t: float) -> float:
         """Snap to the closest sample time."""

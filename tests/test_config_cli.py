@@ -14,7 +14,7 @@ import pytest
 
 import helpers
 from nsfarfield import cli
-from nsfarfield.config import ConfigError, parse_config
+from nsfarfield.config import CHECKS, ConfigError, parse_config
 from nsfarfield.grid import BoxGrid, VectorFieldGrid, read_snapshot
 
 QUICK = """\
@@ -203,6 +203,42 @@ class TestParseConfig:
             parse_config("[output]\nthreads = 2\n")
         with pytest.raises(ConfigError, match="unknown check"):
             parse_config("[checks]\nrun = profile suchcheck\n")
+
+    def test_unknown_check_names_every_known_check(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[checks]\nrun = profile suchcheck\n")
+        assert exc.value.problems == [
+            "checks.run: unknown check 'suchcheck' (known: kernel, profile, window, sweep, "
+            "divergence, lemlog, next_order)"]
+
+    def test_repeated_check_is_one_problem(self):
+        # run names a subset of the checks: a name given twice or more is one
+        # problem, not a second run over the same artifacts
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[checks]\nrun = lemlog profile lemlog lemlog\n")
+        assert exc.value.problems == ["checks.run: 'lemlog' named more than once"]
+
+    def test_check_table_names_every_runner(self):
+        # the kernel check has no runner: run_verify runs it as kernel-check does
+        assert set(cli._CHECK_RUNNERS) | {"kernel"} == set(CHECKS)
+
+    def test_two_checks_break_their_rules_in_table_order(self):
+        # each selected check's rules in the order of CHECKS, not of run: the
+        # window's times, then its radii; the divergence pairs, then its radii
+        text = QUICK.replace("run = lemlog", "run = divergence window") + (
+            "\n[checks]\nwindow_time = 0.3\nwindow_radii = 1 16 24\n"
+            "short_times = 0.1 0.125\ndivergence_time = 0.5\ndivergence_pairs =\n"
+            "divergence_radii = 32 64\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        grid = "k*horizon/slices in (0, 0.5] (slices = 16)"
+        assert exc.value.problems == [
+            f"checks.window_time: 0.3 not a slice time {grid}",
+            f"checks.short_times: 0.1 not a slice time {grid}",
+            "checks.window_radii: need at least 5 radii for the power-law fit, got 3",
+            "checks.window_radii: radii [1.0] violate |x| >= e sqrt(t) = 1.489",
+            "checks.divergence_pairs: need at least one alpha:p pair",
+            "checks.divergence_radii: need at least 3 increasing radii, got [32.0, 64.0]"]
 
     def test_window_radii_validity_region(self):
         text = "[checks]\nrun = window\nwindow_time = 4.0\nwindow_radii = 5 48 64 96 128\n"
@@ -443,6 +479,17 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"config error: {problem}"]
+        assert not list(out.glob("trajectory_*"))
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "all"])
+    def test_repeated_check_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(QUICK.replace("run = lemlog", "run = lemlog lemlog"))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["config error: checks.run: 'lemlog' named more than once"]
         assert not list(out.glob("trajectory_*"))
 
     def test_simulate_runs_without_checks(self, tmp_path):

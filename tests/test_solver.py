@@ -1008,28 +1008,65 @@ _TRAJECTORY_PINS = {
         [7.318827630590549e-05, -4.879417330854978e-05, -5.2437593419936995e-06]),
 }
 
+# The same solve at tol = 1e-10, where it stops on the certificate after one
+# sweep (bound 1.8e-12 < tol < update 3.0e-9): norms, values, iteration log,
+# kappa and bound, one entry per TRAJECTORY_FORMAT from 2 on.  Its norms lie
+# 3.2e-11 relative from the two-sweep solve's, so a change to the stop rule,
+# to ``_flux_weight`` or to ``_sweep``'s peak moves them past the pin.
+_CERTIFIED_PINS = {
+    2: ([0.0008862268357244301, 0.0007136514295138506, 0.000610755967516332,
+         0.0005528172955189732, 0.0005249868154667352, 0.00047149937993287277,
+         0.0004288098962312611, 0.00039389996542811394, 0.0003647881451305098],
+        [7.318827630633204e-05, -4.879417331261615e-05, -5.243759341915435e-06],
+        [2.965345713579259e-09], 0.0006204765719461059, 1.841069883726906e-12),
+}
+
+
+def _format_solve(tol):
+    """The pinned scenario solved at ``tol``: (trajectory, norms, values).
+
+    It has heat, force and bilinear parts, and the force switches off inside
+    the finest graded panel of slice 4, so the slice quadrature shows in the
+    values too."""
+    grid = BoxGrid(2, 8.0, 32)
+    a = build_initial_data(2, kind="curl_bump", amplitude=0.0005, width=1.0)
+    f = ForceModel(2, terms=[SeparableTerm(GaussianBump(2, width=1.0),
+                                           Indicator(0.0, 0.2487), (0.0015, 0.0005))])
+    traj = sv.picard_solve(a, f, grid, 0.5, sv.SolverOptions(slices=8, tol=tol))
+    last = traj.snapshots[-1]
+    return (traj, [sv.grid_l2(s, grid) for s in traj.snapshots],
+            [last[0, 16, 16], last[1, 18, 13], last[0, 20, 24]])
+
 
 class TestTrajectoryFormat:
+    # a reused trajectory is trusted by its manifest's format line, so a
+    # change to what the solve computes must raise TRAJECTORY_FORMAT
+    message = ("trajectory content changed: raise TRAJECTORY_FORMAT and pin the new "
+               "values under it")
+
     def test_content_pinned_under_the_format(self):
-        # a reused trajectory is trusted by its manifest's format line, so a
-        # change to what the solve computes must raise TRAJECTORY_FORMAT.  The
-        # scenario has heat, force and bilinear parts, and the force switches
-        # off inside the finest graded panel of slice 4, so the slice
-        # quadrature shows in the values too
-        grid = BoxGrid(2, 8.0, 32)
-        a = build_initial_data(2, kind="curl_bump", amplitude=0.0005, width=1.0)
-        f = ForceModel(2, terms=[SeparableTerm(GaussianBump(2, width=1.0),
-                                               Indicator(0.0, 0.2487), (0.0015, 0.0005))])
-        traj = sv.picard_solve(a, f, grid, 0.5, sv.SolverOptions(slices=8, tol=1e-12))
-        norms = [sv.grid_l2(s, grid) for s in traj.snapshots]
-        last = traj.snapshots[-1]
-        values = [last[0, 16, 16], last[1, 18, 13], last[0, 20, 24]]
-        message = ("trajectory content changed: raise TRAJECTORY_FORMAT and pin the new "
-                   "values under it")
-        assert sv.TRAJECTORY_FORMAT in _TRAJECTORY_PINS, message
+        _, norms, values = _format_solve(1e-12)
+        assert sv.TRAJECTORY_FORMAT in _TRAJECTORY_PINS, self.message
         pinned_norms, pinned_values = _TRAJECTORY_PINS[sv.TRAJECTORY_FORMAT]
-        np.testing.assert_allclose(norms, pinned_norms, rtol=1e-12, atol=0, err_msg=message)
-        np.testing.assert_allclose(values, pinned_values, rtol=1e-12, atol=0, err_msg=message)
+        np.testing.assert_allclose(norms, pinned_norms, rtol=1e-12, atol=0,
+                                   err_msg=self.message)
+        np.testing.assert_allclose(values, pinned_values, rtol=1e-12, atol=0,
+                                   err_msg=self.message)
+
+    def test_certified_stop_pinned_under_the_format(self):
+        traj, norms, values = _format_solve(1e-10)
+        assert sv.TRAJECTORY_FORMAT in _CERTIFIED_PINS, self.message
+        pinned_norms, pinned_values, log, kappa, bound = _CERTIFIED_PINS[sv.TRAJECTORY_FORMAT]
+        np.testing.assert_allclose(norms, pinned_norms, rtol=1e-12, atol=0,
+                                   err_msg=self.message)
+        np.testing.assert_allclose(values, pinned_values, rtol=1e-12, atol=0,
+                                   err_msg=self.message)
+        # one sweep; the update and the bound built on it are differences of
+        # iterates, so they carry the round-off of |u| / update ~ 1e5 ulps
+        assert len(traj.iteration_log) == len(log) == 1, self.message
+        np.testing.assert_allclose(traj.iteration_log, log, rtol=1e-9, err_msg=self.message)
+        np.testing.assert_allclose(traj.kappa, kappa, rtol=1e-12, err_msg=self.message)
+        np.testing.assert_allclose(traj.bound, bound, rtol=1e-9, err_msg=self.message)
 
 
 class TestPersistence:
