@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 import time
 
@@ -48,6 +49,7 @@ from .solver import (
     load_trajectory,
     picard_solve,
     scenario_digest,
+    staging_directory,
 )
 
 __all__ = ["main", "build_scenario", "run_scenario", "run_kernel_check"]
@@ -156,13 +158,24 @@ def _traj_dir(out_dir: str, digest: str) -> str:
 
 
 def simulate(cfg: ScenarioConfig, out_dir: str, scenario=None) -> Trajectory:
-    """Solve and persist; ``scenario`` is ``build_scenario(cfg)`` if already built."""
+    """Solve and persist; ``scenario`` is ``build_scenario(cfg)`` if already built.
+
+    The solve writes each slice into a hidden sibling of the trajectory
+    directory as it builds it, and the save renames that sibling into place;
+    a solve that raises leaves the previous trajectory as it was and removes
+    the sibling.
+    """
     grid, data, force, opts, digest = scenario or build_scenario(cfg)
     rep = validate_assumptions(force, ADMISSION_LIMIT)
-    traj = picard_solve(data, force, grid, cfg.horizon, opts, scenario_hash=digest,
-                        assumptions=rep)
-    os.makedirs(out_dir, exist_ok=True)
-    traj.save(_traj_dir(out_dir, digest))
+    tdir = _traj_dir(out_dir, digest)
+    staging = staging_directory(tdir)
+    try:
+        traj = picard_solve(data, force, grid, cfg.horizon, opts, scenario_hash=digest,
+                            assumptions=rep, directory=staging)
+        traj.save(tdir)
+    finally:
+        # after a completed save the staging directory is gone already
+        shutil.rmtree(staging, ignore_errors=True)
     verify.write_json(os.path.join(out_dir, f"simulate_{digest}.json"), {
         "scenario": cfg.name, "hash": digest,
         "sweeps": len(traj.iteration_log),

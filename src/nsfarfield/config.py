@@ -290,6 +290,14 @@ def _violations(cfg: ScenarioConfig) -> list:
                         f"{cfg.window_directions}")
     times = (np.linspace(0.0, cfg.horizon, cfg.slices + 1)
              if cfg.horizon > 0 and cfg.slices >= 1 else None)
+    # a switch inside a slice falls between the GL4 nodes of the solve's slice
+    # rule, which then misses part of tau(s): the force switches at slice times
+    off = [t for t in (cfg.time_on, cfg.time_off) if times is not None
+           and 0 <= t <= cfg.horizon and not on_slice(times, t)]
+    if off:
+        problems.append(
+            f"force.time_on/time_off: {', '.join(f'{t:g}' for t in off)} not a slice time "
+            f"k*horizon/slices (slices = {cfg.slices})")
     for check, keys in CHECKS.items():
         if check not in cfg.checks:
             continue

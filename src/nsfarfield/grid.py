@@ -27,6 +27,7 @@ __all__ = [
     "leray_apply",
     "restrict_annulus_norm",
     "read_snapshot",
+    "snapshot_header",
 ]
 
 _MAGIC = b"NSVF"
@@ -160,31 +161,50 @@ class VectorFieldGrid:
             fh.write(np.ascontiguousarray(self.components, dtype="<f8"))
 
 
+def _read_header(fh):
+    """(grid, time, sample dtype) from the header of the snapshot open in
+    ``fh``; ValueError unless it is one and the file holds exactly the
+    samples the header implies."""
+    head = fh.read(_HEADER_BYTES)
+    if head[:4] != _MAGIC:
+        raise ValueError(f"not a field snapshot: bad magic {head[:4]!r}")
+    if len(head) < _HEADER_BYTES:
+        raise ValueError(f"snapshot header cut at {len(head)} of {_HEADER_BYTES} bytes")
+    if head[4] != _VERSION:
+        raise ValueError(f"unsupported snapshot version {head[4]}")
+    endian = head[5:6]
+    if endian not in (b"<", b">"):
+        raise ValueError(f"bad endianness tag {endian!r}")
+    tag = endian.decode()
+    d, n, length, time, ncomp = struct.unpack(f"{tag}IIddI", head[6:])
+    grid = BoxGrid(d, length, n)
+    if ncomp != d:
+        raise ValueError(f"snapshot has {ncomp} components in d = {d}")
+    size, expected = os.fstat(fh.fileno()).st_size - _HEADER_BYTES, ncomp * n**d * 8
+    if size < expected:
+        raise ValueError(f"snapshot data cut at {size} of {expected} bytes")
+    if size > expected:
+        raise ValueError(f"snapshot data runs {size - expected} bytes past the "
+                         f"{expected} its header implies")
+    return grid, time, f"{tag}f8"
+
+
+def snapshot_header(path) -> tuple:
+    """(grid, time) of a snapshot file, checked as ``read_snapshot`` checks
+    it; no sample is read."""
+    with open(path, "rb") as fh:
+        grid, time, _ = _read_header(fh)
+    return grid, time
+
+
 def read_snapshot(path) -> VectorFieldGrid:
     """Read a snapshot written by VectorFieldGrid.save; ValueError if it is
-    not one or is cut short.  The header is checked against d and the file
-    size before the data array is allocated, so a header that claims more
-    data than the file holds allocates nothing."""
+    not one, or is cut short or runs long.  The header is checked against d
+    and the file size before the data array is allocated, so a header that
+    claims more data than the file holds allocates nothing."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER_BYTES)
-        if head[:4] != _MAGIC:
-            raise ValueError(f"not a field snapshot: bad magic {head[:4]!r}")
-        if len(head) < _HEADER_BYTES:
-            raise ValueError(f"snapshot header cut at {len(head)} of {_HEADER_BYTES} bytes")
-        if head[4] != _VERSION:
-            raise ValueError(f"unsupported snapshot version {head[4]}")
-        endian = head[5:6]
-        if endian not in (b"<", b">"):
-            raise ValueError(f"bad endianness tag {endian!r}")
-        tag = endian.decode()
-        d, n, length, time, ncomp = struct.unpack(f"{tag}IIddI", head[6:])
-        grid = BoxGrid(d, length, n)
-        if ncomp != d:
-            raise ValueError(f"snapshot has {ncomp} components in d = {d}")
-        size, expected = os.fstat(fh.fileno()).st_size - _HEADER_BYTES, ncomp * n**d * 8
-        if size < expected:
-            raise ValueError(f"snapshot data cut at {size} of {expected} bytes")
-        data = np.empty((ncomp,) + grid.shape, dtype=f"{tag}f8")
+        grid, time, dtype = _read_header(fh)
+        data = np.empty((grid.d,) + grid.shape, dtype=dtype)
         fh.readinto(data)
     if not data.dtype.isnative:
         data = data.astype(float)

@@ -26,7 +26,10 @@ on the real-FFT half spectrum.  In d = 2 the projected flux divergence is
 i k_perp s with one scalar s per mode, so B accumulates scalars.  A sweep
 writes each new slice over the old one as soon as its update norm is taken:
 the old slice's flux has been read by then, so the iteration stays Jacobi
-and the solve holds one list of snapshots.  On large grids one helper
+and the solve holds one sequence of snapshots.  The first sweep starts from
+u^(0), which is the recursion's own heat a + L(f) part, so u^(0) is never
+held whole.  When that sequence is files (``SnapshotFiles``), a solve holds
+only the slices of a stencil or so in memory.  On large grids one helper
 thread computes those fluxes' sources a few slices ahead of the recursion
 (``_source_lane``).  The iteration stops once the certified distance of
 u^(k) to the discrete fixed point, a Banach bound from a Lipschitz constant
@@ -87,11 +90,13 @@ import numpy as np
 from . import kernels
 from .config import nearest_slice, on_slice
 from .forcing import ForceModel, InitialData, force_integral, validate_assumptions
-from .grid import BoxGrid, VectorFieldGrid, leray_apply, read_snapshot
+from .grid import BoxGrid, VectorFieldGrid, leray_apply, read_snapshot, snapshot_header
 
 __all__ = [
     "SolverOptions",
     "Trajectory",
+    "SnapshotFiles",
+    "staging_directory",
     "SolverError",
     "AdmissionError",
     "ContractionError",
@@ -144,10 +149,11 @@ _FOLD_COLUMNS = 16
 # The flux-source lane of _mild_series: on grids of at least _LANE_POINTS
 # points, with at least _LANE_CPUS usable CPUs, one helper thread computes
 # the flux sources of the next stencil slices while the main thread runs the
-# recursion.  On smaller grids the thread handoffs cost more than the work
-# they overlap.  While slice m is built the lane queues sources through
-# slice m + _LANE_REACH; the stencil of slice m reaches m + 1 (m + 2 at
-# m = 1).
+# recursion: it reads each history slice, or, in a first sweep, transforms
+# u^(0) back from its spectrum, then takes the source.  On smaller grids the
+# thread handoffs cost more than the work they overlap.  While slice m is
+# built the lane queues sources through slice m + _LANE_REACH; the stencil of
+# slice m reaches m + 1 (m + 2 at m = 1).
 _LANE_POINTS = 1 << 16
 _LANE_CPUS = 2
 _LANE_REACH = 3
@@ -373,27 +379,94 @@ class _SpectralOps:
         return self._lift * source
 
 
+def _snapshot_name(i: int) -> str:
+    return f"u{i:05d}.nsvf"
+
+
+def staging_directory(directory) -> str:
+    """A new, empty hidden sibling of ``directory`` for a trajectory on its
+    way there.  ``Trajectory.save`` into ``directory`` renames it into
+    place, and sweeps away any that a killed run left behind."""
+    parent, name = os.path.split(os.path.abspath(directory))
+    os.makedirs(parent, exist_ok=True)
+    return tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+
+
+class SnapshotFiles:
+    """The snapshots of one trajectory as the ``u{i:05d}.nsvf`` files of one
+    directory, for a trajectory that is not held in memory.
+
+    Reading slice i reads its file (``read_snapshot``), and assigning or
+    appending a slice writes it; no file stays open.  A file whose header no
+    longer holds this trajectory's grid and slice time raises ValueError.
+    """
+
+    def __init__(self, directory, grid: BoxGrid, times: np.ndarray, count: int = 0):
+        self.directory = os.path.abspath(directory)
+        self.grid = grid
+        self.times = times
+        self._count = count
+
+    def path(self, i: int) -> str:
+        return os.path.join(self.directory, _snapshot_name(i))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(self._count)[i]
+        fld = read_snapshot(self.path(i))
+        if fld.grid != self.grid or fld.time != float(self.times[i]):
+            raise ValueError(f"{self.path(i)} no longer holds slice {i} of its trajectory")
+        return fld.components
+
+    def __iter__(self):
+        return (self[i] for i in range(self._count))
+
+    def __setitem__(self, i: int, comps: np.ndarray) -> None:
+        i = range(self._count)[i]
+        VectorFieldGrid(self.grid, comps, time=float(self.times[i])).save(self.path(i))
+
+    def append(self, comps: np.ndarray) -> None:
+        self._count += 1
+        self[-1] = comps
+
+
+def _decay_sup(comps: np.ndarray, weight: np.ndarray) -> float:
+    """max over the grid of weight * |u| for one snapshot's components."""
+    mag = comps[0] * comps[0]
+    for c in comps[1:]:
+        mag += c * c
+    np.sqrt(mag, out=mag)
+    mag *= weight
+    return float(mag.max())
+
+
 class Trajectory:
     """Solved trajectory: mean-free snapshots plus analytic drift bookkeeping.
 
-    ``kappa`` is the Lipschitz constant of the Picard map certified at the
-    last sweep, and ``bound`` the certified distance of the snapshots to the
-    discrete fixed point, or None when kappa > 1/2 certifies none (see
-    ``picard_solve``).
+    ``snapshots`` is a list of (d, N..N) mean-free arrays, or ``SnapshotFiles``
+    that read them from disk one at a time.  ``kappa`` is the Lipschitz
+    constant of the Picard map certified at the last sweep, and ``bound``
+    the certified distance of the snapshots to the discrete fixed point, or
+    None when kappa > 1/2 certifies none (see ``picard_solve``).  ``decay``,
+    when the solve measured it, is the value of ``decay_constant``.
     """
 
-    def __init__(self, grid: BoxGrid, times: np.ndarray, snapshots: list,
+    def __init__(self, grid: BoxGrid, times: np.ndarray, snapshots,
                  drift: np.ndarray, iteration_log: list, scenario_hash: str = "", *,
-                 kappa: float, bound: float | None):
+                 kappa: float, bound: float | None, decay: float | None = None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
-        self.snapshots = snapshots          # list of (d, N..N) mean-free arrays
+        self.snapshots = snapshots
         self.drift = np.asarray(drift)      # (M+1, d) uniform box drift
         self.iteration_log = list(iteration_log)
         self.scenario_hash = scenario_hash
         self.kappa = kappa
         self.bound = bound
         self._cache = {}                    # derived data built on first use
+        if decay is not None:
+            self._cache["decay_constant"] = decay
 
     def _cached(self, key, build):
         """The cache entry under ``key``, built by ``build()`` on first use."""
@@ -429,17 +502,13 @@ class Trajectory:
         return VectorFieldGrid(self.grid, self.snapshots[i].copy(), time=float(self.times[i]))
 
     def decay_constant(self) -> float:
-        """Measured sup over slices of (1+|x|)^d |u| on the grid snapshots."""
+        """Measured sup over slices of (1+|x|)^d |u| on the grid snapshots,
+        in one pass over them."""
         def build():
             w = (1.0 + self.grid.radius) ** self.grid.d
             best = 0.0
             for comps in self.snapshots:
-                mag = comps[0] * comps[0]
-                for c in comps[1:]:
-                    mag += c * c
-                np.sqrt(mag, out=mag)
-                mag *= w
-                best = max(best, float(mag.max()))
+                best = max(best, _decay_sup(comps, w))
             return best
 
         return self._cached("decay_constant", build)
@@ -482,16 +551,24 @@ class Trajectory:
         Everything is written into a hidden sibling directory that is then
         renamed into place, so an interrupted save leaves the previous
         directory complete, or no directory at all, and never a partial one.
-        A directory already in place is first renamed aside, then deleted,
-        and so are the hidden siblings that a killed save left behind.
+        Snapshot files that already sit in such a sibling, as a solve into
+        ``staging_directory(directory)`` leaves them, stay where they are:
+        the save adds the manifest, renames that sibling into place, and the
+        snapshots are read from ``directory`` from then on.  A directory
+        already in place is first renamed aside, then deleted, and so are
+        the hidden siblings that a killed run left behind.
         """
         directory = os.path.abspath(directory)
         parent, name = os.path.split(directory)
+        files = self.snapshots if isinstance(self.snapshots, SnapshotFiles) else None
+        staged = files is not None and os.path.dirname(files.directory) == parent and \
+            os.path.basename(files.directory).startswith(f".{name}.")
         os.makedirs(parent, exist_ok=True)
         for entry in os.listdir(parent):
-            if entry.startswith(f".{name}."):
-                shutil.rmtree(os.path.join(parent, entry), ignore_errors=True)
-        staging = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+            path = os.path.join(parent, entry)
+            if entry.startswith(f".{name}.") and not (staged and path == files.directory):
+                shutil.rmtree(path, ignore_errors=True)
+        staging = files.directory if staged else staging_directory(directory)
         old = None
         try:
             lines = [f"format {TRAJECTORY_FORMAT}",
@@ -501,9 +578,10 @@ class Trajectory:
                      f"kappa {float(self.kappa)!r}",
                      f"bound {'none' if self.bound is None else repr(float(self.bound))}"]
             for i, t in enumerate(self.times):
-                snap = f"u{i:05d}.nsvf"
-                VectorFieldGrid(self.grid, self.snapshots[i], time=float(t)).save(
-                    os.path.join(staging, snap))
+                snap = _snapshot_name(i)
+                if not staged:
+                    VectorFieldGrid(self.grid, self.snapshots[i], time=float(t)).save(
+                        os.path.join(staging, snap))
                 drift = " ".join(repr(float(v)) for v in self.drift[i])
                 lines.append(f"snapshot {i} {float(t)!r} {snap} {drift}")
             with open(os.path.join(staging, "manifest.txt"), "w") as fh:
@@ -512,6 +590,8 @@ class Trajectory:
                 old = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
                 os.replace(directory, old)
             os.replace(staging, directory)
+            if staged:
+                files.directory = directory
         finally:
             # after a completed save the staging directory is gone already
             shutil.rmtree(staging, ignore_errors=True)
@@ -520,9 +600,10 @@ class Trajectory:
 
 
 def load_trajectory(directory) -> Trajectory:
-    """Read a ``Trajectory.save`` directory; ValueError unless the manifest is
-    whole and current and every snapshot's header agrees with it and with the
-    first snapshot's grid.
+    """Open a ``Trajectory.save`` directory; ValueError unless the manifest is
+    whole and current and every snapshot's header and size agree with it and
+    with the first snapshot's grid.  No sample is read here: the trajectory's
+    ``SnapshotFiles`` read each snapshot when it is asked for.
 
     The manifest holds one ``iteration_log``, ``kappa`` and ``bound`` line
     each, every number on them finite; ``bound none`` stands for no
@@ -568,26 +649,29 @@ def load_trajectory(directory) -> Trajectory:
         raise ValueError(f"{directory}: the manifest lists {len(entries)} snapshots "
                          f"for {slices} slices")
     entries.sort(key=lambda p: int(p[1]))
-    times, snaps, drifts = [], [], []
+    times, drifts = [], []
     grid = None
-    for parts in entries:
+    for i, parts in enumerate(entries):
+        if int(parts[1]) != i or parts[3] != _snapshot_name(i):
+            raise ValueError(f"{directory}: the manifest line {' '.join(parts[:4])!r} "
+                             f"is not slice {i} in {_snapshot_name(i)}")
         times.append(float(parts[2]))
-        fld = read_snapshot(os.path.join(directory, parts[3]))
-        if len(parts) != 4 + fld.grid.d:
-            raise ValueError(f"{directory}: snapshot {parts[1]} lists {len(parts) - 4} "
-                             f"drift components for d = {fld.grid.d}")
+        snap_grid, snap_time = snapshot_header(os.path.join(directory, parts[3]))
+        if len(parts) != 4 + snap_grid.d:
+            raise ValueError(f"{directory}: snapshot {i} lists {len(parts) - 4} "
+                             f"drift components for d = {snap_grid.d}")
         # header and manifest are written from the same grid and float(t)
-        if grid is not None and fld.grid != grid:
-            raise ValueError(f"{directory}: snapshot {parts[1]} is on {fld.grid!r}, "
+        if grid is not None and snap_grid != grid:
+            raise ValueError(f"{directory}: snapshot {i} is on {snap_grid!r}, "
                              f"the first on {grid!r}")
-        if fld.time != times[-1]:
-            raise ValueError(f"{directory}: snapshot {parts[1]} holds time {fld.time!r}, "
+        if snap_time != times[-1]:
+            raise ValueError(f"{directory}: snapshot {i} holds time {snap_time!r}, "
                              f"the manifest lists {times[-1]!r}")
-        grid = fld.grid
-        snaps.append(fld.components)
+        grid = snap_grid
         drifts.append([float(v) for v in parts[4:]])
-    return Trajectory(grid, np.array(times), snaps, np.array(drifts), log, scenario_hash,
-                      kappa=kappa, bound=bound)
+    times = np.array(times)
+    return Trajectory(grid, times, SnapshotFiles(directory, grid, times, len(entries)),
+                      np.array(drifts), log, scenario_hash, kappa=kappa, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -751,49 +835,28 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
     slice costs one lift, taken off a copy of the vector accumulator at the
     block, and one inverse transform.
 
-    ``history`` is (snapshots, drift).  Slice m's stencil reaches an index
-    >= m, so the source of snapshots[m] is taken, or queued on the lane
-    (``_source_lane``) with the array it reads, before slice m is yielded:
-    a caller may replace snapshots[m] (m >= 1) with the yielded slice m.
-    The lane runs ``flux_source`` on the same arrays as the inline call, so
-    every value is the same with and without it.
+    ``history`` is (snapshots, drift), and with it each slice comes as the
+    pair (slice, the history slice it replaces).  A history slice at an
+    index >= len(snapshots), every one in a first sweep, is u^(0) =
+    heat(a) + L(f), the inverse transform of the vector accumulator there:
+    the accumulator runs ahead of the slice being built, a copy kept per
+    slice, as far as the sources are queued.  Slice m's stencil reaches an
+    index >= m, so the source of history slice m is taken, or queued on the
+    lane (``_source_lane``), before slice m is yielded: a caller may then
+    replace snapshots[m] (m >= 1) with the yielded slice m.  The lane makes
+    the same calls on the same arrays as the inline path, so every value is
+    the same with and without it.
     """
     d = ops.grid.d
     rule = _slice_rule(ops, times, opts)
-    acc = np.zeros((d,) + ops.shape, dtype=complex)
-    if a is not None:
-        acc += ops.project(ops.fft(a.to_field(ops.grid).components))
-        acc[(slice(None),) + (0,) * d] = 0.0
     specs = [] if f is None else _force_spectra(ops, f)
-    sources: dict = {}
-    lane = None
-    if history is not None:
-        snapshots, drift = history
-        decay = ops.block(rule.decay)
-        bil = np.zeros(ops.block_shape if d == 2 else (d,) + ops.block_shape, dtype=complex)
-        lane = _source_lane(ops.grid)
-        columns = _stencil_columns(rule)
 
-    @functools.cache
-    def stencil_fields(offset: int, size: int):
-        return [ops.block(c[rule.index]) for c in columns(offset, size)]
-
-    queued = 0
-
-    def queue(last: int) -> None:
-        """Take, or queue on the lane, every source through slice ``last``."""
-        nonlocal queued
-        for i in range(queued, min(last, times.size - 1) + 1):
-            if lane is None:
-                sources[i] = ops.flux_source(snapshots[i], drift[i])
-            else:
-                sources[i] = lane.submit(ops.flux_source, snapshots[i], drift[i])
-            queued = i + 1
-
-    try:
-        if lane is not None:
-            queue(_LANE_REACH)
-        yield ops.ifft(acc)
+    def linear():
+        acc = np.zeros((d,) + ops.shape, dtype=complex)
+        if a is not None:
+            acc += ops.project(ops.fft(a.to_field(ops.grid).components))
+            acc[(slice(None),) + (0,) * d] = 0.0
+        yield acc
         for m in range(1, times.size):
             acc *= rule.decay
             tv = f.time_profile.value(times[m - 1] + rule.offsets) if specs else 0.0
@@ -801,18 +864,64 @@ def _mild_series(ops: _SpectralOps, times: np.ndarray, opts: SolverOptions,
                 fold = rule.fold(tv)
                 for spec in specs:
                     acc += fold * spec
-            total = acc
-            if history is not None:
-                idx = _stencil(m, times.size - 1)
-                for i in [i for i in sources if i < idx[0]]:
-                    del sources[i]
-                queue(idx[-1] if lane is None else m + _LANE_REACH)
-                bil *= decay
-                for i, weight in zip(idx, stencil_fields(m - idx[0], len(idx))):
-                    bil += weight * (sources[i] if lane is None else sources[i].result())
-                total = acc.copy()
-                ops.subtract_block(total, ops.lift(bil))
-            yield ops.ifft(total)
+            yield acc
+
+    if history is None:
+        for acc in linear():
+            yield ops.ifft(acc)
+        return
+
+    snapshots, drift = history
+    n_slices = times.size - 1
+    decay = ops.block(rule.decay)
+    bil = np.zeros(ops.block_shape if d == 2 else (d,) + ops.block_shape, dtype=complex)
+    columns = _stencil_columns(rule)
+    lane = _source_lane(ops.grid)
+    spectra = enumerate(linear())
+    ahead = {}          # slice -> its heat(a) + L(f) spectrum, until the slice is built
+    sources = {}        # slice -> (history slice, flux source), or the lane's future
+    queued = 0
+
+    @functools.cache
+    def stencil_fields(offset: int, size: int):
+        return [ops.block(c[rule.index]) for c in columns(offset, size)]
+
+    def spectrum(i: int) -> np.ndarray:
+        while i not in ahead:
+            j, acc = next(spectra)
+            ahead[j] = acc.copy()
+        return ahead[i]
+
+    def source(i: int, spec) -> tuple:
+        u = snapshots[i] if spec is None else ops.ifft(spec)
+        return u, ops.flux_source(u, drift[i])
+
+    def queue(last: int) -> None:
+        """Take, or queue on the lane, every source through slice ``last``."""
+        nonlocal queued
+        for i in range(queued, min(last, n_slices) + 1):
+            spec = spectrum(i) if i >= len(snapshots) else None
+            sources[i] = source(i, spec) if lane is None else lane.submit(source, i, spec)
+            queued = i + 1
+
+    def taken(i: int) -> tuple:
+        return sources[i] if lane is None else sources[i].result()
+
+    try:
+        queue(_LANE_REACH if lane is not None else 0)
+        yield ops.ifft(spectrum(0)), taken(0)[0]
+        for m in range(1, times.size):
+            del ahead[m - 1]
+            idx = _stencil(m, n_slices)
+            for i in [i for i in sources if i < idx[0]]:
+                del sources[i]
+            queue(idx[-1] if lane is None else m + _LANE_REACH)
+            bil *= decay
+            for i, weight in zip(idx, stencil_fields(m - idx[0], len(idx))):
+                bil += weight * taken(i)[1]
+            total = spectrum(m)
+            ops.subtract_block(total, ops.lift(bil))
+            yield ops.ifft(total), taken(m)[0]
     finally:
         if lane is not None:
             lane.shutdown(cancel_futures=True)
@@ -824,33 +933,48 @@ def _linear_series(ops: _SpectralOps, f: ForceModel, times: np.ndarray,
     return list(_mild_series(ops, times, opts, f=f))
 
 
-def _sweep(ops: _SpectralOps, a: InitialData, f: ForceModel, snapshots: list,
+def _sweep(ops: _SpectralOps, a: InitialData, f: ForceModel, snapshots,
            drift: np.ndarray, times: np.ndarray, opts: SolverOptions) -> tuple:
-    """(update, peak) of one Picard sweep: the sup over slice times of the L2
-    update norm, and an upper bound on sup |u + D| over the new slices.
+    """(update, peak, decay) of one Picard sweep: the sup over slice times
+    of the L2 update norm, an upper bound on sup |u + D| over the new
+    slices, and their ``Trajectory.decay_constant``.
 
     Slice m >= 1 of the sweep replaces snapshots[m] right after its norm is
     taken; ``_mild_series`` has read the old slice by then, so this is still
-    the Jacobi iteration.  Slice 0 is heat(a) at t = 0 in every sweep.  The
-    peak of a slice is sqrt(sum_i max(|max u_i + D_i|, |min u_i + D_i|)^2)
-    over its components i, which makes no full-grid temporary.
+    the Jacobi iteration.  Slice 0 is heat(a) at t = 0 in every sweep.  An
+    empty ``snapshots`` makes this the first sweep: it starts from u^(0) =
+    heat(a) + L(f), which the series builds on the way, and appends every
+    slice.  The peak of a slice is sqrt(sum_i max(|max u_i + D_i|,
+    |min u_i + D_i|)^2) over its components i, which makes no full-grid
+    temporary.
     """
-    update = peak = 0.0
+    update = peak = decay = 0.0
     diff = None
-    for m, new in enumerate(_mild_series(ops, times, opts, a, f, (snapshots, drift))):
+    weight = (1.0 + ops.grid.radius) ** ops.grid.d
+    for m, (new, old) in enumerate(_mild_series(ops, times, opts, a, f, (snapshots, drift))):
         extremes = [max(abs(c.max() + dv), abs(c.min() + dv)) for c, dv in zip(new, drift[m])]
         peak = max(peak, math.sqrt(sum(e * e for e in extremes)))
-        diff = np.subtract(new, snapshots[m], out=diff)
+        decay = max(decay, _decay_sup(new, weight))
+        diff = np.subtract(new, old, out=diff)
         update = max(update, grid_l2(diff, ops.grid, out=diff))
-        if m > 0:
+        if m == len(snapshots):
+            snapshots.append(new)
+        elif m > 0:
             snapshots[m] = new
-    return update, peak
+    return update, peak, decay
 
 
 def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
                  opts: SolverOptions = SolverOptions(),
-                 scenario_hash: str = "", assumptions=None) -> Trajectory:
+                 scenario_hash: str = "", assumptions=None,
+                 directory=None) -> Trajectory:
     """Iterate the integral formulation to its discrete fixed point.
+
+    The trajectory's snapshots are a list, or, when ``directory`` (an empty
+    directory) is given, ``SnapshotFiles`` there: each sweep writes every
+    slice to its file as it is built, and the solve holds no more than a
+    stencil of slices in memory.  u^(0) = heat a + L(f) is the first
+    sweep's own linear part, never a list of slices.
 
     Sweep k applies the discrete Picard map Phi(u) = heat a + L(f) - B(u, u)
     to the iterate u_{k-1} on every slice at once and gives u_k.  With
@@ -913,10 +1037,10 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
     drift = np.stack([force_integral(f, float(t)) / vol for t in times])
 
     weight = _flux_weight(ops, times, opts)
-    snapshots = list(_mild_series(ops, times, opts, a, f))   # heat a + L(f)
+    snapshots = [] if directory is None else SnapshotFiles(directory, grid, times)
     log = []
     for sweep in range(1, opts.max_sweeps + 1):
-        update, peak = _sweep(ops, a, f, snapshots, drift, times, opts)
+        update, peak, decay = _sweep(ops, a, f, snapshots, drift, times, opts)
         log.append(update)
         kappa = 2.0 * weight * (peak + grid.spacing ** (-grid.d / 2) * update)
         bound = kappa / (1.0 - kappa) * update if kappa <= 0.5 else None
@@ -930,7 +1054,7 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
             f"no convergence to tol={opts.tol:g} in {opts.max_sweeps} sweeps: {log}", log)
 
     return Trajectory(grid, times, snapshots, drift, log, scenario_hash,
-                      kappa=kappa, bound=bound)
+                      kappa=kappa, bound=bound, decay=decay)
 
 
 def integral_residual(traj: Trajectory, a: InitialData, f: ForceModel,

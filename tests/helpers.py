@@ -223,13 +223,21 @@ def mild_series_full(ops, times, opts, a=None, f=None, history=None):
 
 def sweep_full(ops, a, f, snapshots, drift, times, opts):
     """``solver._sweep`` on ``mild_series_full``, with a new array for every
-    difference and square; its peak is the same per-component bound."""
-    update = peak = 0.0
-    for m, new in enumerate(mild_series_full(ops, times, opts, a, f, (snapshots, drift))):
-        update = max(update, sv.grid_l2(new - snapshots[m], ops.grid))
+    difference and square; its peak is the same per-component bound and its
+    decay constant the same sup.  A first sweep (empty ``snapshots``) starts
+    from the whole list u^(0) = heat a + L(f) and appends every slice."""
+    first = not snapshots
+    history = list(mild_series_full(ops, times, opts, a, f)) if first else snapshots
+    update = peak = decay = 0.0
+    weight = (1.0 + ops.grid.radius) ** ops.grid.d
+    for m, new in enumerate(mild_series_full(ops, times, opts, a, f, (history, drift))):
+        update = max(update, sv.grid_l2(new - history[m], ops.grid))
         ext = np.maximum(np.abs(new.max(axis=tuple(range(1, new.ndim))) + drift[m]),
                          np.abs(new.min(axis=tuple(range(1, new.ndim))) + drift[m]))
         peak = max(peak, float(np.sqrt(np.sum(ext * ext))))
+        decay = max(decay, float((np.sqrt(np.sum(new * new, axis=0)) * weight).max()))
         if m > 0:
-            snapshots[m] = new
-    return update, peak
+            history[m] = new
+        if first:
+            snapshots.append(new)
+    return update, peak, decay

@@ -111,6 +111,8 @@ def _truncate(path, size=None):
 _DAMAGE = {
     "manifest_deleted": lambda tdir: (tdir / "manifest.txt").unlink(),
     "snapshot_truncated": lambda tdir: _truncate(tdir / "u00003.nsvf"),
+    "snapshot_extended": lambda tdir: (tdir / "u00003.nsvf").write_bytes(
+        (tdir / "u00003.nsvf").read_bytes() + b"\0"),
     # inside the 34-byte header
     "snapshot_header_cut": lambda tdir: _truncate(tdir / "u00003.nsvf", 20),
     "snapshot_deleted": lambda tdir: (tdir / "u00003.nsvf").unlink(),
@@ -375,6 +377,19 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith(f"config error: checks.{key}:"), lines
         assert not list(out.glob("trajectory_*"))
 
+    @pytest.mark.parametrize("old,new", [("time_on = 0.0", "time_on = 0.01"),
+                                         ("time_off = 0.25", "time_off = 0.3")])
+    def test_force_switch_off_the_slices_is_a_config_error(self, tmp_path, capsys, old, new):
+        # the force switches on and off at slice times k/32, checked before
+        # any solve: no output directory is made
+        cfg = tmp_path / "offgrid.cfg"
+        cfg.write_text(QUICK.replace(old, new))
+        out = tmp_path / "o"
+        assert cli.main(["all", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: force.time_on/time_off:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("run,key,value", [
         ("sweep", "sweep_pairs", ""),
         ("divergence", "divergence_pairs", ""),
@@ -413,8 +428,10 @@ class TestCli:
         times = traj.times
         fixed = tuple(float(times[i]) for i in (slices // 2, slices * 5 // 8,
                                                 slices * 3 // 4, slices))
+        # the force switches off at a slice time of either grid
         base = QUICK.replace("run = lemlog", "run = sweep").replace(
-            "horizon = 0.5\nslices = 16", f"horizon = {horizon!r}\nslices = {slices}")
+            "horizon = 0.5\nslices = 16", f"horizon = {horizon!r}\nslices = {slices}").replace(
+            "time_off = 0.25", f"time_off = {horizon / 2!r}")
         outcomes = set()
         for k in range(slices):
             half = (k + 0.5) * horizon / slices
@@ -690,3 +707,38 @@ class TestCli:
         code = cli.main(["verify", "--config", str(cfg), "--out", str(out)])
         assert code == cli.EXIT_PASS
         assert _artifact_hashes(out) == expected
+
+    def test_failed_resolve_keeps_the_previous_trajectory(self, fresh_verify, tmp_path):
+        # a re-solve that runs out of sweeps after writing two sweeps into
+        # its staging directory: the saved trajectory stays whole, and
+        # nothing is left next to it
+        from nsfarfield.solver import ConvergenceError, SolverOptions
+
+        cfg, fresh, _ = fresh_verify
+        out = tmp_path / "out"
+        shutil.copytree(fresh, out)
+        before = _artifact_hashes(out)
+        config = parse_config(cfg.read_text())
+        grid, data, force, _, digest = cli.build_scenario(config)
+        scenario = (grid, data, force, SolverOptions(slices=config.slices, tol=1e-300,
+                                                     max_sweeps=2), digest)
+        with pytest.raises(ConvergenceError):
+            cli.simulate(config, str(out), scenario)
+        assert _artifact_hashes(out) == before
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+
+    def test_all_reads_no_snapshot_sample_for_kernel_and_lemlog(self, tmp_path, monkeypatch):
+        # the solve streams its slices to disk and hands the save its decay
+        # constant; verify checks the headers and reads no sample for checks
+        # that evaluate no field
+        from nsfarfield import solver
+
+        def refuse(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(solver, "read_snapshot", refuse)
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK.replace("run = lemlog", "run = kernel lemlog"))
+        out = tmp_path / "out"
+        assert cli.main(["all", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PASS
+        assert len(list(next(out.glob("trajectory_*")).glob("u*.nsvf"))) == 17

@@ -15,6 +15,7 @@ from nsfarfield.grid import (
     leray_apply,
     read_snapshot,
     restrict_annulus_norm,
+    snapshot_header,
 )
 
 
@@ -217,6 +218,16 @@ class TestSnapshotIO:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ValueError, match="cut"):
             read_snapshot(path)
+
+    def test_long_data_rejected(self, box2, tmp_path):
+        # one byte past the samples the header implies: the header read alone
+        # refuses it as well
+        path = tmp_path / "long.nsvf"
+        random_field(box2, seed=17).save(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        for read in (read_snapshot, snapshot_header):
+            with pytest.raises(ValueError, match="past"):
+                read(path)
 
     @pytest.mark.parametrize("field", [{"n": 1 << 20}, {"ncomp": 64}])
     def test_lying_header_rejected_before_allocating(self, box2, tmp_path, field):

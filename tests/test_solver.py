@@ -236,7 +236,7 @@ class TestFusedTimeQuadrature:
         opts = sv.SolverOptions(slices=slices, refine=refine)
         times = np.linspace(0.0, 0.5, slices + 1)
         snaps, drift = history
-        bil = [-b for b in sv._mild_series(ops, times, opts, history=(snaps, drift))]
+        bil = [-b for b, _ in sv._mild_series(ops, times, opts, history=(snaps, drift))]
         ref = reference_bilinear_series(ops, snaps, drift, times, opts)
         assert _max_relative_gap(bil, ref) <= 1e-13
         # the force switches off inside the horizon, so some nodes see tau = 0
@@ -299,6 +299,69 @@ class TestInPlaceSweeps:
         finally:
             tracemalloc.stop()
         assert peak <= 2.0 * sum(s.nbytes for s in traj.snapshots)
+
+
+class TestStreamedSolve:
+    # the solve writes its slices to files (picard_solve's directory) and
+    # reads them back for the next sweep: the same bits as a solve in memory
+    @pytest.mark.parametrize("lane", [False, True])
+    def test_streamed_sweeps_match_in_memory(self, monkeypatch, tmp_path, lane):
+        monkeypatch.setattr(sv, "_LANE_POINTS", math.inf if not lane else 0)
+        monkeypatch.setattr(sv, "_LANE_CPUS", 1)
+        on_main, source = set(), sv._SpectralOps.flux_source
+
+        def spy(self, *args):
+            on_main.add(threading.current_thread() is threading.main_thread())
+            return source(self, *args)
+
+        monkeypatch.setattr(sv._SpectralOps, "flux_source", spy)
+        grid = BoxGrid(2, 32.0, 256)
+        a = build_initial_data(2, kind="curl_bump", amplitude=0.001, width=1.0)
+        f = bump_force(amp=0.001, t_off=0.25)
+        opts = sv.SolverOptions(slices=4, tol=1e-13)
+        ops = sv._SpectralOps(grid)
+        times = np.linspace(0.0, 0.5, 5)
+        drift = np.stack([force_integral(f, float(t)) / (2 * 32.0) ** 2 for t in times])
+        memory, files = [], sv.SnapshotFiles(tmp_path / "sweeps", grid, times)
+        (tmp_path / "sweeps").mkdir()
+        for _ in range(3):
+            assert (sv._sweep(ops, a, f, files, drift, times, opts)
+                    == sv._sweep(ops, a, f, memory, drift, times, opts))
+            assert len(files) == len(memory) == 5
+            assert all(np.array_equal(u, v) for u, v in zip(files, memory))
+        (tmp_path / "solve").mkdir()
+        streamed = sv.picard_solve(a, f, grid, 0.5, opts, directory=tmp_path / "solve")
+        traj = sv.picard_solve(a, f, grid, 0.5, opts)
+        assert isinstance(streamed.snapshots, sv.SnapshotFiles) and len(traj.iteration_log) == 2
+        assert streamed.iteration_log == traj.iteration_log
+        assert (streamed.kappa, streamed.bound) == (traj.kappa, traj.bound)
+        assert all(np.array_equal(u, v) for u, v in zip(streamed.snapshots, traj.snapshots))
+        # the decay constant the solve measured is the one a pass over the files reads
+        streamed.save(tmp_path / "traj")
+        loaded = sv.load_trajectory(tmp_path / "traj")
+        assert loaded.decay_constant() == streamed.decay_constant() == traj.decay_constant()
+        assert on_main == {not lane}
+
+    def test_memory_does_not_grow_with_the_slices(self, tmp_path):
+        # a streamed solve holds a stencil of slices: 128 slices peak less
+        # than 8 snapshots above 32 slices (N = 64)
+        grid = BoxGrid(2, L, 64)
+        a, f = build_initial_data(2, kind="zero"), bump_force()
+
+        def peak(slices):
+            directory = tmp_path / str(slices)
+            directory.mkdir()
+            tracemalloc.start()
+            try:
+                sv.picard_solve(a, f, grid, T, sv.SolverOptions(slices=slices),
+                                directory=directory)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sv.picard_solve(a, f, grid, T, sv.SolverOptions(slices=8))   # warm the grid
+        snapshot = 8 * grid.d * grid.n ** grid.d
+        assert peak(128) - peak(32) < 8 * snapshot
 
 
 class TestCertifiedStop:
@@ -572,8 +635,8 @@ class TestBilinear:
         traj = sv.picard_solve(a, ForceModel.zero(2), box, 0.5,
                                sv.SolverOptions(slices=8, tol=1e-12))
         m = traj.slice_index(0.5)
-        *_, last = sv._mild_series(sv._SpectralOps(box), traj.times[:m + 1], opts,
-                                   history=(traj.snapshots, traj.drift))
+        *_, (last, _) = sv._mild_series(sv._SpectralOps(box), traj.times[:m + 1], opts,
+                                        history=(traj.snapshots, traj.drift))
         assert np.abs(last).max() == 0.0
 
     def test_quadratic_scaling_exact(self, canonical, box, opts):
@@ -584,7 +647,7 @@ class TestBilinear:
                                kappa=traj.kappa, bound=traj.bound)
         m = traj.slice_index(T)
         b1, b2 = (-list(sv._mild_series(sv._SpectralOps(box), tr.times[:m + 1], opts,
-                                        history=(tr.snapshots, tr.drift)))[-1]
+                                        history=(tr.snapshots, tr.drift)))[-1][0]
                   for tr in (traj, scaled))
         assert np.abs(b2 - 4.0 * b1).max() <= 1e-12 * np.abs(b2).max()
 
@@ -889,8 +952,8 @@ class TestFarField:
         u, budget = sv.farfield_velocity(traj, a, f, pts, T, opts)
         b = a.value(pts, T) + sv._linear_point(f, pts, T, opts, slices_hint=M) - u
         m = traj.slice_index(T)
-        *_, last = sv._mild_series(sv._SpectralOps(traj.grid), traj.times[:m + 1], opts,
-                                   history=(traj.snapshots, traj.drift))
+        *_, (last, _) = sv._mild_series(sv._SpectralOps(traj.grid), traj.times[:m + 1],
+                                        opts, history=(traj.snapshots, traj.drift))
         field = -last
         idx = np.rint((pts + L) / traj.grid.spacing).astype(int)
         b_grid = np.stack([field[:, i, j] for i, j in idx])
