@@ -13,6 +13,10 @@ failure.  Outputs are deterministic for a fixed config: file names carry the
 scenario hash, JSON is sorted, and wall-clock time goes only to
 ``run.log`` which is excluded from any determinism comparison.
 
+``simulate`` solves into ``trajectory_<hash>`` (``picard_solve``'s
+``directory``), which the solver alone stages and replaces; ``verify``
+reuses it only when it loads and its manifest names the same scenario hash.
+
 Flags mirror the environment variables NSFF_CONFIG, NSFF_OUT, NSFF_ONLY
 (explicit flags win).  ``--threads`` is accepted and has no effect: far-field
 batches run serially.
@@ -23,7 +27,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import shutil
 import sys
 import time
 
@@ -49,7 +52,6 @@ from .solver import (
     load_trajectory,
     picard_solve,
     scenario_digest,
-    staging_directory,
 )
 
 __all__ = ["main", "build_scenario", "run_scenario", "run_kernel_check"]
@@ -160,22 +162,13 @@ def _traj_dir(out_dir: str, digest: str) -> str:
 def simulate(cfg: ScenarioConfig, out_dir: str, scenario=None) -> Trajectory:
     """Solve and persist; ``scenario`` is ``build_scenario(cfg)`` if already built.
 
-    The solve writes each slice into a hidden sibling of the trajectory
-    directory as it builds it, and the save renames that sibling into place;
-    a solve that raises leaves the previous trajectory as it was and removes
-    the sibling.
-    """
+    A solve or save that raises leaves the previous trajectory as it was."""
     grid, data, force, opts, digest = scenario or build_scenario(cfg)
     rep = validate_assumptions(force, ADMISSION_LIMIT)
     tdir = _traj_dir(out_dir, digest)
-    staging = staging_directory(tdir)
-    try:
-        traj = picard_solve(data, force, grid, cfg.horizon, opts, scenario_hash=digest,
-                            assumptions=rep, directory=staging)
-        traj.save(tdir)
-    finally:
-        # after a completed save the staging directory is gone already
-        shutil.rmtree(staging, ignore_errors=True)
+    traj = picard_solve(data, force, grid, cfg.horizon, opts, scenario_hash=digest,
+                        assumptions=rep, directory=tdir)
+    traj.save(tdir)
     verify.write_json(os.path.join(out_dir, f"simulate_{digest}.json"), {
         "scenario": cfg.name, "hash": digest,
         "sweeps": len(traj.iteration_log),
@@ -195,7 +188,10 @@ def _load_or_solve(cfg: ScenarioConfig, out_dir: str, scenario) -> Trajectory:
     tdir = _traj_dir(out_dir, digest)
     if os.path.isdir(tdir):
         try:
-            return load_trajectory(tdir)
+            traj = load_trajectory(tdir)
+            if traj.scenario_hash != digest:
+                raise ValueError(f"its manifest names scenario {traj.scenario_hash!r}")
+            return traj
         except (OSError, ValueError) as exc:
             print(f"cannot reuse {tdir} ({exc}); solving again")
     return simulate(cfg, out_dir, scenario)

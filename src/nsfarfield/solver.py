@@ -96,7 +96,6 @@ __all__ = [
     "SolverOptions",
     "Trajectory",
     "SnapshotFiles",
-    "staging_directory",
     "SolverError",
     "AdmissionError",
     "ContractionError",
@@ -383,13 +382,17 @@ def _snapshot_name(i: int) -> str:
     return f"u{i:05d}.nsvf"
 
 
-def staging_directory(directory) -> str:
-    """A new, empty hidden sibling of ``directory`` for a trajectory on its
-    way there.  ``Trajectory.save`` into ``directory`` renames it into
-    place, and sweeps away any that a killed run left behind."""
+def _staging_prefix(directory) -> tuple:
+    """(parent, name prefix) of the hidden siblings that stage ``directory``."""
     parent, name = os.path.split(os.path.abspath(directory))
+    return parent, f".{name}."
+
+
+def _staging_directory(directory) -> str:
+    """A new, empty hidden sibling of ``directory``."""
+    parent, prefix = _staging_prefix(directory)
     os.makedirs(parent, exist_ok=True)
-    return tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+    return tempfile.mkdtemp(prefix=prefix, dir=parent)
 
 
 class SnapshotFiles:
@@ -475,10 +478,6 @@ class Trajectory:
         return self._cache[key]
 
     @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def contractive(self) -> bool:
         """kappa <= 1/2 when the solve certified its fixed point; else, for a
         solve that stopped on its last update alone, a strictly decreasing
@@ -551,47 +550,46 @@ class Trajectory:
         Everything is written into a hidden sibling directory that is then
         renamed into place, so an interrupted save leaves the previous
         directory complete, or no directory at all, and never a partial one.
-        Snapshot files that already sit in such a sibling, as a solve into
-        ``staging_directory(directory)`` leaves them, stay where they are:
-        the save adds the manifest, renames that sibling into place, and the
-        snapshots are read from ``directory`` from then on.  A directory
-        already in place is first renamed aside, then deleted, and so are
-        the hidden siblings that a killed run left behind.
+        The snapshot files that ``picard_solve(..., directory=directory)``
+        staged in such a sibling stay there: the save adds the manifest,
+        renames that sibling into place, and they are read from
+        ``directory`` from then on.  Other snapshots are appended to a new
+        sibling's ``SnapshotFiles``.  A directory already in place is first
+        renamed aside, then deleted, and so are the siblings that a killed
+        run left behind.
         """
         directory = os.path.abspath(directory)
-        parent, name = os.path.split(directory)
-        files = self.snapshots if isinstance(self.snapshots, SnapshotFiles) else None
-        staged = files is not None and os.path.dirname(files.directory) == parent and \
-            os.path.basename(files.directory).startswith(f".{name}.")
+        parent, prefix = _staging_prefix(directory)
         os.makedirs(parent, exist_ok=True)
-        for entry in os.listdir(parent):
-            path = os.path.join(parent, entry)
-            if entry.startswith(f".{name}.") and not (staged and path == files.directory):
-                shutil.rmtree(path, ignore_errors=True)
-        staging = files.directory if staged else staging_directory(directory)
+        siblings = {os.path.join(parent, e) for e in os.listdir(parent) if e.startswith(prefix)}
+        source = self.snapshots.directory if isinstance(self.snapshots, SnapshotFiles) else None
+        staged = source in siblings
+        for path in siblings - {source}:
+            shutil.rmtree(path, ignore_errors=True)
+        files = self.snapshots if staged else \
+            SnapshotFiles(_staging_directory(directory), self.grid, self.times)
+        staging = files.directory
         old = None
         try:
+            if not staged:
+                for comps in self.snapshots:
+                    files.append(comps)
             lines = [f"format {TRAJECTORY_FORMAT}",
                      f"scenario_hash {self.scenario_hash}",
-                     f"slices {len(self.snapshots) - 1}",
+                     f"slices {len(files) - 1}",
                      "iteration_log " + " ".join(repr(float(v)) for v in self.iteration_log),
                      f"kappa {float(self.kappa)!r}",
                      f"bound {'none' if self.bound is None else repr(float(self.bound))}"]
             for i, t in enumerate(self.times):
-                snap = _snapshot_name(i)
-                if not staged:
-                    VectorFieldGrid(self.grid, self.snapshots[i], time=float(t)).save(
-                        os.path.join(staging, snap))
                 drift = " ".join(repr(float(v)) for v in self.drift[i])
-                lines.append(f"snapshot {i} {float(t)!r} {snap} {drift}")
+                lines.append(f"snapshot {i} {float(t)!r} {_snapshot_name(i)} {drift}")
             with open(os.path.join(staging, "manifest.txt"), "w") as fh:
                 fh.write("\n".join(lines) + "\n")
             if os.path.isdir(directory):
-                old = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+                old = _staging_directory(directory)
                 os.replace(directory, old)
             os.replace(staging, directory)
-            if staged:
-                files.directory = directory
+            files.directory = directory
         finally:
             # after a completed save the staging directory is gone already
             shutil.rmtree(staging, ignore_errors=True)
@@ -605,9 +603,9 @@ def load_trajectory(directory) -> Trajectory:
     with the first snapshot's grid.  No sample is read here: the trajectory's
     ``SnapshotFiles`` read each snapshot when it is asked for.
 
-    The manifest holds one ``iteration_log``, ``kappa`` and ``bound`` line
-    each, every number on them finite; ``bound none`` stands for no
-    certified bound.
+    Every header line (all but the ``snapshot`` lines) appears exactly once;
+    the numbers on the ``iteration_log``, ``kappa`` and ``bound`` lines are
+    finite, and ``bound none`` stands for no certified bound.
     """
     with open(os.path.join(directory, "manifest.txt")) as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
@@ -627,27 +625,21 @@ def load_trajectory(directory) -> Trajectory:
 
     if single("format") != [str(TRAJECTORY_FORMAT)]:
         raise ValueError(f"{directory}: the manifest is not of format {TRAJECTORY_FORMAT}")
+    scenario_hash = " ".join(single("scenario_hash"))
+    slices = single("slices")
     log = finite(single("iteration_log"))
     kappa, = finite(single("kappa"), one=True)
     bound = single("bound")
     bound = None if bound == ["none"] else finite(bound, one=True)[0]
-    scenario_hash = ""
-    slices = None
-    entries = []
-    for parts in lines:
-        if parts[0] == "scenario_hash" and len(parts) > 1:
-            scenario_hash = parts[1]
-        elif parts[0] == "slices" and len(parts) > 1:
-            slices = int(parts[1])
-        elif parts[0] == "snapshot":
-            if len(parts) < 4:
-                raise ValueError(f"{directory}: the manifest line {' '.join(parts)!r} is cut")
-            entries.append(parts)
+    entries = [parts for parts in lines if parts[0] == "snapshot"]
+    cut = [" ".join(parts) for parts in entries if len(parts) < 4]
+    if cut:
+        raise ValueError(f"{directory}: the manifest line {cut[0]!r} is cut")
     if not entries:
         raise ValueError(f"{directory}: the manifest lists no snapshot")
-    if slices != len(entries) - 1:
+    if slices != [str(len(entries) - 1)]:
         raise ValueError(f"{directory}: the manifest lists {len(entries)} snapshots "
-                         f"for {slices} slices")
+                         f"for {' '.join(slices)!r} slices")
     entries.sort(key=lambda p: int(p[1]))
     times, drifts = [], []
     grid = None
@@ -970,10 +962,11 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
                  directory=None) -> Trajectory:
     """Iterate the integral formulation to its discrete fixed point.
 
-    The trajectory's snapshots are a list, or, when ``directory`` (an empty
-    directory) is given, ``SnapshotFiles`` there: each sweep writes every
-    slice to its file as it is built, and the solve holds no more than a
-    stencil of slices in memory.  u^(0) = heat a + L(f) is the first
+    The trajectory's snapshots are a list, or, when ``directory`` is given,
+    ``SnapshotFiles`` in a new hidden sibling of it that its ``save(directory)``
+    renames into place (a solve that raises removes it): each sweep writes
+    every slice to its file as it is built, and the solve holds no more than
+    a stencil of slices in memory.  u^(0) = heat a + L(f) is the first
     sweep's own linear part, never a list of slices.
 
     Sweep k applies the discrete Picard map Phi(u) = heat a + L(f) - B(u, u)
@@ -1037,21 +1030,27 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
     drift = np.stack([force_integral(f, float(t)) / vol for t in times])
 
     weight = _flux_weight(ops, times, opts)
-    snapshots = [] if directory is None else SnapshotFiles(directory, grid, times)
+    snapshots = ([] if directory is None
+                 else SnapshotFiles(_staging_directory(directory), grid, times))
     log = []
-    for sweep in range(1, opts.max_sweeps + 1):
-        update, peak, decay = _sweep(ops, a, f, snapshots, drift, times, opts)
-        log.append(update)
-        kappa = 2.0 * weight * (peak + grid.spacing ** (-grid.d / 2) * update)
-        bound = kappa / (1.0 - kappa) * update if kappa <= 0.5 else None
-        if update < opts.tol or (bound is not None and bound < opts.tol):
-            break
-        if len(log) >= 2 and log[-1] >= log[-2] and update > opts.tol * 10:
-            raise ContractionError(
-                f"update norms stopped decreasing at sweep {sweep}: {log}", log)
-    else:
-        raise ConvergenceError(
-            f"no convergence to tol={opts.tol:g} in {opts.max_sweeps} sweeps: {log}", log)
+    try:
+        for sweep in range(1, opts.max_sweeps + 1):
+            update, peak, decay = _sweep(ops, a, f, snapshots, drift, times, opts)
+            log.append(update)
+            kappa = 2.0 * weight * (peak + grid.spacing ** (-grid.d / 2) * update)
+            bound = kappa / (1.0 - kappa) * update if kappa <= 0.5 else None
+            if update < opts.tol or (bound is not None and bound < opts.tol):
+                break
+            if len(log) >= 2 and log[-1] >= log[-2] and update > opts.tol * 10:
+                raise ContractionError(
+                    f"update norms stopped decreasing at sweep {sweep}: {log}", log)
+        else:
+            raise ConvergenceError(
+                f"no convergence to tol={opts.tol:g} in {opts.max_sweeps} sweeps: {log}", log)
+    except BaseException:
+        if directory is not None:
+            shutil.rmtree(snapshots.directory, ignore_errors=True)
+        raise
 
     return Trajectory(grid, times, snapshots, drift, log, scenario_hash,
                       kappa=kappa, bound=bound, decay=decay)
@@ -1060,9 +1059,10 @@ def picard_solve(a: InitialData, f: ForceModel, grid: BoxGrid, horizon: float,
 def integral_residual(traj: Trajectory, a: InitialData, f: ForceModel,
                       opts: SolverOptions = SolverOptions()) -> float:
     """Max over sample times of the L2 defect of the integral equation: the
-    update norm of one more Picard sweep from the trajectory."""
-    return _sweep(_SpectralOps(traj.grid), a, f, list(traj.snapshots), traj.drift,
-                  traj.times, opts)[0]
+    update norm of one more Picard sweep, reading one stencil at a time."""
+    series = _mild_series(_SpectralOps(traj.grid), traj.times, opts, a, f,
+                          (traj.snapshots, traj.drift))
+    return max(grid_l2(new - old, traj.grid) for new, old in series)
 
 
 # ---------------------------------------------------------------------------

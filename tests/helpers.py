@@ -177,7 +177,8 @@ def lift_full(ops, source):
 
 
 def mild_series_full(ops, times, opts, a=None, f=None, history=None):
-    """``solver._mild_series`` with B on the whole half spectrum."""
+    """``solver._mild_series`` with B on the whole half spectrum; with a
+    ``history``, each slice comes as the pair (slice, snapshots[m])."""
     d = ops.grid.d
     rule = sv._slice_rule(ops, times, opts)
     acc = np.zeros((d,) + ops.shape, dtype=complex)
@@ -199,7 +200,10 @@ def mild_series_full(ops, times, opts, a=None, f=None, history=None):
             patterns[offset, size] = [rule.fold(lw[:, j]) for j in range(size)]
         return patterns[offset, size]
 
-    yield ops.ifft(acc)
+    def out(m, spec):
+        return ops.ifft(spec) if history is None else (ops.ifft(spec), snapshots[m])
+
+    yield out(0, acc)
     for m in range(1, times.size):
         acc *= rule.decay
         tv = f.time_profile.value(times[m - 1] + rule.offsets) if specs else 0.0
@@ -218,7 +222,7 @@ def mild_series_full(ops, times, opts, a=None, f=None, history=None):
                     sources[i] = flux_source_full(ops, snapshots[i], drift[i])
                 bil += weight * sources[i]
             total = acc - lift_full(ops, bil)
-        yield ops.ifft(total)
+        yield out(m, total)
 
 
 def sweep_full(ops, a, f, snapshots, drift, times, opts):
@@ -230,8 +234,9 @@ def sweep_full(ops, a, f, snapshots, drift, times, opts):
     history = list(mild_series_full(ops, times, opts, a, f)) if first else snapshots
     update = peak = decay = 0.0
     weight = (1.0 + ops.grid.radius) ** ops.grid.d
-    for m, new in enumerate(mild_series_full(ops, times, opts, a, f, (history, drift))):
-        update = max(update, sv.grid_l2(new - history[m], ops.grid))
+    for m, (new, old) in enumerate(mild_series_full(ops, times, opts, a, f,
+                                                     (history, drift))):
+        update = max(update, sv.grid_l2(new - old, ops.grid))
         ext = np.maximum(np.abs(new.max(axis=tuple(range(1, new.ndim))) + drift[m]),
                          np.abs(new.min(axis=tuple(range(1, new.ndim))) + drift[m]))
         peak = max(peak, float(np.sqrt(np.sum(ext * ext))))

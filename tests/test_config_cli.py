@@ -94,13 +94,17 @@ def _swap_snapshots(tdir):
     b.write_bytes(data)
 
 
+def _edit_manifest(edit):
+    # the manifest's lines, as ``edit(lines)`` returns them
+    def apply(tdir):
+        manifest = tdir / "manifest.txt"
+        manifest.write_text("".join(edit(manifest.read_text().splitlines(keepends=True))))
+    return apply
+
+
 def _drop_line(key):
     # the manifest without its `key` line
-    def drop(tdir):
-        manifest = tdir / "manifest.txt"
-        lines = manifest.read_text().splitlines(keepends=True)
-        manifest.write_text("".join(ln for ln in lines if ln.split()[0] != key))
-    return drop
+    return _edit_manifest(lambda lines: [ln for ln in lines if ln.split()[0] != key])
 
 
 def _truncate(path, size=None):
@@ -125,6 +129,15 @@ _DAMAGE = {
     "snapshots_swapped": _swap_snapshots,
     "iteration_log_dropped": _drop_line("iteration_log"),
     "kappa_dropped": _drop_line("kappa"),
+    "scenario_hash_dropped": _drop_line("scenario_hash"),
+    # the manifest of another scenario's solve
+    "scenario_hash_changed": _edit_manifest(lambda lines: [
+        "scenario_hash 0123456789abcdef\n" if ln.startswith("scenario_hash ") else ln
+        for ln in lines]),
+    # a second slices line ahead of the first, that of a solve with one slice fewer
+    "slices_repeated": _edit_manifest(lambda lines: [
+        f"slices {int(ln.split()[1]) - 1}\n" for ln in lines if ln.startswith("slices ")]
+        + lines),
 }
 
 

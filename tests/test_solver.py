@@ -329,15 +329,16 @@ class TestStreamedSolve:
                     == sv._sweep(ops, a, f, memory, drift, times, opts))
             assert len(files) == len(memory) == 5
             assert all(np.array_equal(u, v) for u, v in zip(files, memory))
-        (tmp_path / "solve").mkdir()
-        streamed = sv.picard_solve(a, f, grid, 0.5, opts, directory=tmp_path / "solve")
+        streamed = sv.picard_solve(a, f, grid, 0.5, opts, directory=tmp_path / "traj")
         traj = sv.picard_solve(a, f, grid, 0.5, opts)
         assert isinstance(streamed.snapshots, sv.SnapshotFiles) and len(traj.iteration_log) == 2
         assert streamed.iteration_log == traj.iteration_log
         assert (streamed.kappa, streamed.bound) == (traj.kappa, traj.bound)
         assert all(np.array_equal(u, v) for u, v in zip(streamed.snapshots, traj.snapshots))
-        # the decay constant the solve measured is the one a pass over the files reads
+        # the save renames the solve's staging sibling into place; the decay
+        # constant the solve measured is the one a pass over the files reads
         streamed.save(tmp_path / "traj")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweeps", "traj"]
         loaded = sv.load_trajectory(tmp_path / "traj")
         assert loaded.decay_constant() == streamed.decay_constant() == traj.decay_constant()
         assert on_main == {not lane}
@@ -349,17 +350,38 @@ class TestStreamedSolve:
         a, f = build_initial_data(2, kind="zero"), bump_force()
 
         def peak(slices):
-            directory = tmp_path / str(slices)
-            directory.mkdir()
             tracemalloc.start()
             try:
                 sv.picard_solve(a, f, grid, T, sv.SolverOptions(slices=slices),
-                                directory=directory)
+                                directory=tmp_path / str(slices))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         sv.picard_solve(a, f, grid, T, sv.SolverOptions(slices=8))   # warm the grid
+        snapshot = 8 * grid.d * grid.n ** grid.d
+        assert peak(128) - peak(32) < 8 * snapshot
+
+    def test_residual_streams_a_loaded_trajectory(self, tmp_path):
+        # one more sweep over the files, one stencil at a time: the residual
+        # of the loaded trajectory is the in-memory one, and 128 slices peak
+        # less than 8 snapshots above 32 slices (N = 64)
+        grid = BoxGrid(2, L, 64)
+        a, f = build_initial_data(2, kind="zero"), bump_force()
+
+        def peak(slices):
+            opts = sv.SolverOptions(slices=slices)
+            traj = sv.picard_solve(a, f, grid, T, opts)
+            traj.save(tmp_path / str(slices))
+            loaded = sv.load_trajectory(tmp_path / str(slices))
+            expected = sv.integral_residual(traj, a, f, opts)
+            tracemalloc.start()
+            try:
+                assert sv.integral_residual(loaded, a, f, opts) == expected
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         snapshot = 8 * grid.d * grid.n ** grid.d
         assert peak(128) - peak(32) < 8 * snapshot
 
@@ -1165,9 +1187,13 @@ class TestPersistence:
         lambda lines: ["bound 1e-12 2e-12" if ln.startswith("bound") else ln for ln in lines],
         lambda lines: [ln.replace(ln.split()[1], "nan") if ln.startswith("iteration_log")
                        else ln for ln in lines],
+        lambda lines: [ln for ln in lines if not ln.startswith("scenario_hash")],
+        lambda lines: lines + ["scenario_hash 0123"],
+        lambda lines: ["slices 7"] + lines,
     ], ids=["log_dropped", "log_duplicated", "kappa_dropped", "bound_duplicated",
             "bound_dropped", "kappa_nan", "kappa_cut", "bound_inf", "bound_two_values",
-            "log_nan"])
+            "log_nan", "scenario_hash_dropped", "scenario_hash_repeated",
+            "slices_repeated"])
     def test_manifest_certificate_lines_checked(self, canonical, tmp_path, edit):
         _, _, traj = canonical
         traj.save(tmp_path / "traj")
@@ -1175,6 +1201,22 @@ class TestPersistence:
         manifest.write_text("\n".join(edit(manifest.read_text().splitlines())) + "\n")
         with pytest.raises(ValueError, match="manifest"):
             sv.load_trajectory(tmp_path / "traj")
+
+    def test_snapshot_replaced_after_load_is_refused(self, canonical, tmp_path):
+        # a snapshot file that no longer holds its slice's grid or time
+        # raises when it is next read, naming the file
+        from nsfarfield.grid import VectorFieldGrid
+
+        _, _, traj = canonical
+        traj.save(tmp_path / "traj")
+        loaded = sv.load_trajectory(tmp_path / "traj")
+        path = tmp_path / "traj" / "u00003.nsvf"
+        coarse = BoxGrid(2, L, N // 2)
+        for grid, comps, time in [(coarse, traj.snapshots[3][:, ::2, ::2], traj.times[3]),
+                                  (traj.grid, traj.snapshots[3], traj.times[4])]:
+            VectorFieldGrid(grid, comps, time=float(time)).save(path)
+            with pytest.raises(ValueError, match="u00003.nsvf"):
+                loaded.snapshots[3]
 
     def test_failed_resave_keeps_the_previous_trajectory(self, canonical, tmp_path,
                                                          monkeypatch):
