@@ -444,21 +444,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_out_dir(out_dir: str) -> bool:
-    """Create ``out_dir``; False, with one line printed, when that fails."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot use output directory: {exc}")
-        return False
-    return True
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args) -> int:
     if args.command == "kernel-check":
-        if not _make_out_dir(args.out):
-            return EXIT_CONFIG_ERROR
+        os.makedirs(args.out, exist_ok=True)
         return run_kernel_check(args.out, args.dimension)
 
     try:
@@ -484,20 +472,29 @@ def main(argv=None) -> int:
         print("config error: no check selected")
         return EXIT_CONFIG_ERROR
 
-    if not _make_out_dir(out_dir):
-        return EXIT_CONFIG_ERROR
+    os.makedirs(out_dir, exist_ok=True)
+    if args.command == "simulate":
+        simulate(cfg, out_dir)
+        return EXIT_PASS
+    if args.command == "verify":
+        return run_verify(cfg, out_dir, only=only)
+    if args.command == "report":
+        return run_report(cfg, out_dir)
+    return run_scenario(cfg, out_dir, only=only)
+
+
+def main(argv=None) -> int:
+    """Run one subcommand.  An output path that cannot be made or written,
+    such as a file where a directory goes, is exit 2 with one line."""
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            simulate(cfg, out_dir)
-            return EXIT_PASS
-        if args.command == "verify":
-            return run_verify(cfg, out_dir, only=only)
-        if args.command == "report":
-            return run_report(cfg, out_dir)
-        return run_scenario(cfg, out_dir, only=only)
+        return _run(args)
     except SolverError as exc:
         print(f"NUMERICAL FAILURE: {exc}")
         return EXIT_NUMERICAL_FAILURE
+    except OSError as exc:
+        print(f"cannot use output directory: {exc}")
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -291,7 +291,8 @@ def _violations(cfg: ScenarioConfig) -> list:
     times = (np.linspace(0.0, cfg.horizon, cfg.slices + 1)
              if cfg.horizon > 0 and cfg.slices >= 1 else None)
     # a switch inside a slice falls between the GL4 nodes of the solve's slice
-    # rule, which then misses part of tau(s): the force switches at slice times
+    # rule, which then misses part of tau(s): the force switches at slice times,
+    # which are also the panel edges of the far field's linear term
     off = [t for t in (cfg.time_on, cfg.time_off) if times is not None
            and 0 <= t <= cfg.horizon and not on_slice(times, t)]
     if off:

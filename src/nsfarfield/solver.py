@@ -1077,9 +1077,13 @@ def _require_points(x, d: int) -> tuple:
     return pts, single, x.shape[:-1]
 
 
-def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
-                  slices_hint: int = 64, order: int = 4) -> np.ndarray:
-    """L(f)(x, t) by closed-form time quadrature with the GL``order`` panel rule.
+def _linear_point(f: ForceModel, x: np.ndarray, edges: np.ndarray, opts: SolverOptions,
+                  order: int = 4) -> np.ndarray:
+    """L(f)(x, t), t = edges[-1], by closed-form time quadrature with the
+    GL``order`` panel rule over ``edges``: in ``farfield_velocity`` the slice
+    times up to t, where a config's force switches, so tau is smooth on every
+    panel.  A force built with a switch inside a slice shares the solve's
+    quadrature error there, which ``_linear_gap`` does not see.
 
     Each Gaussian force term contributes tau(s) * P[c rho_{t-s}](x - center)
     with rho_{t-s} the heat-fattened bump; the projection of a radial Gaussian
@@ -1089,10 +1093,10 @@ def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
     summed in node order.  ``_linear_gap`` estimates the error.
     """
     d = f.d
-    if t == 0.0 or not f.terms or not x.size:
+    t = float(edges[-1])
+    if len(edges) < 2 or not f.terms or not x.size:   # no panel: t is slice 0
         return np.zeros_like(x)
-    n_panels = max(8, min(slices_hint, 64))
-    panels = _time_panels(np.linspace(0.0, t, n_panels + 1), opts.refine)
+    panels = _time_panels(edges, opts.refine)
     centers = np.array([term.profile.center for term in f.terms])
     amplitudes = np.array([term.amplitude for term in f.terms])
     block = max(1, _NODE_BLOCK // x.size)
@@ -1113,11 +1117,11 @@ def _linear_point(f: ForceModel, x: np.ndarray, t: float, opts: SolverOptions,
     return acc
 
 
-def _linear_gap(values: np.ndarray, f: ForceModel, x: np.ndarray, t: float,
-                opts: SolverOptions, slices_hint: int = 64) -> float:
-    """Error estimate of ``_linear_point``'s ``values``: the largest distance
-    over the points to the embedded GL2 rule."""
-    coarse = _linear_point(f, x, t, opts, slices_hint, order=2)
+def _linear_gap(values: np.ndarray, f: ForceModel, x: np.ndarray, edges: np.ndarray,
+                opts: SolverOptions) -> float:
+    """Error estimate of ``_linear_point``'s ``values`` on the same ``edges``:
+    the largest distance over the points to the embedded GL2 rule."""
+    coarse = _linear_point(f, x, edges, opts, order=2)
     return float(np.max(np.linalg.norm(values - coarse, axis=-1), initial=0.0))
 
 
@@ -1399,21 +1403,23 @@ def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: flo
                       opts: SolverOptions = SolverOptions()):
     """Velocity at arbitrary points from the closed-form Duhamel terms.
 
-    Returns (values (..., d), error_budget).  The bilinear term of every
-    point, inside |x| < L/2 as well, is the gradient-kernel quadrature of
-    ``_bilinear_point``; its four budget entries carry the ``bilinear_``
-    prefix.  The values are computed here.  The budget is a read-only
-    mapping that computes all its entries on the first read, over every
-    point of the call: the GL2 rules of both quadratures, the bilinear
-    values on the stride-2 sources and the decay constant behind the
-    truncation bound.  A caller that reads only the values, as every check
-    does until the checks report per-point budgets, pays for none of it.
+    Returns (values (..., d), error_budget).  The linear term and its budget
+    integrate over one set of panel edges, the slice times up to t.  The
+    bilinear term of every point, inside |x| < L/2 as well, is the
+    gradient-kernel quadrature of ``_bilinear_point``; its four budget
+    entries carry the ``bilinear_`` prefix.  The values are computed here.
+    The budget is a read-only mapping that computes all its entries on the
+    first read, over every point of the call: the GL2 rules of both
+    quadratures, the bilinear values on the stride-2 sources and the decay
+    constant behind the truncation bound.  A caller that reads only the
+    values, as every check does until the checks report per-point budgets,
+    pays for none of it.
     """
     d = traj.grid.d
     pts, single, lead = _require_points(x, d)
     t = float(t)
-    hint = traj.times.size - 1
-    lin_vals = _linear_point(f, pts, t, opts, slices_hint=hint)
+    edges = np.append(traj.times[:traj.slice_index(t)], t)
+    lin_vals = _linear_point(f, pts, edges, opts)
     bil = _bilinear_point(traj, pts, t, opts)
     total = a.value(pts, t) + lin_vals - bil
     out = total.reshape(lead + (d,)) if not single else total[0]
@@ -1422,7 +1428,7 @@ def farfield_velocity(traj: Trajectory, a: InitialData, f: ForceModel, x, t: flo
     def budget():
         bilinear = _bilinear_gap(bil, traj, pts, t, opts)
         return {"heat": 0.0,   # the heat term is exact
-                "linear_quadrature": _linear_gap(lin_vals, f, pts, t, opts, hint),
+                "linear_quadrature": _linear_gap(lin_vals, f, pts, edges, opts),
                 **{f"bilinear_{k}": v for k, v in bilinear.items()}}
 
     return out, _Budget(budget)

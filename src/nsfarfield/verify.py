@@ -106,9 +106,7 @@ class FitReport:
     abscissa: np.ndarray
     values: np.ndarray
     fitted_exponent: float
-    exponent_stderr: float
     predicted_exponent: float | None
-    window: tuple
     residual: float
     tolerance: float
     passed: bool
@@ -137,9 +135,8 @@ def fit_power_law(abscissa, values, quantity: str = "",
     if np.any(v <= 0) or np.any(a <= 0):
         raise ValueError("power-law fit needs positive samples")
     la, lv = np.log(a), np.log(v)
-    (slope, intercept), cov = np.polyfit(la, lv, 1, cov=True)
+    slope, intercept = np.polyfit(la, lv, 1)
     resid = np.max(np.abs(lv - (slope * la + intercept)))
-    stderr = float(np.sqrt(max(cov[0, 0], 0.0)))
     if predicted_exponent is None:
         passed = math.isfinite(slope)
     else:
@@ -149,9 +146,7 @@ def fit_power_law(abscissa, values, quantity: str = "",
         abscissa=a,
         values=v,
         fitted_exponent=float(slope),
-        exponent_stderr=stderr,
         predicted_exponent=predicted_exponent,
-        window=(float(a.min()), float(a.max())),
         residual=float(resid),
         tolerance=tolerance,
         passed=bool(passed),
@@ -304,8 +299,7 @@ def remainder_extract(flow, radii, t: float) -> FitReport:
     onset = float(settled.min()) if settled.size else math.inf
     if np.all(worst < 1e-30):
         # trivially zero remainder: report a pass without fitting noise
-        return FitReport("remainder_decay", radii, worst, float("-inf"), 0.0,
-                         -(d + 1.0), (float(radii.min()), float(radii.max())),
+        return FitReport("remainder_decay", radii, worst, float("-inf"), -(d + 1.0),
                          0.0, _SLOPE_SLACK, True, bool(radii.max() / radii.min() >= 10),
                          extras={"constant": 0.0, "constant_variation": 1.0,
                                  "trivially_zero": True, "velocity_sup": sup})

@@ -543,6 +543,23 @@ class TestCli:
         verdict = json.loads(reports[0].read_text())
         assert verdict["overall"] == "pass"
 
+    @pytest.mark.parametrize("profile", ["smooth_bump", "indicator"])
+    def test_profile_remainder_between_switch_and_horizon(self, tmp_path, profile):
+        # at t = 0.375, a slice time but not a power-of-two fraction of it,
+        # the linear term integrates on the slices, whose edges hold the
+        # switch times: no spurious K dM term enters the remainder
+        text = QUICK.replace("run = lemlog", "run = profile window").replace(
+            "time_profile = smooth_bump", f"time_profile = {profile}")
+        text += ("\n[checks]\nprofile_time = 0.375\nwindow_time = 0.375\n"
+                 "profile_radii = 8 11.3 16 22.6 32 45.25 64\n")
+        cfg = tmp_path / "mid.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["all", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PASS
+        payload = json.loads(next(out.glob("profile_*.json")).read_text())
+        assert payload["remainder_exponent"] <= -2.9
+        assert payload["remainder_constant_variation"] < 1.3
+
     def test_deterministic_rerun(self, tmp_path):
         cfg = tmp_path / "quick.cfg"
         cfg.write_text(QUICK)
@@ -667,6 +684,24 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("cannot use output directory")
         assert taken.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "all"])
+    def test_file_in_the_trajectory_path_is_a_config_error(self, tmp_path, capsys, command):
+        # the solve cannot move its staged trajectory onto a regular file:
+        # one line and exit 2, the file as it was, no staging sibling left
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK)
+        out = tmp_path / "out"
+        out.mkdir()
+        digest = cli.scenario_digest(parse_config(QUICK).hash_source())
+        taken = out / f"trajectory_{digest}"
+        taken.write_text("not a directory")
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cannot use output directory"), lines
+        assert taken.read_text() == "not a directory"
+        assert not list(out.glob(f".trajectory_{digest}.*"))
 
     def test_verify_runs_only_selected(self, tmp_path):
         cfg = tmp_path / "quick.cfg"

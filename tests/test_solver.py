@@ -56,8 +56,9 @@ class TestLinearResponse:
         comps = sv._linear_series(sv._SpectralOps(box), f, np.linspace(0.0, 0.5, 9), opts)[-1]
         assert np.abs(comps).max() == 0.0
         x = np.array([[1.0, 2.0]])
-        vals = sv._linear_point(f, x, 0.5, opts)
-        err = sv._linear_gap(vals, f, x, 0.5, opts)
+        edges = np.linspace(0.0, 0.5, M + 1)
+        vals = sv._linear_point(f, x, edges, opts)
+        err = sv._linear_gap(vals, f, x, edges, opts)
         assert np.abs(vals).max() == 0.0 and err == 0.0
 
     def test_grid_vs_point_mode(self, box, opts):
@@ -76,7 +77,7 @@ class TestLinearResponse:
         shifts = [np.array([i * 2 * L, j * 2 * L]) for i in (-1, 0, 1) for j in (-1, 0, 1)]
         point = np.zeros_like(pts)
         for s in shifts:
-            v = sv._linear_point(f, pts + s, t, opts, slices_hint=M)
+            v = sv._linear_point(f, pts + s, np.linspace(0.0, t, M + 1), opts)
             point += v
         idx = np.rint((pts + L) / box.spacing).astype(int)
         grid_vals = np.stack([comps[:, i, j] for i, j in idx])
@@ -84,6 +85,26 @@ class TestLinearResponse:
         dp = point - point[0]
         scale = np.abs(point).max()
         assert np.abs(dg - dp).max() < 1e-4 * scale
+
+    @pytest.mark.parametrize("tau", [SmoothBump(0.0, 0.5), Indicator(0.0, 0.5),
+                                     SmoothBump(0.25, 0.75), Indicator(0.125, 0.625)],
+                             ids=["bump", "indicator", "bump-late", "indicator-late"])
+    def test_linear_point_on_the_slices_matches_the_profile(self, opts, tau):
+        # on canonical's slice times the force switches at panel edges, so at
+        # r = 256, where the heat-fattened bump acts as a point mass, the
+        # linear term is K(x) M(t) to round-off, and its budget covers the gap
+        f = ForceModel(2, terms=[SeparableTerm(GaussianBump(2, width=1.2), tau,
+                                               (0.0018, 0.0))])
+        times = np.linspace(0.0, 2.0, 129)
+        x = 256.0 * sphere_points(2, 16)
+        for t in (1.25, 1.5, 1.75):
+            edges = times[:int(t * 64) + 1]
+            got = sv._linear_point(f, x, edges, opts)
+            want = profile_field(x, force_integral(f, t), 2)
+            scale = float(np.linalg.norm(want, axis=-1).max())
+            err = float(np.linalg.norm(got - want, axis=-1).max())
+            assert err <= 1e-12 * scale, t
+            assert sv._linear_gap(got, f, x, edges, opts) + 1e-13 * scale >= err, t
 
     def test_decay_envelope_constant(self, box, opts):
         # |L(f)(x,t)| <= C eps min((1+|x|)^{-d}, (1+t)^{-d/2}) with moderate C
@@ -97,7 +118,7 @@ class TestLinearResponse:
             theta = np.linspace(0, 2 * math.pi, 6, endpoint=False)
             dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
             x = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-            vals = sv._linear_point(f, x, t, opts, slices_hint=M)
+            vals = sv._linear_point(f, x, np.linspace(0.0, t, M + 1), opts)
             mag = np.linalg.norm(vals, axis=-1)
             r = np.linalg.norm(x, axis=-1)
             bound = np.minimum((1 + r) ** (-2.0), (1 + t) ** (-1.0))
@@ -972,8 +993,8 @@ class TestFarField:
                         (4.0, 4.0), (7.0, 0.0)])
         assert np.linalg.norm(pts, axis=-1).max() < L / 2
         u, budget = sv.farfield_velocity(traj, a, f, pts, T, opts)
-        b = a.value(pts, T) + sv._linear_point(f, pts, T, opts, slices_hint=M) - u
         m = traj.slice_index(T)
+        b = a.value(pts, T) + sv._linear_point(f, pts, traj.times[:m + 1], opts) - u
         *_, (last, _) = sv._mild_series(sv._SpectralOps(traj.grid), traj.times[:m + 1],
                                         opts, history=(traj.snapshots, traj.drift))
         field = -last
@@ -998,9 +1019,9 @@ class TestFarField:
         f = ForceModel(2, terms=terms)
         x = np.concatenate([r * sphere_points(2, 6) for r in (3.0, 10.0, 40.0)])
         t = 0.4
-        got = sv._linear_point(f, x, t, opts, slices_hint=16)
-        err = sv._linear_gap(got, f, x, t, opts, slices_hint=16)
         edges = np.linspace(0.0, t, 17)
+        got = sv._linear_point(f, x, edges, opts)
+        err = sv._linear_gap(got, f, x, edges, opts)
         panels = [p for i in range(15) for p in sv._graded_panels(edges[i], edges[i + 1], 0, 1)]
         panels += sv._graded_panels(edges[-2], edges[-1], sv._GRADING_LEVELS, 1)
         sums = []
@@ -1044,7 +1065,7 @@ class TestFarField:
                     continue
                 shift = np.array([i * 2 * L, j * 2 * L])
                 x = pts + shift
-                point += a.value(x, t) + sv._linear_point(f, x, t, opts, slices_hint=M)
+                point += a.value(x, t) + sv._linear_point(f, x, traj.times, opts)
         idx = np.rint((pts + L) / box.spacing).astype(int)
         grid_vals = np.stack([traj.field_at(t).components[:, i, j] for i, j in idx])
         dg = grid_vals - grid_vals[-1]
@@ -1068,7 +1089,7 @@ class TestFarField:
         point = np.zeros_like(pts)
         for s in shifts:
             x = pts + s
-            point += a.value(x, t) + sv._linear_point(f, x, t, opts, slices_hint=M)
+            point += a.value(x, t) + sv._linear_point(f, x, traj.times, opts)
         idx = np.rint((pts + L) / box.spacing).astype(int)
         grid_vals = np.stack([stokes[:, i, j] for i, j in idx])
         dg = grid_vals - grid_vals[-1]
