@@ -545,9 +545,9 @@ class TestCli:
 
     @pytest.mark.parametrize("profile", ["smooth_bump", "indicator"])
     def test_profile_remainder_between_switch_and_horizon(self, tmp_path, profile):
-        # at t = 0.375, a slice time but not a power-of-two fraction of it,
+        # 16 uniform panels over [0, 0.375] put no edge at time_off = 0.25;
         # the linear term integrates on the slices, whose edges hold the
-        # switch times: no spurious K dM term enters the remainder
+        # switch times, so no spurious K dM term enters the remainder
         text = QUICK.replace("run = lemlog", "run = profile window").replace(
             "time_profile = smooth_bump", f"time_profile = {profile}")
         text += ("\n[checks]\nprofile_time = 0.375\nwindow_time = 0.375\n"
